@@ -319,13 +319,10 @@ def cmd_sweep(args) -> int:
 
 
 def _serve_with_signals(args, spec, store, progress):
-    """Host a distributed sweep with drain-on-signal and a journal.
+    """Host ``spec`` as a single-tenant farm with a journal until it
+    completes or a signal drains it (:func:`_serve_until_drained`).
 
-    Returns ``(fresh_records, drained)``.  SIGTERM/SIGINT initiate a
-    graceful drain — stop leasing, give in-flight cells ``--drain-grace``
-    seconds to land, fsync store + journal, exit 0 — instead of killing
-    the coordinator mid-write; the periodic status summary keeps long
-    unattended serves from being silent.
+    Returns ``(fresh_records, drained)``.
     """
     from repro.experiments.distributed import Coordinator, QueueJournal
 
@@ -349,9 +346,32 @@ def _serve_with_signals(args, spec, store, progress):
               f"    python -m repro worker "
               f"--connect HOST:{bound_port}", flush=True)
 
+    def _summary(snap: dict) -> str:
+        eta = "?" if snap["eta_s"] is None else f"{snap['eta_s']:.0f}s"
+        return (f"[serve] {snap['done']}/{snap['total']} done, "
+                f"{snap['active_workers']} worker(s), "
+                f"{snap['cells_per_s']:.2f} cells/s, eta {eta}")
+
+    fresh = _serve_until_drained(coord, args, "coordinator", journal_path,
+                                 None if args.json else _summary)
+    return fresh, coord.drained
+
+
+def _serve_until_drained(coord, args, what: str, journal_path: str,
+                         summary, linger_s: float = 0.0) -> list[dict]:
+    """Run a started coordinator to the end, draining on SIGTERM/SIGINT.
+
+    A signal stops leasing and gives in-flight cells ``--drain-grace``
+    seconds to land, then store and journal are fsync'd and the process
+    exits 0 — instead of killing the coordinator mid-write.  With
+    ``--status-interval`` > 0, ``summary(status_snapshot)`` is printed
+    periodically (None = no summary) so long unattended serves are not
+    silent.  Returns the fresh records; the previous signal handlers are
+    restored on the way out.
+    """
     def _drain_handler(signum, frame):
         name = signal.Signals(signum).name
-        print(f"{name}: draining — no new leases, up to "
+        print(f"{name}: draining {what} — no new leases, up to "
               f"{args.drain_grace:g}s for in-flight cells "
               f"(journal: {journal_path})", file=sys.stderr, flush=True)
         coord.drain(grace_s=args.drain_grace)
@@ -359,28 +379,22 @@ def _serve_with_signals(args, spec, store, progress):
     previous = {sig: signal.signal(sig, _drain_handler)
                 for sig in (signal.SIGTERM, signal.SIGINT)}
 
-    if args.status_interval > 0 and not args.json:
+    if summary is not None and args.status_interval > 0:
         def _summary_loop():
             while True:
                 time.sleep(args.status_interval)
                 snap = coord.status_snapshot()
                 if snap["finished"]:
                     return
-                eta = ("?" if snap["eta_s"] is None
-                       else f"{snap['eta_s']:.0f}s")
-                print(f"[serve] {snap['done']}/{snap['total']} done, "
-                      f"{snap['active_workers']} worker(s), "
-                      f"{snap['cells_per_s']:.2f} cells/s, eta {eta}",
-                      flush=True)
+                print(summary(snap), flush=True)
         threading.Thread(target=_summary_loop, daemon=True).start()
 
     try:
-        fresh = coord.wait()
+        return coord.wait(linger_s=linger_s)
     finally:
         coord.stop()
         for sig, handler in previous.items():
             signal.signal(sig, handler)
-    return fresh, coord.drained
 
 
 def cmd_farm_status(args) -> int:
@@ -461,38 +475,17 @@ def cmd_farm_serve(args) -> int:
         print(f"resumed {len(resumed)} sweep(s) from the journal: "
               f"{', '.join(sorted(resumed))}", flush=True)
 
-    def _drain_handler(signum, frame):
-        name = signal.Signals(signum).name
-        print(f"{name}: draining farm — no new leases, up to "
-              f"{args.drain_grace:g}s for in-flight cells "
-              f"(journal: {journal_path})", file=sys.stderr, flush=True)
-        coord.drain(grace_s=args.drain_grace)
+    def _summary(snap: dict) -> str:
+        sweeps = snap["sweeps"]
+        live = sum(1 for s in sweeps.values()
+                   if not s["finished"] and not s["cancelled"])
+        return (f"[farm] {len(sweeps)} sweep(s), {live} live, "
+                f"{snap['done']}/{snap['total']} cells done, "
+                f"{snap['active_workers']} worker(s), "
+                f"{snap['cells_per_s']:.2f} cells/s")
 
-    previous = {sig: signal.signal(sig, _drain_handler)
-                for sig in (signal.SIGTERM, signal.SIGINT)}
-
-    if args.status_interval > 0:
-        def _summary_loop():
-            while True:
-                time.sleep(args.status_interval)
-                snap = coord.status_snapshot()
-                if snap["finished"]:
-                    return
-                sweeps = snap["sweeps"]
-                live = sum(1 for s in sweeps.values()
-                           if not s["finished"] and not s["cancelled"])
-                print(f"[farm] {len(sweeps)} sweep(s), {live} live, "
-                      f"{snap['done']}/{snap['total']} cells done, "
-                      f"{snap['active_workers']} worker(s), "
-                      f"{snap['cells_per_s']:.2f} cells/s", flush=True)
-        threading.Thread(target=_summary_loop, daemon=True).start()
-
-    try:
-        coord.wait(linger_s=2.0)
-    finally:
-        coord.stop()
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
+    _serve_until_drained(coord, args, "farm", journal_path, _summary,
+                         linger_s=2.0)
     print("farm drained: stores and journal flushed; restart with "
           "--resume-journal to continue every sweep", file=sys.stderr)
     return 0
@@ -1119,8 +1112,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lease up to K cells per round trip (one "
                         "heartbeat covers the batch); auto-tuned down "
                         "from an EWMA of cell wall time so a batch "
-                        "targets --batch-target seconds. 1 = classic "
-                        "one-cell-per-lease")
+                        "targets --batch-target seconds. 1 = one cell "
+                        "per lease")
     p.add_argument("--batch-target", type=float, default=5.0,
                    metavar="SECONDS",
                    help="wall-clock a leased batch should amount to "

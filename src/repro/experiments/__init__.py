@@ -15,7 +15,7 @@ This subsystem makes those sweeps declarative, parallel, and resumable:
 * :func:`fit_exponent` / :func:`mean_ci` / :func:`growth_exponents` /
   :func:`summarize` — aggregation: mean ± CI per size and the empirical
   growth exponent per (family, method), last-record-wins per cell key;
-* :class:`Coordinator` / :func:`serve_sweep` / :func:`run_worker` —
+* :class:`Coordinator` / :func:`run_worker` —
   distributed multi-host execution: the coordinator serves cells over a
   versioned TCP work queue (lease/heartbeat/requeue), workers pull and
   stream records back into the same resumable store
@@ -43,7 +43,6 @@ from repro.experiments.distributed import (
     fetch_sweep,
     list_sweeps,
     run_worker,
-    serve_sweep,
     submit_sweep,
 )
 from repro.experiments.report import bench_payload, render_report, summarize
@@ -93,7 +92,6 @@ __all__ = [
     "run_cell",
     "run_sweep",
     "run_worker",
-    "serve_sweep",
     "submit_sweep",
     "summarize",
 ]

@@ -5,47 +5,43 @@ x seeds x engines cells — more than one machine delivers in reasonable
 time.  This module splits
 :class:`~repro.experiments.spec.SweepSpec` matrices across hosts:
 
-* a **coordinator** (:class:`Coordinator` / :func:`serve_sweep` /
-  ``repro farm serve``) serves cells over a TCP work queue with lease +
-  heartbeat + requeue-on-dead-worker semantics and merges every
-  incoming record into resumable JSON-lines
+* a **coordinator** (:class:`Coordinator`, behind ``repro sweep
+  --serve`` and ``repro farm serve``) serves cells over a TCP work
+  queue with lease + heartbeat + requeue-on-dead-worker semantics and
+  merges every incoming record into resumable JSON-lines
   :class:`~repro.experiments.store.ResultStore` files;
 * a **worker** (:func:`run_worker`, ``repro worker --connect
   HOST:PORT``) pulls cells, runs each through the supervised process
   farm (per-cell timeouts and retries included, exactly as a local
   sweep would), and streams the records back.
 
-Since PR 10 the coordinator is **multi-tenant**: one farm process
-serves any number of *named sweeps*, each with its own
-:class:`WorkQueue`, its own result store, and a priority; workers are
-fed across tenants by fair-share leasing (highest priority first, then
-least recently served).  ``repro sweep --serve`` still works unchanged
-— it is the single-tenant special case, serving one sweep named
-``"default"`` and exiting when it completes — while ``repro farm
-serve`` keeps the process up between sweeps (``persistent=True``) and
-accepts new tenants over the wire.
+The coordinator is **multi-tenant**: one farm process serves any
+number of *named sweeps*, each with its own :class:`WorkQueue`, its own
+result store, and a priority; workers are fed across tenants by
+fair-share leasing (highest priority first, then least recently
+served).  ``repro sweep --serve`` is the single-tenant special case,
+serving one sweep named ``"default"`` and exiting when it completes,
+while ``repro farm serve`` keeps the process up between sweeps
+(``persistent=True``) and accepts new tenants over the wire.
 
-Wire protocol
--------------
+Wire protocol (version 2)
+-------------------------
 JSON-lines over a plain TCP socket, strictly request/response from the
 worker's side, versioned so a coordinator and worker with different
-conventions refuse to mix records instead of silently mispooling them:
+conventions refuse to mix records instead of silently mispooling them.
+Each verb has exactly one form:
 
-    worker -> {"type": "hello", "protocol": "repro-sweep", "version": V,
+    worker -> {"type": "hello", "protocol": "repro-sweep", "version": 2,
                "worker": ID}
-    coord  <- {"type": "welcome", "version": V, "lease_s": S}
+    coord  <- {"type": "welcome", "version": 2, "lease_s": S}
             | {"type": "reject", "reason": ...}        # then close
-    worker -> {"type": "lease"}                        # classic, or:
-    worker -> {"type": "lease", "max_cells": K}        # batched
-    coord  <- {"type": "cell", "cell": {...}, "sweep": NAME}
-            | {"type": "cells", "sweep": NAME, "cells": [{...}, ...]}
+    worker -> {"type": "lease", "max_cells": K}        # K defaults to 1
+    coord  <- {"type": "cells", "sweep": NAME, "cells": [{...}, ...]}
             | {"type": "idle", "retry_s": S}           # leased out, wait
             | {"type": "shutdown"}                     # sweep complete
-    worker -> {"type": "heartbeat", "key": K, "sweep": NAME}
-    coord  <- {"type": "ok"} | {"type": "gone"}        # lease revoked:
-                                                       # kill the cell
     worker -> {"type": "heartbeat", "keys": [K...], "sweep": NAME}
-    coord  <- {"type": "ok", "gone": [K...]}           # batch form
+    coord  <- {"type": "ok", "gone": [K...]}           # revoked leases:
+                                                       # kill/drop those
     worker -> {"type": "result", "record": {...}, "sweep": NAME}
     coord  <- {"type": "ok", "accepted": bool}
     any    -> {"type": "status"}                       # read-only
@@ -60,12 +56,13 @@ conventions refuse to mix records instead of silently mispooling them:
     any    -> {"type": "cancel", "name": N}
     coord  <- {"type": "ok", "sweep": N, "dropped": D, "revoked": R}
 
-Every addition is *additive*: the protocol version stays 1, an old
-worker that never sends ``max_cells`` gets the classic single-``cell``
-reply (the ``sweep`` field rides along unread) and keeps working
-against the farm's default tenant selection; a farm verb the peer
-cannot satisfy answers ``{"type": "error", "reason": ...}`` instead of
-closing the connection.
+``heartbeat`` and ``result`` must name the ``sweep`` the cells were
+leased from; a worker message without it is malformed, and like any
+malformed worker message it drops the connection and releases that
+worker's leases.  A version-1 peer (single-``cell`` leases, single-key
+heartbeats, untagged results) is rejected at the handshake.  A farm
+verb the peer cannot satisfy answers ``{"type": "error", "reason":
+...}`` instead of closing the connection.
 
 Leases are keyed on ``cell.key()``.  A worker that stops heartbeating
 (crash, network partition) has its leases expire and the cells are
@@ -81,8 +78,7 @@ dominates sub-second cells: a worker asks for up to K cells per round
 trip, runs them sequentially, and one heartbeat covers the whole
 in-flight batch (current cell plus the queued remainder).  K is
 auto-tuned from an EWMA of observed cell wall time so the batch fits
-inside ``min(batch_target_s, lease_s)`` — long cells degrade to K=1,
-the classic protocol.
+inside ``min(batch_target_s, lease_s)`` — long cells degrade to K=1.
 
 Self-healing semantics (the reasons hour-long robustness sweeps survive
 real faults, not just simulated ones):
@@ -96,9 +92,8 @@ real faults, not just simulated ones):
   means the coordinator re-served the cell; the worker terminates the
   in-flight child process (the ``cancel`` seam on
   :func:`~repro.experiments.runner._run_cells_with_timeout`) and drops
-  the stale record instead of computing to completion.  In a batch,
-  revoked not-yet-started cells are silently dropped from the
-  remainder.
+  the stale record instead of computing to completion; revoked
+  not-yet-started cells of the batch are silently dropped.
 * **Coordinator drain.**  SIGTERM/SIGINT on ``repro sweep --serve`` /
   ``repro farm serve`` stops leasing, answers ``shutdown`` to lease
   requests, gives in-flight cells a grace window to land, fsyncs every
@@ -132,7 +127,7 @@ from repro.experiments.spec import Cell, SweepSpec
 from repro.experiments.store import ResultStore, write_json_atomic
 
 PROTOCOL = "repro-sweep"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 DEFAULT_LEASE_S = 30.0
 DEFAULT_MAX_REQUEUES = 5
 #: Worker-side deadline for one request/response exchange (the
@@ -147,7 +142,7 @@ DEFAULT_JOURNAL_INTERVAL_S = 2.0
 DEFAULT_DRAIN_GRACE_S = 5.0
 
 #: The tenant name single-sweep entry points (`repro sweep --serve`,
-#: Coordinator(spec=...)) serve under — old workers land here.
+#: Coordinator(spec=...)) serve under.
 DEFAULT_SWEEP = "default"
 DEFAULT_PRIORITY = 0
 #: Upper bound on cells per batched lease; the EWMA tuner never asks
@@ -368,14 +363,6 @@ class WorkQueue:
         with self._lock:
             return bool(self._leases)
 
-    def knows(self, key: str) -> bool:
-        """Whether ``key`` belongs to this queue (done, leased, or
-        pending) — the coordinator's last-resort record router for
-        legacy workers that tag results with neither sweep nor route."""
-        with self._lock:
-            return (key in self._done or key in self._leases
-                    or any(c.key() == key for c in self._pending))
-
     def counts(self) -> dict:
         """Live queue counts for the ``status`` verb / progress lines."""
         with self._lock:
@@ -460,40 +447,27 @@ class QueueJournal:
     could loop forever across coordinator bounces) nor which
     failed/lost keys the dying coordinator had already given up on.
     The journal is a single atomically-replaced, fsync'd JSON file
-    carrying exactly that per tenant (:meth:`WorkQueue.snapshot` plus
-    each sweep's spec and fingerprint), written periodically and at
-    drain.
-
-    Two on-disk formats are understood: the multi-tenant
-    ``repro-farm-journal`` (:meth:`write_farm` — what coordinators
-    write now) and the single-sweep ``repro-queue-journal``
-    (:meth:`write` — the legacy flat layout, still accepted on load so
-    pre-farm journals resume cleanly as the ``default`` tenant).
+    (format ``repro-farm-journal``) carrying exactly that per tenant
+    (:meth:`WorkQueue.snapshot` plus each sweep's spec and
+    fingerprint), written periodically and at drain.
     """
 
     def __init__(self, path: str):
         self.path = path
 
-    def write(self, snapshot: dict, fingerprint: Optional[str] = None,
-              drained: bool = False) -> None:
-        """Legacy single-sweep layout: one flat queue snapshot."""
-        write_json_atomic(self.path, {
-            "format": "repro-queue-journal",
-            "version": PROTOCOL_VERSION,
-            "fingerprint": fingerprint,
-            "drained": drained,
-            **snapshot,
-        })
-
-    def write_farm(self, sweeps: dict, drained: bool = False) -> None:
-        """Multi-tenant layout: one entry per named sweep, each a queue
-        snapshot plus the spec needed to re-expand its pending cells."""
+    def write(self, sweeps: dict, drained: bool = False) -> None:
+        """One entry per named sweep, each a queue snapshot plus the
+        spec needed to re-expand its pending cells."""
         write_json_atomic(self.path, {
             "format": "repro-farm-journal",
             "version": 2,
             "drained": drained,
             "sweeps": sweeps,
         })
+
+    #: Same writer under its former name: external instrumentation
+    #: that wraps journal writes by attribute still finds it.
+    write_farm = write
 
     def load(self) -> Optional[dict]:
         """The last snapshot, or None when no journal exists yet."""
@@ -505,8 +479,7 @@ class QueueJournal:
         except (OSError, json.JSONDecodeError) as exc:
             raise DistributedError(
                 f"unreadable queue journal {self.path}: {exc}")
-        if payload.get("format") not in ("repro-queue-journal",
-                                         "repro-farm-journal"):
+        if payload.get("format") != "repro-farm-journal":
             raise DistributedError(
                 f"{self.path} is not a repro queue journal")
         return payload
@@ -516,28 +489,6 @@ class QueueJournal:
             os.unlink(self.path)
         except OSError:
             pass
-
-
-def _journal_sweeps(payload: dict) -> dict:
-    """Normalize either journal format to ``{name: entry}``.
-
-    A legacy flat journal becomes one entry for the ``default`` tenant
-    (no spec recorded — legacy coordinators re-expanded from their own
-    command line), so every reader handles exactly one shape.
-    """
-    if payload.get("format") == "repro-farm-journal":
-        sweeps = payload.get("sweeps") or {}
-        return {str(name): dict(entry) for name, entry in sweeps.items()}
-    return {DEFAULT_SWEEP: {
-        "spec": None,
-        "fingerprint": payload.get("fingerprint"),
-        "priority": DEFAULT_PRIORITY,
-        "cancelled": False,
-        "done": payload.get("done", []),
-        "failed": payload.get("failed", []),
-        "requeues": payload.get("requeues", {}),
-        "leased": payload.get("leased", []),
-    }}
 
 
 # -- per-tenant state ---------------------------------------------------------
@@ -645,6 +596,15 @@ def _farm_verb_reply(coord: "Coordinator", msg: dict) -> dict:
         return {"type": "error", "reason": str(exc)}
 
 
+def _sweep_tag(msg: dict) -> str:
+    """The tenant a ``heartbeat``/``result`` names; a message without
+    one is malformed and drops the worker like any other."""
+    sweep = msg.get("sweep")
+    if not isinstance(sweep, str):
+        raise DistributedError(f"{msg.get('type')} without a sweep tag")
+    return sweep
+
+
 class _WorkerConnection(socketserver.StreamRequestHandler):
     """One coordinator-side thread per connected worker."""
 
@@ -699,17 +659,9 @@ class _WorkerConnection(socketserver.StreamRequestHandler):
                         # worker is released cleanly mid-sweep.
                         _send_msg(self.wfile, {"type": "shutdown"})
                         return
-                    max_cells = msg.get("max_cells")
-                    batch = (max(1, int(max_cells))
-                             if max_cells is not None else 1)
-                    name, cells = coord.lease_cells(worker, batch)
-                    if cells and max_cells is None:
-                        # Classic reply for pre-batching workers; the
-                        # sweep name is additive (old workers ignore it).
-                        _send_msg(self.wfile, {"type": "cell",
-                                               "cell": cells[0].to_dict(),
-                                               "sweep": name})
-                    elif cells:
+                    name, cells = coord.lease_cells(
+                        worker, max(1, int(msg.get("max_cells") or 1)))
+                    if cells:
                         _send_msg(self.wfile, {
                             "type": "cells",
                             "sweep": name,
@@ -726,24 +678,19 @@ class _WorkerConnection(socketserver.StreamRequestHandler):
                             "retry_s": min(1.0, coord.lease_s / 4),
                         })
                 elif kind == "heartbeat":
+                    keys = msg.get("keys")
+                    if not isinstance(keys, list):
+                        raise DistributedError("heartbeat without keys")
                     coord.touch_worker(worker, heartbeat=True)
-                    sweep = msg.get("sweep")
-                    if "keys" in msg:
-                        gone = coord.heartbeat_keys(
-                            worker, [str(k) for k in msg.get("keys") or []],
-                            sweep=sweep)
-                        _send_msg(self.wfile, {"type": "ok", "gone": gone})
-                    else:
-                        alive = coord.lease_heartbeat(
-                            worker, msg.get("key"), sweep=sweep)
-                        _send_msg(self.wfile,
-                                  {"type": "ok" if alive else "gone"})
+                    gone = coord.heartbeat_keys(
+                        worker, [str(k) for k in keys], _sweep_tag(msg))
+                    _send_msg(self.wfile, {"type": "ok", "gone": gone})
                 elif kind == "result":
                     record = msg.get("record")
                     if not isinstance(record, dict) or "key" not in record:
                         raise DistributedError("result without a record")
                     accepted = coord.submit(worker, record,
-                                            sweep=msg.get("sweep"))
+                                            sweep=_sweep_tag(msg))
                     _send_msg(self.wfile, {"type": "ok",
                                            "accepted": accepted})
                 elif kind == "status":
@@ -783,7 +730,7 @@ class Coordinator:
 
     Two shapes:
 
-    * **single sweep** (the classic, ``repro sweep --serve``)::
+    * **single sweep** (``repro sweep --serve``)::
 
           coord = Coordinator(spec, store=store)
           host, port = coord.start()
@@ -841,16 +788,13 @@ class Coordinator:
         #:               last_heartbeat} (monotonic clocks)
         self._workers: dict[str, dict] = {}
         self._started_at = time.monotonic()
-        # Serializes tenant bookkeeping — the sweep registry, lease
-        # routing, and "mark done in the queue" with "write the
-        # record"; check_finished takes it too, so no thread can observe
-        # the queues finished while the final record is still unwritten
+        # Serializes tenant bookkeeping — the sweep registry, leasing,
+        # and "mark done in the queue" with "write the record";
+        # check_finished takes it too, so no thread can observe the
+        # queues finished while the final record is still unwritten
         # (wait() returning before the last append reaches a store).
         self._submit_lock = threading.Lock()
         self._sweeps: dict[str, SweepState] = {}
-        #: (worker_id, cell key) -> sweep name, written at lease time
-        #: so legacy results (no ``sweep`` field) still route home.
-        self._routes: dict[tuple[str, str], str] = {}
         self._lease_seq = 0
         self._finished = threading.Event()
         self._draining = threading.Event()
@@ -932,7 +876,7 @@ class Coordinator:
         with self._submit_lock:
             return list(self._sweeps.values())
 
-    # -- legacy single-sweep surface ---------------------------------------
+    # -- single-sweep surface ----------------------------------------------
 
     @property
     def queue(self) -> WorkQueue:
@@ -958,7 +902,8 @@ class Coordinator:
     # -- journal restore ---------------------------------------------------
 
     def _restore_journal(self, payload: dict) -> None:
-        entries = _journal_sweeps(payload)
+        entries = {str(name): entry for name, entry
+                   in (payload.get("sweeps") or {}).items()}
         if not self._persistent:
             extras = sorted(set(entries) - set(self._sweeps))
             if extras:
@@ -976,8 +921,8 @@ class Coordinator:
                 if not spec_dict:
                     raise DistributedError(
                         f"journal entry for sweep {name!r} carries no "
-                        "spec (written by an older coordinator?); "
-                        "submit the sweep again instead of resuming")
+                        "spec; submit the sweep again instead of "
+                        "resuming")
                 state, _ = self.add_sweep(
                     name, spec=SweepSpec.from_dict(spec_dict),
                     priority=int(entry.get("priority", DEFAULT_PRIORITY)))
@@ -1127,71 +1072,39 @@ class Coordinator:
             self._lease_seq += 1
             best.last_leased_seq = self._lease_seq
             cells = best.queue.lease_batch(worker, max_cells)
-            for cell in cells:
-                self._routes[(worker, cell.key())] = best.name
             return (best.name, cells) if cells else (None, [])
 
-    def _resolve_locked(self, worker: str, key: str,
-                        sweep: Optional[str]) -> Optional[SweepState]:
-        """Which tenant does (worker, key) belong to?  Explicit tag
-        first, then the lease route, then the sole tenant, then a scan
-        (legacy worker re-submitting into a journal-restored farm)."""
-        if sweep is not None:
-            return self._sweeps.get(str(sweep))
-        name = self._routes.get((worker, key))
-        if name is not None:
-            return self._sweeps.get(name)
-        states = list(self._sweeps.values())
-        if len(states) == 1:
-            return states[0]
-        for state in states:
-            if state.queue.knows(key):
-                return state
-        return None
+    def _live_locked(self, sweep: str) -> Optional[SweepState]:
+        """The tenant named ``sweep``, or None if unknown/cancelled."""
+        state = self._sweeps.get(sweep)
+        return None if state is None or state.cancelled else state
 
-    def submit(self, worker: str, record: dict,
-               sweep: Optional[str] = None) -> bool:
-        """Merge one worker record; False if dropped (duplicate, or a
-        cancelled/unknown tenant)."""
+    def submit(self, worker: str, record: dict, sweep: str) -> bool:
+        """Merge one worker record into ``sweep``; False if dropped
+        (duplicate, or a cancelled/unknown tenant)."""
         self.touch_worker(worker, completed=True)
         with self._submit_lock:
             key = record["key"]
-            state = self._resolve_locked(worker, key, sweep)
-            self._routes.pop((worker, key), None)
-            if state is None or state.cancelled:
-                accepted = False
-            else:
-                ok = record.get("status", "ok") == "ok"
-                if not state.queue.complete(worker, key, ok):
-                    state.duplicates += 1
-                    accepted = False
-                else:
-                    self._record(state, record)
-                    accepted = True
+            state = self._live_locked(sweep)
+            accepted = state is not None and state.queue.complete(
+                worker, key, record.get("status", "ok") == "ok")
+            if accepted:
+                self._record(state, record)
+            elif state is not None:
+                state.duplicates += 1
         self.check_finished()
         return accepted
 
-    def lease_heartbeat(self, worker: str, key: str,
-                        sweep: Optional[str] = None) -> bool:
-        """Extend one lease; False = gone (revoked or cancelled)."""
-        with self._submit_lock:
-            state = self._resolve_locked(worker, str(key), sweep)
-            if state is None or state.cancelled:
-                return False
-            return state.queue.heartbeat(worker, str(key))
-
     def heartbeat_keys(self, worker: str, keys: list[str],
-                       sweep: Optional[str] = None) -> list[str]:
-        """Batch heartbeat: returns the subset of ``keys`` whose leases
-        are gone (the worker kills/drops exactly those cells)."""
-        gone = []
+                       sweep: str) -> list[str]:
+        """Extend ``worker``'s leases on ``keys`` in ``sweep``; returns
+        the subset whose leases are gone (the worker kills/drops
+        exactly those cells)."""
         with self._submit_lock:
-            for key in keys:
-                state = self._resolve_locked(worker, key, sweep)
-                if (state is None or state.cancelled
-                        or not state.queue.heartbeat(worker, key)):
-                    gone.append(key)
-        return gone
+            state = self._live_locked(sweep)
+            return [key for key in keys
+                    if state is None
+                    or not state.queue.heartbeat(worker, key)]
 
     def cancel_sweep(self, name: str) -> dict:
         """Stop a tenant: drop its pending cells, revoke its leases.
@@ -1207,9 +1120,6 @@ class Coordinator:
                 raise DistributedError(f"no sweep named {name!r}")
             state.cancelled = True
             dropped, revoked = state.queue.cancel()
-            for route in [r for r, n in self._routes.items()
-                          if n == state.name]:
-                del self._routes[route]
         self.check_finished()
         self._journal_write()
         return {"sweep": state.name, "dropped": dropped,
@@ -1327,8 +1237,6 @@ class Coordinator:
                 for cell in state.queue.release_worker(worker):
                     if cell is not None:
                         self._record_lost(state, cell)
-            for route in [r for r in self._routes if r[0] == worker]:
-                del self._routes[route]
         self.check_finished()
 
     def _record_lost(self, state: SweepState, cell: Cell) -> None:
@@ -1395,52 +1303,11 @@ class Coordinator:
                 **s.queue.snapshot(),
             }
         try:
-            self._journal.write_farm(sweeps, drained=self.drained)
+            self._journal.write(sweeps, drained=self.drained)
         except OSError:
             # A journal that cannot be written degrades restart fidelity,
             # not the live sweep; the stores still hold every record.
             pass
-
-
-def serve_sweep(
-    spec: SweepSpec,
-    store: Optional[ResultStore] = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    lease_s: float = DEFAULT_LEASE_S,
-    max_requeues: int = DEFAULT_MAX_REQUEUES,
-    progress: Optional[Callable[[dict, int, int], None]] = None,
-    on_listen: Optional[Callable[[str, int], None]] = None,
-    timeout: Optional[float] = None,
-    linger_s: float = 2.0,
-    journal_path: Optional[str] = None,
-    resume_journal: bool = False,
-    journal_interval_s: float = DEFAULT_JOURNAL_INTERVAL_S,
-) -> list[dict]:
-    """Serve ``spec``'s unfinished cells to workers until all complete.
-
-    The distributed sibling of :func:`repro.experiments.run_sweep`, and
-    the single-tenant special case of the farm: one sweep named
-    ``"default"``, exiting when it completes.  Same resumable store,
-    same return value (the newly produced records).  ``on_listen``
-    receives the bound (host, port) — with ``port=0`` that is the only
-    way to learn the chosen port.  ``journal_path`` enables the fsync'd
-    queue journal; ``resume_journal`` additionally restores it at
-    startup (see :class:`QueueJournal`).
-    """
-    journal = QueueJournal(journal_path) if journal_path else None
-    coord = Coordinator(spec, store=store, host=host, port=port,
-                        lease_s=lease_s, max_requeues=max_requeues,
-                        progress=progress, journal=journal,
-                        resume_journal=resume_journal,
-                        journal_interval_s=journal_interval_s)
-    bound_host, bound_port = coord.start()
-    if on_listen is not None:
-        on_listen(bound_host, bound_port)
-    try:
-        return coord.wait(timeout, linger_s=linger_s)
-    finally:
-        coord.stop()
 
 
 # -- control clients (status / farm management) -------------------------------
@@ -1592,13 +1459,17 @@ def cancel_sweep(host: str, port: int, name: str,
 
 
 def _run_leased_cell(cell: Cell, heartbeat: Callable[[], bool],
-                     interval: float) -> Optional[dict]:
+                     interval: float,
+                     last_beat: Optional[float] = None) -> Optional[dict]:
     """Run one cell through the supervised farm, heartbeating meanwhile.
 
     The farm (one slot) gives the exact local-sweep semantics — the cell
     executes in a child process with its ``timeout_s``/``retries``
     honored and errors captured as records — while this thread stays
-    free to service the lease.
+    free to service the lease.  ``heartbeat()`` is called whenever
+    ``interval`` seconds have passed since the previous beat;
+    ``last_beat`` (a :func:`time.monotonic` stamp, default now) lets a
+    batch carry its clock across cells.
 
     ``heartbeat`` returns False when the coordinator revoked the lease
     (``gone``): the in-flight child process is terminated through the
@@ -1614,14 +1485,19 @@ def _run_leased_cell(cell: Cell, heartbeat: Callable[[], bool],
         kwargs={"cancel": cancel},
         daemon=True,
     )
+    if last_beat is None:
+        last_beat = time.monotonic()
     runner.start()
     try:
-        while runner.is_alive():
-            runner.join(interval)
-            if runner.is_alive() and not heartbeat():
+        while True:
+            runner.join(max(0.0, last_beat + interval - time.monotonic()))
+            if not runner.is_alive():
+                break
+            if not heartbeat():
                 cancel.set()
                 runner.join()
                 return None
+            last_beat = time.monotonic()
     except BaseException:
         cancel.set()
         runner.join()
@@ -1642,14 +1518,15 @@ def _run_leased_batch(
 ) -> None:
     """Run a batch of leased cells sequentially, one heartbeat for all.
 
-    ``heartbeat(keys)`` covers the in-flight cell *and* the queued
-    remainder (their leases age while they wait their turn) and returns
-    the subset of keys whose leases are gone: revoked queued cells are
-    dropped from the batch, a revoked in-flight cell is killed through
-    the cancel seam and not submitted.  A heartbeat that raises kills
-    the in-flight child on the way out, exactly like the single-cell
-    path.  ``submit(record, wall_s)`` is called per completed cell (the
-    wall time feeds the worker's EWMA batch tuner); a submit that
+    Each cell runs through :func:`_run_leased_cell` on one shared
+    heartbeat clock, so while any batch cell is in flight no lease goes
+    longer than ``interval`` without a beat.  ``heartbeat(keys)`` covers
+    the in-flight cell *and* the queued remainder (their leases age
+    while they wait their turn) and returns the subset of keys whose
+    leases are gone: revoked queued cells are dropped from the batch, a
+    revoked in-flight cell is killed through the cancel seam and not
+    submitted.  ``submit(record, wall_s)`` is called per completed cell
+    (the wall time feeds the worker's EWMA batch tuner); a submit that
     raises (connection cut mid-send) aborts the rest of the batch — the
     coordinator requeues the unfinished cells when their leases lapse,
     and the cut-off record is re-submitted after reconnect.
@@ -1658,7 +1535,7 @@ def _run_leased_batch(
     last_beat = time.monotonic()
 
     def _beat(current_key: Optional[str]) -> bool:
-        """Heartbeat everything in flight; True = current cell revoked."""
+        """Heartbeat everything in flight; True = current cell alive."""
         nonlocal last_beat, remaining
         keys = ([current_key] if current_key is not None else [])
         keys += [c.key() for c in remaining]
@@ -1667,43 +1544,17 @@ def _run_leased_batch(
         if gone:
             remaining = deque(c for c in remaining
                               if c.key() not in gone)
-        return current_key is not None and current_key in gone
+        return current_key not in gone
 
     while remaining:
         cell = remaining.popleft()
-        out: list[dict] = []
-        cancel = threading.Event()
-        runner = threading.Thread(
-            target=_run_cells_with_timeout, args=([cell], 1, out.append),
-            kwargs={"cancel": cancel},
-            daemon=True,
-        )
+        key = cell.key()
         started = time.monotonic()
-        runner.start()
-        revoked = False
-        try:
-            while runner.is_alive():
-                due_in = last_beat + interval - time.monotonic()
-                if due_in > 0:
-                    runner.join(due_in)
-                if not runner.is_alive():
-                    break
-                if _beat(cell.key()):
-                    cancel.set()
-                    runner.join()
-                    revoked = True
-                    break
-        except BaseException:
-            cancel.set()
-            runner.join()
-            raise
-        if revoked:
+        record = _run_leased_cell(cell, heartbeat=lambda: _beat(key),
+                                  interval=interval, last_beat=last_beat)
+        if record is None:
             continue
-        wall = time.monotonic() - started
-        record = (out[0] if out else
-                  _failure_record(cell, "error",
-                                  error="farm produced no record"))
-        submit(record, wall)
+        submit(record, time.monotonic() - started)
         # Quick cells can drain the whole batch without the join loop
         # ever heartbeating; keep the queued remainder's leases alive.
         if remaining and time.monotonic() - last_beat >= interval:
@@ -1714,11 +1565,10 @@ def _batch_size(ewma_wall: Optional[float], max_batch: int,
                 batch_target_s: float, lease_s: float) -> int:
     """How many cells to lease this round trip.
 
-    Until a wall-time estimate exists, probe with one cell (also the
-    pre-batching behavior for long cells); afterwards take as many as
-    fit the target window — never past the lease, never past
-    ``max_batch``.  Sub-second cells approach ``max_batch``; cells
-    slower than the window degrade to the classic one-at-a-time flow.
+    Until a wall-time estimate exists, probe with one cell; afterwards
+    take as many as fit the target window — never past the lease, never
+    past ``max_batch``.  Sub-second cells approach ``max_batch``; cells
+    slower than the window degrade to one cell per lease.
     """
     if max_batch <= 1 or ewma_wall is None:
         return 1
@@ -1742,8 +1592,8 @@ class _WorkerState:
 
     def __init__(self):
         self.completed = 0
-        #: (record, sweep name or None) not yet acked by a coordinator.
-        self.pending: list[tuple[dict, Optional[str]]] = []
+        #: (record, sweep name) not yet acked by a coordinator.
+        self.pending: list[tuple[dict, str]] = []
         self.progressed = 0     # successful exchanges; resets backoff
         self.ewma_wall: Optional[float] = None
 
@@ -1777,8 +1627,8 @@ def run_worker(
     ``max_batch``/``batch_target_s`` steer cell batching: the worker
     asks for up to ``max_batch`` cells per lease round trip, sized so
     (by the EWMA of observed cell wall time) a batch fits in
-    ``batch_target_s`` seconds; ``max_batch=1`` restores the classic
-    one-cell-per-trip protocol against any coordinator.
+    ``batch_target_s`` seconds; ``max_batch=1`` leases one cell per
+    round trip.
 
     ``on_reconnect(attempt, delay_s, reason)`` observes each retry
     (the CLI logs it); ``connect`` is a seam returning a connected
@@ -1874,73 +1724,41 @@ def _worker_loop(sock, poll_s: float, worker_id: str, progress,
         # did receive it).
         while state.pending:
             record, sweep = state.pending[0]
-            msg = {"type": "result", "record": record}
-            if sweep is not None:
-                msg["sweep"] = sweep
-            _request(msg)
+            _request({"type": "result", "record": record, "sweep": sweep})
             state.pending.pop(0)
             state.completed += 1
             if progress is not None:
                 progress(record, state.completed)
 
-    def _submit(record: dict, sweep: Optional[str]) -> None:
-        state.pending.append((record, sweep))
-        _flush_pending()
-
     _flush_pending()
 
     while True:
-        lease_msg: dict = {"type": "lease"}
-        if max_batch > 1:
-            lease_msg["max_cells"] = _batch_size(
-                state.ewma_wall, max_batch, batch_target_s, lease_s)
-        reply = _request(lease_msg)
+        reply = _request({"type": "lease", "max_cells": _batch_size(
+            state.ewma_wall, max_batch, batch_target_s, lease_s)})
         kind = reply.get("type")
         if kind == "shutdown":
             return state.completed
         if kind == "idle":
             time.sleep(float(reply.get("retry_s", poll_s)))
             continue
-        if kind == "cell":
-            cell = Cell.from_dict(reply["cell"])
-            sweep = reply.get("sweep")
-
-            def _heartbeat(cell=cell, sweep=sweep) -> bool:
-                hb = {"type": "heartbeat", "key": cell.key()}
-                if sweep is not None:
-                    hb["sweep"] = sweep
-                return _request(hb).get("type") == "ok"
-
-            started = time.monotonic()
-            record = _run_leased_cell(cell, heartbeat=_heartbeat,
-                                      interval=heartbeat_interval)
-            if record is None:
-                # Lease revoked mid-run: the child was killed, the
-                # record dropped; whoever re-leased the cell owns it.
-                continue
-            _observe_wall(state, time.monotonic() - started)
-            _submit(record, sweep)
-        elif kind == "cells":
-            cells = [Cell.from_dict(c) for c in reply.get("cells", [])]
-            sweep = reply.get("sweep")
-
-            def _heartbeat_keys(keys, sweep=sweep) -> set:
-                hb = {"type": "heartbeat", "keys": list(keys)}
-                if sweep is not None:
-                    hb["sweep"] = sweep
-                r = _request(hb)
-                if r.get("type") != "ok":
-                    raise DistributedError(
-                        f"unexpected heartbeat reply {r.get('type')!r}")
-                return set(r.get("gone") or ())
-
-            def _deliver(record, wall_s, sweep=sweep) -> None:
-                _observe_wall(state, wall_s)
-                _submit(record, sweep)
-
-            _run_leased_batch(cells, heartbeat=_heartbeat_keys,
-                              interval=heartbeat_interval,
-                              submit=_deliver)
-        else:
+        if kind != "cells":
             raise DistributedError(
                 f"unexpected lease reply {kind!r}")
+        cells = [Cell.from_dict(c) for c in reply.get("cells", [])]
+        sweep = reply.get("sweep")
+
+        def _heartbeat(keys) -> set:
+            r = _request({"type": "heartbeat", "keys": list(keys),
+                          "sweep": sweep})
+            if r.get("type") != "ok":
+                raise DistributedError(
+                    f"unexpected heartbeat reply {r.get('type')!r}")
+            return set(r.get("gone") or ())
+
+        def _deliver(record, wall_s) -> None:
+            _observe_wall(state, wall_s)
+            state.pending.append((record, sweep))
+            _flush_pending()
+
+        _run_leased_batch(cells, heartbeat=_heartbeat,
+                          interval=heartbeat_interval, submit=_deliver)

@@ -253,6 +253,17 @@ def _stamp_attempts(rec: dict, attempt: int, now: float,
     return rec
 
 
+def _last_drain(conn, attempt: int, now: float,
+                t0: float) -> Optional[dict]:
+    """A record still waiting in the pipe, or None."""
+    if not conn.poll():
+        return None
+    try:
+        return _stamp_attempts(conn.recv(), attempt, now, t0)
+    except EOFError:
+        return None
+
+
 def _run_cells_with_timeout(
     cells: list[Cell],
     workers: int,
@@ -306,9 +317,12 @@ def _run_cells_with_timeout(
                 record(rec)
                 progressed = True
             elif not proc.is_alive():
+                # One last drain: the child may have sent its record and
+                # exited between the poll above and the liveness check.
+                rec = _last_drain(conn, attempt, now, t0)
                 conn.close()
                 proc.join()
-                record(_failure_record(
+                record(rec or _failure_record(
                     cell, "error", wall_s=now - t0, attempts=attempt + 1,
                     error=f"worker exited with code {proc.exitcode} "
                           "without a result",
@@ -320,12 +334,7 @@ def _run_cells_with_timeout(
                 # deadline check.  Discarding that record would re-queue
                 # a *completed* cell, and the retry's duplicate ok line
                 # for the same key would inflate per-size run counts.
-                rec = None
-                if conn.poll():
-                    try:
-                        rec = _stamp_attempts(conn.recv(), attempt, now, t0)
-                    except EOFError:
-                        rec = None
+                rec = _last_drain(conn, attempt, now, t0)
                 proc.terminate()
                 proc.join()
                 conn.close()

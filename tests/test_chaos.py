@@ -34,6 +34,7 @@ from repro.experiments import (
 )
 from repro.experiments import distributed, runner
 from repro.experiments.distributed import (
+    DEFAULT_SWEEP,
     PROTOCOL,
     PROTOCOL_VERSION,
     _recv_msg,
@@ -118,6 +119,23 @@ def test_farm_cancel_event_terminates_inflight(monkeypatch):
     assert out == []
 
 
+def test_farm_drains_record_sent_just_before_child_exit(monkeypatch):
+    """Regression (fails pre-fix): a child that sends its record and
+    exits between the supervisor's poll and its is_alive() check used to
+    be recorded as 'worker exited with code 0 without a result'.  A dead
+    child's pipe is drained once more before any failure is recorded."""
+    cell = Cell("gnp", 30, 0, "luby")
+    proc = _FakeProc()
+    proc.terminated = True                      # already exited
+    # The first poll() says empty, the second finds the record.
+    monkeypatch.setattr(runner, "_spawn_cell_process",
+                        lambda c: (proc, _SlowConn(1, _ok_record(cell))))
+    out = []
+    runner._run_cells_with_timeout([cell], 1, out.append)
+    assert len(out) == 1
+    assert out[0]["status"] == "ok" and out[0]["attempts"] == 1
+
+
 def test_heartbeat_gone_kills_child_and_drops_record(monkeypatch):
     """Regression (fails pre-fix): a heartbeat answered ``gone`` used to
     be ignored — the cell ran to completion and the worker submitted a
@@ -177,16 +195,17 @@ def test_revoked_lease_single_submission_e2e(tmp_path):
             _send_msg(wfile, {"type": "hello", "protocol": PROTOCOL,
                               "version": PROTOCOL_VERSION, "worker": "A"})
             assert _recv_msg(rfile)["type"] == "welcome"
-            _send_msg(wfile, {"type": "lease"})
-            assert _recv_msg(rfile)["type"] == "cell"
+            _send_msg(wfile, {"type": "lease", "max_cells": 1})
+            assert _recv_msg(rfile)["type"] == "cells"
             # A stops heartbeating; the reaper requeues the cell.
             deadline = time.monotonic() + 10
             while (coord.queue.requeues(cell.key()) == 0
                    and time.monotonic() < deadline):
                 time.sleep(0.02)
             assert coord.queue.requeues(cell.key()) == 1
-            _send_msg(wfile, {"type": "heartbeat", "key": cell.key()})
-            assert _recv_msg(rfile)["type"] == "gone"
+            _send_msg(wfile, {"type": "heartbeat", "keys": [cell.key()],
+                              "sweep": DEFAULT_SWEEP})
+            assert _recv_msg(rfile)["gone"] == [cell.key()]
             # A obeys the revocation: no result submission, just exits.
         completed = run_worker(host, port, worker_id="B", poll_s=0.05)
         fresh = coord.wait(timeout=30)
@@ -307,14 +326,15 @@ def test_worker_resubmits_pending_record_after_reconnect(monkeypatch):
     cell = Cell("gnp", 30, 0, "luby")
     record = _ok_record(cell)
     monkeypatch.setattr(distributed, "_run_leased_cell",
-                        lambda c, heartbeat, interval: dict(record))
+                        lambda c, **kwargs: dict(record))
     resubmitted = []
 
     def conn1(msg):
         if msg["type"] == "hello":
             return _welcome()
         if msg["type"] == "lease":
-            return {"type": "cell", "cell": cell.to_dict()}
+            return {"type": "cells", "sweep": DEFAULT_SWEEP,
+                    "cells": [cell.to_dict()]}
         if msg["type"] == "result":
             return None                         # dies mid-submission
         raise AssertionError(msg)
@@ -323,6 +343,7 @@ def test_worker_resubmits_pending_record_after_reconnect(monkeypatch):
         if msg["type"] == "hello":
             return _welcome()
         if msg["type"] == "result":
+            assert msg["sweep"] == DEFAULT_SWEEP
             resubmitted.append(msg["record"])
             return {"type": "ok", "accepted": True}
         return {"type": "shutdown"}
@@ -379,8 +400,9 @@ def test_work_queue_journal_round_trip(tmp_path):
     leased = q.lease("w2", now=0.0)             # live lease at crash time
 
     journal = QueueJournal(str(tmp_path / "q.journal"))
-    journal.write(q.snapshot(), fingerprint="abc123")
-    payload = journal.load()
+    journal.write({DEFAULT_SWEEP: {"fingerprint": "abc123",
+                                   **q.snapshot()}})
+    payload = journal.load()["sweeps"][DEFAULT_SWEEP]
     assert payload["fingerprint"] == "abc123"
     assert payload["done"] == [done.key()]
     assert payload["requeues"] == {requeued.key(): 1}
@@ -415,8 +437,9 @@ def test_journal_fingerprint_mismatch_rejected(tmp_path):
     """A journal written for a different sweep must not replay its
     requeue history into this one."""
     journal = QueueJournal(str(tmp_path / "q.journal"))
-    journal.write({"done": [], "failed": [], "requeues": {},
-                   "leased": []}, fingerprint="not-this-sweep")
+    journal.write({DEFAULT_SWEEP: {"fingerprint": "not-this-sweep",
+                                   "done": [], "failed": [],
+                                   "requeues": {}, "leased": []}})
     with pytest.raises(DistributedError, match="different sweep"):
         Coordinator(_spec(), journal=journal, resume_journal=True)
 
@@ -448,11 +471,11 @@ def test_coordinator_resume_journal_end_to_end(tmp_path):
             _send_msg(wfile, {"type": "hello", "protocol": PROTOCOL,
                               "version": PROTOCOL_VERSION, "worker": "w"})
             assert _recv_msg(rfile)["type"] == "welcome"
-            _send_msg(wfile, {"type": "lease"})
-            cell = Cell.from_dict(_recv_msg(rfile)["cell"])
+            _send_msg(wfile, {"type": "lease", "max_cells": 1})
+            [cell] = map(Cell.from_dict, _recv_msg(rfile)["cells"])
             from repro.experiments import run_cell
-            _send_msg(wfile, {"type": "result",
-                              "record": run_cell(cell)})
+            _send_msg(wfile, {"type": "result", "record": run_cell(cell),
+                              "sweep": DEFAULT_SWEEP})
             assert _recv_msg(rfile)["accepted"]
         coord.drain(grace_s=0.2)
         fresh = coord.wait(timeout=10)
@@ -486,14 +509,16 @@ def test_drain_stops_leasing_and_releases_workers(tmp_path):
             _send_msg(wfile, {"type": "hello", "protocol": PROTOCOL,
                               "version": PROTOCOL_VERSION, "worker": "w"})
             assert _recv_msg(rfile)["type"] == "welcome"
-            _send_msg(wfile, {"type": "lease"})
-            cell = Cell.from_dict(_recv_msg(rfile)["cell"])
+            _send_msg(wfile, {"type": "lease", "max_cells": 1})
+            [cell] = map(Cell.from_dict, _recv_msg(rfile)["cells"])
             coord.drain(grace_s=5.0)
             # The in-flight cell still lands inside the grace window...
-            _send_msg(wfile, {"type": "heartbeat", "key": cell.key()})
-            assert _recv_msg(rfile)["type"] == "ok"
+            _send_msg(wfile, {"type": "heartbeat", "keys": [cell.key()],
+                              "sweep": DEFAULT_SWEEP})
+            assert _recv_msg(rfile) == {"type": "ok", "gone": []}
             from repro.experiments import run_cell
-            _send_msg(wfile, {"type": "result", "record": run_cell(cell)})
+            _send_msg(wfile, {"type": "result", "record": run_cell(cell),
+                              "sweep": DEFAULT_SWEEP})
             assert _recv_msg(rfile)["accepted"]
             # ...but no new work leaves the coordinator.
             _send_msg(wfile, {"type": "lease"})
@@ -517,10 +542,11 @@ def busy_coordinator():
     _send_msg(wfile, {"type": "hello", "protocol": PROTOCOL,
                       "version": PROTOCOL_VERSION, "worker": "w1"})
     assert _recv_msg(rfile)["type"] == "welcome"
-    _send_msg(wfile, {"type": "lease"})
-    key = Cell.from_dict(_recv_msg(rfile)["cell"]).key()
-    _send_msg(wfile, {"type": "heartbeat", "key": key})
-    assert _recv_msg(rfile)["type"] == "ok"
+    _send_msg(wfile, {"type": "lease", "max_cells": 1})
+    [key] = [Cell.from_dict(c).key() for c in _recv_msg(rfile)["cells"]]
+    _send_msg(wfile, {"type": "heartbeat", "keys": [key],
+                      "sweep": DEFAULT_SWEEP})
+    assert _recv_msg(rfile) == {"type": "ok", "gone": []}
     yield coord, host, port, key
     sock.close()
     coord.stop()

@@ -25,8 +25,8 @@ from repro.experiments import (
     run_cell,
     run_sweep,
     run_worker,
-    serve_sweep,
 )
+from repro.experiments import distributed
 from repro.experiments.distributed import (
     PROTOCOL,
     PROTOCOL_VERSION,
@@ -123,22 +123,42 @@ def test_cell_wire_round_trip_and_schema_skew():
         Cell.from_dict({**cell.to_dict(), "quantum_knob": 7})
 
 
-def test_coordinator_rejects_version_skew():
+def test_coordinator_rejects_version_skew(monkeypatch):
     """A versioned handshake: a worker speaking another protocol version
-    is rejected (its records may follow other conventions), as is a
-    stray non-protocol client."""
+    — a newer one, or version 1 with its single-cell leases and untagged
+    results — is rejected (its records may follow other conventions),
+    as is a stray non-protocol client.  A rejected worker raises
+    ProtocolMismatchError without retrying."""
     coord = Coordinator(SweepSpec(sizes=(30,), methods=("luby",)),
                         lease_s=1.0)
     host, port = coord.start()
+    real_send = distributed._send_msg
     try:
-        with socket.create_connection((host, port)) as sock:
-            rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
-            _send_msg(wfile, {"type": "hello", "protocol": PROTOCOL,
-                              "version": PROTOCOL_VERSION + 1,
-                              "worker": "older"})
-            reply = _recv_msg(rfile)
-            assert reply["type"] == "reject"
-            assert "version" in reply["reason"]
+        for version in (PROTOCOL_VERSION + 1, 1):
+            with socket.create_connection((host, port)) as sock:
+                rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
+                _send_msg(wfile, {"type": "hello", "protocol": PROTOCOL,
+                                  "version": version, "worker": "skewed"})
+                reply = _recv_msg(rfile)
+                assert reply["type"] == "reject"
+                assert "version" in reply["reason"]
+            # The same skew through run_worker: its hello claims
+            # ``version``; the reject is final, not a retried outage.
+            monkeypatch.setattr(
+                distributed, "_send_msg",
+                lambda wfile, msg, v=version: real_send(
+                    wfile, {**msg, "version": v}
+                    if msg["type"] == "hello" else msg))
+            connects = []
+
+            def connect():
+                connects.append(1)
+                return socket.create_connection((host, port))
+
+            with pytest.raises(ProtocolMismatchError):
+                run_worker(host, port, worker_id="skewed", reconnect=3,
+                           connect=connect)
+            assert len(connects) == 1
         with socket.create_connection((host, port)) as sock:
             rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
             _send_msg(wfile, {"type": "hello", "protocol": "other"})
@@ -202,8 +222,8 @@ def test_dead_worker_cells_requeued(tmp_path):
                               "version": PROTOCOL_VERSION,
                               "worker": "doomed"})
             assert _recv_msg(rfile)["type"] == "welcome"
-            _send_msg(wfile, {"type": "lease"})
-            assert _recv_msg(rfile)["type"] == "cell"
+            _send_msg(wfile, {"type": "lease", "max_cells": 1})
+            assert _recv_msg(rfile)["type"] == "cells"
             # ... dies here without a result.
         ran = run_worker(host, port, worker_id="healthy", poll_s=0.05)
         fresh = coord.wait(timeout=30)
@@ -211,25 +231,22 @@ def test_dead_worker_cells_requeued(tmp_path):
     assert {r["status"] for r in fresh} == {"ok"}
 
 
-def test_serve_sweep_blocks_until_workers_finish(tmp_path):
+def test_coordinator_wait_blocks_until_workers_finish():
+    """wait() on a started coordinator returns once a worker has
+    recorded every cell — the single-sweep serve loop behind
+    `repro sweep --serve`."""
     spec = SweepSpec(families=("gnp",), sizes=(30,), seeds=(0,),
                      methods=("luby",))
-    listening = threading.Event()
-    addr = {}
+    coord = Coordinator(spec)
+    host, port = coord.start()
     result = {}
 
     def coordinate():
-        result["fresh"] = serve_sweep(
-            spec, store=None, host="127.0.0.1", port=0,
-            on_listen=lambda h, p: (addr.update(h=h, p=p),
-                                    listening.set()),
-            timeout=30, linger_s=0.0,
-        )
+        result["fresh"] = coord.wait(timeout=30)
 
     t = threading.Thread(target=coordinate, daemon=True)
     t.start()
-    assert listening.wait(10)
-    ran = run_worker(addr["h"], addr["p"], worker_id="w", poll_s=0.05)
+    ran = run_worker(host, port, worker_id="w", poll_s=0.05)
     t.join(30)
     assert not t.is_alive()
     assert ran == 1 and len(result["fresh"]) == 1

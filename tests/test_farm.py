@@ -1,4 +1,4 @@
-"""The multi-tenant experiment farm (PR 10).
+"""The multi-tenant experiment farm.
 
 Covers the farm layers the single-sweep tests don't: per-sweep queues
 under one coordinator (fair-share leasing, priorities), the farm verbs
@@ -148,27 +148,6 @@ def test_batch_comes_from_single_sweep_and_counts_one_turn():
     assert name2 == "beta" and len(cells2) == 2
 
 
-def test_untagged_result_routes_home_via_lease_route():
-    """A legacy worker (no ``sweep`` field on results) still lands its
-    record in the right tenant: the coordinator remembers who leased
-    what."""
-    coord = Coordinator(persistent=True)
-    a, _ = coord.add_sweep("alpha", spec=_spec_a())
-    b, _ = coord.add_sweep("beta", spec=_spec_b())
-    routed = {}
-    for _ in range(4):
-        name, [cell] = coord.lease_cells("w", 1)
-        routed[cell.key()] = name
-    for key, name in routed.items():
-        cell = Cell("gnp", 30, 0, "luby")       # key is what matters
-        rec = {"key": key, "status": "ok", "messages": 1,
-               "rounds": 1, "valid": True, "wall_s": 0.0}
-        assert coord.submit("w", rec)           # no sweep= tag
-    assert len(a.fresh) == a.total and len(b.fresh) == b.total
-    assert {r["key"] for r in a.fresh} == {
-        k for k, n in routed.items() if n == "alpha"}
-
-
 # -- tenant registry ----------------------------------------------------------
 
 
@@ -195,7 +174,7 @@ def test_cancel_sweep_drops_revokes_and_revives():
     ack = coord.cancel_sweep("alpha")
     assert ack == {"sweep": "alpha", "dropped": 1, "revoked": 1}
     # The revoked holder learns at its next heartbeat...
-    assert coord.heartbeat_keys("w", [cell.key()]) == [cell.key()]
+    assert coord.heartbeat_keys("w", [cell.key()], "alpha") == [cell.key()]
     # ...its late result is refused...
     assert not coord.submit("w", _ok_record(cell), sweep="alpha")
     # ...and resubmitting the name revives the sweep with a fresh queue.
@@ -236,20 +215,29 @@ def test_wire_batched_lease_and_keys_heartbeat(tmp_path):
     assert {r["key"] for r in store.load()} == set(keys)
 
 
-def test_wire_legacy_lease_still_single_cell():
-    """A pre-batching worker (no ``max_cells``) gets the classic
-    ``cell`` reply — the farm protocol stays version-compatible."""
+def test_untagged_worker_messages_refused_and_leases_released():
+    """Protocol v2: a ``result`` or ``heartbeat`` without its ``sweep``
+    tag is malformed.  The coordinator records nothing, drops the
+    worker, and requeues every lease it held."""
     coord = Coordinator(_spec_a(), lease_s=10.0)
     host, port = coord.start()
     try:
-        sock, rfile, wfile = _handshake(host, port)
-        with sock:
-            _send_msg(wfile, {"type": "lease"})
-            reply = _recv_msg(rfile)
-            assert reply["type"] == "cell"
-            key = Cell.from_dict(reply["cell"]).key()
-            _send_msg(wfile, {"type": "heartbeat", "key": key})
-            assert _recv_msg(rfile)["type"] == "ok"
+        for untagged in (lambda keys: {"type": "result",
+                                       "record": {"key": keys[0],
+                                                  "status": "ok"}},
+                         lambda keys: {"type": "heartbeat",
+                                       "keys": keys}):
+            sock, rfile, wfile = _handshake(host, port)
+            with sock:
+                _send_msg(wfile, {"type": "lease", "max_cells": 2})
+                keys = [Cell.from_dict(c).key()
+                        for c in _recv_msg(rfile)["cells"]]
+                assert coord.queue.counts()["leased"] == 2
+                _send_msg(wfile, untagged(keys))
+                assert _recv_msg(rfile) is None     # connection dropped
+            assert coord.queue.counts() == {"pending": 2, "leased": 0,
+                                            "done": 0, "failed": 0}
+        assert coord.fresh == []
     finally:
         coord.stop()
 
