@@ -17,6 +17,12 @@ export PYTHONPATH="$REPO_ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1 (fast slice: -m 'not slow') =="
 python -m pytest -x -q -m "not slow"
 
+echo "== benchmark harness tests (perfbench/) =="
+# perfbench/tracing.py wraps supervisor, farm and serving functions by
+# module attribute; a rename in src/ breaks the traced benchmark run,
+# and these tests (a traced run included) catch it.
+python -m pytest -q perfbench/tests
+
 echo "== distributed sweep smoke (plan + two-worker end-to-end) =="
 SMOKE_OUT="$(mktemp -u "${TMPDIR:-/tmp}/repro-smoke-XXXXXX.jsonl")"
 python -m repro sweep --families gnp --sizes 30 --seeds 0 1 \

@@ -11,9 +11,9 @@ time.  This module splits
   merges every incoming record into resumable JSON-lines
   :class:`~repro.experiments.store.ResultStore` files;
 * a **worker** (:func:`run_worker`, ``repro worker --connect
-  HOST:PORT``) pulls cells, runs each through the supervised process
-  farm (per-cell timeouts and retries included, exactly as a local
-  sweep would), and streams the records back.
+  HOST:PORT``) pulls cells, runs each in its warm supervised child
+  (per-cell timeouts and retries included, exactly as a local sweep
+  would), and streams the records back.
 
 The coordinator is **multi-tenant**: one farm process serves any
 number of *named sweeps*, each with its own :class:`WorkQueue`, its own
@@ -107,6 +107,7 @@ real faults, not just simulated ones):
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import random
@@ -122,9 +123,11 @@ from repro.errors import DistributedError, ProtocolMismatchError, ReproError
 from repro.experiments.runner import (
     _failure_record,
     _run_cells_with_timeout,
+    cell_supervisor,
 )
 from repro.experiments.spec import Cell, SweepSpec
 from repro.experiments.store import ResultStore, write_json_atomic
+from repro.supervise import Supervisor
 
 PROTOCOL = "repro-sweep"
 PROTOCOL_VERSION = 2
@@ -155,6 +158,9 @@ DEFAULT_BATCH_TARGET_S = 5.0
 #: Smoothing for the worker's per-cell wall-time estimate.
 BATCH_EWMA_ALPHA = 0.3
 
+#: Longest protocol line read; a longer one drops the connection.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
+
 _SWEEP_NAME_PATTERN = r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}"
 #: Sweep names become store file names (`<name>.jsonl`), so the grammar
 #: excludes separators and anything a shell would mangle.
@@ -170,10 +176,14 @@ def _send_msg(wfile, msg: dict) -> None:
 
 
 def _recv_msg(rfile) -> Optional[dict]:
-    """One JSON-lines message, or None when the peer closed the stream."""
-    line = rfile.readline()
+    """One JSON-lines message, or None when the peer closed the stream;
+    a line past :data:`MAX_FRAME_BYTES` raises :class:`DistributedError`."""
+    line = rfile.readline(MAX_FRAME_BYTES)
     if not line:
         return None
+    if len(line) >= MAX_FRAME_BYTES and not line.endswith(b"\n"):
+        raise DistributedError(
+            f"protocol line longer than {MAX_FRAME_BYTES} bytes")
     return _parse_msg(line)
 
 
@@ -1460,14 +1470,17 @@ def cancel_sweep(host: str, port: int, name: str,
 
 def _run_leased_cell(cell: Cell, heartbeat: Callable[[], bool],
                      interval: float,
-                     last_beat: Optional[float] = None) -> Optional[dict]:
+                     last_beat: Optional[float] = None,
+                     supervisor: Optional[Supervisor] = None
+                     ) -> Optional[dict]:
     """Run one cell through the supervised farm, heartbeating meanwhile.
 
     The farm (one slot) gives the exact local-sweep semantics — the cell
     executes in a child process with its ``timeout_s``/``retries``
     honored and errors captured as records — while this thread stays
-    free to service the lease.  ``heartbeat()`` is called whenever
-    ``interval`` seconds have passed since the previous beat;
+    free to service the lease; the worker's long-lived ``supervisor``
+    keeps its warm child past this call.  ``heartbeat()`` is called
+    whenever ``interval`` seconds have passed since the previous beat;
     ``last_beat`` (a :func:`time.monotonic` stamp, default now) lets a
     batch carry its clock across cells.
 
@@ -1482,7 +1495,7 @@ def _run_leased_cell(cell: Cell, heartbeat: Callable[[], bool],
     cancel = threading.Event()
     runner = threading.Thread(
         target=_run_cells_with_timeout, args=([cell], 1, out.append),
-        kwargs={"cancel": cancel},
+        kwargs={"cancel": cancel, "supervisor": supervisor},
         daemon=True,
     )
     if last_beat is None:
@@ -1515,6 +1528,7 @@ def _run_leased_batch(
     heartbeat: Callable[[list[str]], set],
     interval: float,
     submit: Callable[[dict, float], None],
+    supervisor: Optional[Supervisor] = None,
 ) -> None:
     """Run a batch of leased cells sequentially, one heartbeat for all.
 
@@ -1551,7 +1565,8 @@ def _run_leased_batch(
         key = cell.key()
         started = time.monotonic()
         record = _run_leased_cell(cell, heartbeat=lambda: _beat(key),
-                                  interval=interval, last_beat=last_beat)
+                                  interval=interval, last_beat=last_beat,
+                                  supervisor=supervisor)
         if record is None:
             continue
         submit(record, time.monotonic() - started)
@@ -1586,11 +1601,12 @@ def _observe_wall(state: "_WorkerState", wall_s: float) -> None:
 
 class _WorkerState:
     """What survives a worker's reconnects: the completion count, the
-    cell-wall EWMA steering the batch size, and records whose
-    submission was cut off mid-send (re-submitted on the next
-    connection instead of recomputed)."""
+    cell-wall EWMA steering the batch size, records whose submission
+    was cut off mid-send (re-submitted on the next connection instead
+    of recomputed), and the supervisor whose warm child runs the cells."""
 
     def __init__(self):
+        self.supervisor = cell_supervisor()
         self.completed = 0
         #: (record, sweep name) not yet acked by a coordinator.
         self.pending: list[tuple[dict, str]] = []
@@ -1645,30 +1661,37 @@ def run_worker(
     jitter = random.Random(f"{worker_id}/reconnect")
     state = _WorkerState()
     failures = 0
-    while True:
-        progressed_before = state.progressed
-        try:
-            sock = connect()
-            with sock:
-                return _worker_loop(sock, poll_s, worker_id, progress,
-                                    state, request_timeout_s,
-                                    max_batch=max_batch,
-                                    batch_target_s=batch_target_s)
-        except ProtocolMismatchError:
-            raise
-        except (DistributedError, OSError) as exc:
-            if state.progressed > progressed_before:
-                failures = 0    # the link worked; this is a new outage
-            failures += 1
-            if failures > reconnect:
-                raise DistributedError(
-                    f"connection to coordinator lost and {reconnect} "
-                    f"reconnect attempt(s) failed: {exc}")
-            delay = min(backoff_max_s, backoff_s * 2 ** (failures - 1))
-            delay *= 0.5 + jitter.random()      # [0.5x, 1.5x) jitter
-            if on_reconnect is not None:
-                on_reconnect(failures, delay, str(exc))
-            time.sleep(delay)
+    try:
+        while True:
+            progressed_before = state.progressed
+            try:
+                sock = connect()
+                with sock:
+                    try:
+                        return _worker_loop(sock, poll_s, worker_id, progress,
+                                            state, request_timeout_s,
+                                            max_batch=max_batch,
+                                            batch_target_s=batch_target_s)
+                    finally:   # the warm cell child holds a copy of sock
+                        with contextlib.suppress(OSError):
+                            sock.shutdown(socket.SHUT_RDWR)
+            except ProtocolMismatchError:
+                raise
+            except (DistributedError, OSError) as exc:
+                if state.progressed > progressed_before:
+                    failures = 0    # the link worked; this is a new outage
+                failures += 1
+                if failures > reconnect:
+                    raise DistributedError(
+                        f"connection to coordinator lost and {reconnect} "
+                        f"reconnect attempt(s) failed: {exc}")
+                delay = min(backoff_max_s, backoff_s * 2 ** (failures - 1))
+                delay *= 0.5 + jitter.random()      # [0.5x, 1.5x) jitter
+                if on_reconnect is not None:
+                    on_reconnect(failures, delay, str(exc))
+                time.sleep(delay)
+    finally:
+        state.supervisor.close()
 
 
 def _worker_loop(sock, poll_s: float, worker_id: str, progress,
@@ -1761,4 +1784,5 @@ def _worker_loop(sock, poll_s: float, worker_id: str, progress,
             _flush_pending()
 
         _run_leased_batch(cells, heartbeat=_heartbeat,
-                          interval=heartbeat_interval, submit=_deliver)
+                          interval=heartbeat_interval, submit=_deliver,
+                          supervisor=state.supervisor)

@@ -7,11 +7,13 @@ through a ``multiprocessing`` pool (or serially for ``workers <= 1``),
 appending each record to a :class:`~repro.experiments.store.ResultStore`
 as it completes and skipping cells the store already holds.
 
-Timeouts: a spec with ``timeout_s`` runs each cell in its own worker
-process supervised by a small process farm (at most ``workers`` alive at
-once).  A cell still running at its deadline is terminated — the farm and
-the other in-flight cells are unaffected — retried up to ``retries``
-times, and finally recorded with ``status="timeout"`` (``valid=False``).
+Timeouts: a spec with ``timeout_s`` runs its cells in warm, reusable
+child processes (:mod:`repro.supervise`, at most ``workers`` at once).
+A child is replaced only when it is killed, crashes or misses a
+deadline, and runs one cyclic GC after each cell.  A cell still running
+at its deadline has its child terminated — the other in-flight cells
+are unaffected — is retried up to ``retries`` times, and is finally
+recorded with ``status="timeout"`` (``valid=False``).
 Aggregation (:mod:`repro.experiments.stats`) excludes non-``ok`` records
 from exponent fits, and :meth:`ResultStore.completed_keys` omits them
 from the resume set so a re-run attempts them again.
@@ -23,7 +25,6 @@ import math
 import multiprocessing
 import threading
 import time
-from collections import deque
 from typing import Callable, Optional
 
 from repro import api
@@ -31,6 +32,7 @@ from repro.errors import ReproError
 from repro.experiments.spec import Cell, SweepSpec
 from repro.experiments.store import ResultStore
 from repro.graphs.generators import family_built_n, family_graph
+from repro.supervise import Outcome, Supervisor, Task, spawn_child
 
 
 def _method_extras(cell: Cell, result) -> dict:
@@ -207,37 +209,27 @@ def _failure_record(cell: Cell, status: str, wall_s: float = 0.0,
     return rec
 
 
-def _cell_worker(conn, cell: Cell) -> None:
-    """Farm worker: run one cell, ship the record (or an error record)."""
+def _cell_worker(cell: Cell) -> dict:
+    """The farm's task: one cell's record, or an error record."""
     try:
-        record = run_cell(cell)
+        return run_cell(cell)
     except Exception as exc:  # recorded, not raised: one bad cell must
         # not take the whole supervised sweep down.
-        record = _failure_record(cell, "error", error=repr(exc))
-    try:
-        conn.send(record)
-    finally:
-        conn.close()
+        return _failure_record(cell, "error", error=repr(exc))
 
 
-def _spawn_cell_process(cell: Cell):
-    """Start a single-cell worker process; returns ``(proc, recv_conn)``.
-
-    A seam: the farm races (deadline vs completion, retry interleavings)
-    are nondeterministic with real processes, so tests substitute
-    scripted process/connection fakes here to drive them exactly.
-    """
-    recv_conn, send_conn = multiprocessing.Pipe(duplex=False)
-    proc = multiprocessing.Process(
-        target=_cell_worker, args=(send_conn, cell), daemon=True
-    )
-    proc.start()
-    send_conn.close()
-    return proc, recv_conn
+#: The seam that starts one idle warm child (see :mod:`repro.supervise`).
+_spawn_cell_process = spawn_child
 
 
-def _stamp_attempts(rec: dict, attempt: int, now: float,
-                    t0: float) -> dict:
+def cell_supervisor(slots: int = 1) -> Supervisor:
+    """A supervisor whose children are started through
+    :data:`_spawn_cell_process` (looked up at call time, so a patched
+    seam takes effect)."""
+    return Supervisor(_spawn_cell_process, slots)
+
+
+def _stamp_attempts(rec: dict, attempt: int, wall_s: float) -> dict:
     """Stamp the supervisor's attempt count on a farm record.
 
     Every record gets ``attempts`` — a cell that succeeded on retry 3
@@ -249,33 +241,29 @@ def _stamp_attempts(rec: dict, attempt: int, now: float,
     """
     rec["attempts"] = attempt + 1
     if rec.get("status", "ok") != "ok":
-        rec["wall_s"] = round(now - t0, 6)
+        rec["wall_s"] = round(wall_s, 6)
     return rec
 
 
-def _last_drain(conn, attempt: int, now: float,
-                t0: float) -> Optional[dict]:
-    """A record still waiting in the pipe, or None."""
-    if not conn.poll():
-        return None
-    try:
-        return _stamp_attempts(conn.recv(), attempt, now, t0)
-    except EOFError:
-        return None
+def _cell_task(cell: Cell, attempt: int) -> Task:
+    budget = cell.timeout_s if cell.timeout_s is not None else math.inf
+    return Task(_cell_worker, (cell,), budget, tag=attempt)
 
 
 def _run_cells_with_timeout(
     cells: list[Cell],
     workers: int,
     record: Callable[[dict], None],
-    poll_interval: float = 0.02,
     cancel: Optional[threading.Event] = None,
+    supervisor: Optional[Supervisor] = None,
 ) -> None:
-    """Process farm with per-cell deadlines.
+    """Run cells in warm supervised children with per-cell deadlines.
 
-    Keeps at most ``workers`` single-cell processes alive; a process past
-    its cell's deadline is terminated (the farm keeps running) and the
-    cell is re-queued while it has retries left.
+    At most ``workers`` cells run at once (the ``slots`` of
+    ``supervisor`` when one is passed; otherwise a supervisor is made
+    for this call and closed at the end).  A child past its cell's
+    deadline is killed and the cell re-queued while it has retries
+    left; a child that dies yields an error record.
 
     ``cancel`` is the cooperative kill seam: setting it terminates every
     in-flight child process, drops the still-pending cells, and returns
@@ -283,76 +271,29 @@ def _run_cells_with_timeout(
     lease was revoked (heartbeat answered ``gone``) uses this to stop
     burning CPU on a cell whose record would be discarded anyway.
     """
-    workers = max(1, workers)
-    pending: deque[tuple[Cell, int]] = deque((c, 0) for c in cells)
-    running: list[list] = []   # [proc, conn, cell, attempt, deadline, t0]
-    while pending or running:
-        if cancel is not None and cancel.is_set():
-            for proc, conn, *_ in running:
-                proc.terminate()
-                proc.join()
-                conn.close()
-            return
-        while pending and len(running) < workers:
-            cell, attempt = pending.popleft()
-            proc, recv_conn = _spawn_cell_process(cell)
-            t0 = time.monotonic()
-            budget = cell.timeout_s if cell.timeout_s is not None else math.inf
-            running.append([proc, recv_conn, cell, attempt, t0 + budget, t0])
-        now = time.monotonic()
-        progressed = False
-        still: list[list] = []
-        for item in running:
-            proc, conn, cell, attempt, deadline, t0 = item
-            if conn.poll():
-                try:
-                    rec = _stamp_attempts(conn.recv(), attempt, now, t0)
-                except EOFError:
-                    rec = _failure_record(
-                        cell, "error", wall_s=now - t0,
-                        attempts=attempt + 1, error="worker died mid-send",
-                    )
-                conn.close()
-                proc.join()
-                record(rec)
-                progressed = True
-            elif not proc.is_alive():
-                # One last drain: the child may have sent its record and
-                # exited between the poll above and the liveness check.
-                rec = _last_drain(conn, attempt, now, t0)
-                conn.close()
-                proc.join()
-                record(rec or _failure_record(
-                    cell, "error", wall_s=now - t0, attempts=attempt + 1,
-                    error=f"worker exited with code {proc.exitcode} "
-                          "without a result",
-                ))
-                progressed = True
-            elif now >= deadline:
-                # Drain one last time before killing: the cell may have
-                # finished in the window between the poll above and this
-                # deadline check.  Discarding that record would re-queue
-                # a *completed* cell, and the retry's duplicate ok line
-                # for the same key would inflate per-size run counts.
-                rec = _last_drain(conn, attempt, now, t0)
-                proc.terminate()
-                proc.join()
-                conn.close()
-                if rec is not None:
-                    record(rec)
-                elif attempt < cell.retries:
-                    pending.append((cell, attempt + 1))
-                else:
-                    record(_failure_record(
-                        cell, "timeout", wall_s=now - t0,
-                        attempts=attempt + 1,
-                    ))
-                progressed = True
-            else:
-                still.append(item)
-        running = still
-        if not progressed and running:
-            time.sleep(poll_interval)
+    def settle(task: Task, outcome: Outcome) -> Optional[Task]:
+        (cell,), attempt = task.args, task.tag
+        if outcome.kind == "ok":
+            record(_stamp_attempts(outcome.reply, attempt, outcome.wall_s))
+        elif outcome.kind == "died":
+            record(_failure_record(
+                cell, "error", wall_s=outcome.wall_s, attempts=attempt + 1,
+                error=f"worker {outcome.error}"))
+        elif attempt < cell.retries:
+            return _cell_task(cell, attempt + 1)
+        else:
+            record(_failure_record(cell, "timeout", wall_s=outcome.wall_s,
+                                   attempts=attempt + 1))
+        return None
+
+    own = supervisor is None
+    if own:
+        supervisor = cell_supervisor(workers)
+    try:
+        supervisor.run([_cell_task(c, 0) for c in cells], settle, cancel)
+    finally:
+        if own:
+            supervisor.close()
 
 
 def run_sweep(

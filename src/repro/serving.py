@@ -8,8 +8,7 @@ problem.  The serving spine:
 
 * **Per-request deadlines with graceful degradation.**  Every query
   carries (or inherits) a wall-clock deadline.  A solve still running at
-  the deadline has its solver child killed through the same cooperative
-  cancel-Event seam the sweep farm uses, and the client receives a
+  the deadline has its solver child killed, and the client receives a
   ``degraded=true`` answer from a fast centralized greedy fallback
   instead of a hung connection: a valid (Δ+1)-coloring or MIS, just
   without the paper's o(m) message guarantee (the locality lower bounds
@@ -20,10 +19,12 @@ problem.  The serving spine:
   queries may wait; past that, new queries get an immediate
   ``overloaded`` response with a ``retry_after_s`` hint instead of
   growing an unbounded backlog.
-* **Solver supervision.**  Solvers run in subprocesses (one per query,
-  mirroring the farm's ``_spawn_cell_process`` seam), so a crashing or
-  SIGKILL'd child costs one retry and then a structured ``error``
-  response — never a dead server.
+* **Solver supervision.**  Solvers run in warm, reusable child
+  processes (:mod:`repro.supervise`, the same supervisor the sweep farm
+  uses), one query at a time each, with one cyclic GC after each query.
+  A child is replaced only when it is killed, crashes or misses a
+  deadline; a crashing or SIGKILL'd child costs one retry and then a
+  structured ``error`` response — never a dead server.
 * **Keyed result cache.**  Results are cached under a fingerprint of
   (problem, method, seed, epsilon, graph), LRU-bounded, so repeat
   queries are O(1) and never touch a solver slot.
@@ -62,8 +63,6 @@ full contract and failure matrix.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import os
 import socket
 import socketserver
 import threading
@@ -87,6 +86,7 @@ from repro.graphs.generators import family_graph
 from repro.graphs.io import load_edge_list
 from repro.mis.greedy import sequential_greedy_mis
 from repro.mis.verify import mis_violations
+from repro.supervise import Supervisor, spawn_child
 
 PROTOCOL = "repro-serve"
 PROTOCOL_VERSION = 1
@@ -103,8 +103,6 @@ DEFAULT_GRACE_S = 2.0
 DEFAULT_IDLE_S = 300.0
 #: Latency samples kept for the p50/p99 estimates in ``status``.
 _LATENCY_WINDOW = 2048
-#: Supervisor poll interval while a solver child runs.
-_POLL_S = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +252,9 @@ def request_fingerprint(problem: str, method: str, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def _solver_child(conn, problem: str, method: str, graph: Graph,
-                  seed: int, epsilon: float) -> None:
-    """Solver child: run the engine, ship one result dict (or an error).
+def _solver_child(problem: str, method: str, graph: Graph,
+                  seed: int, epsilon: float) -> dict:
+    """The solver task: run the engine, return one result dict.
 
     A deterministic solver failure (a ReproError, a driver bug) is
     reported as a non-retriable error record — the same input would fail
@@ -274,106 +272,49 @@ def _solver_child(conn, problem: str, method: str, graph: Graph,
             result = api.find_mis(graph, method=method, seed=seed,
                                   collect_utilization=False)
             payload = {"in_mis": result.in_mis, "mis_size": result.size}
-        record = {"status": "ok", "valid": result.valid,
-                  "messages": result.report.messages,
-                  "rounds": result.report.rounds, **payload}
+        return {"status": "ok", "valid": result.valid,
+                "messages": result.report.messages,
+                "rounds": result.report.rounds, **payload}
     except Exception as exc:
-        record = {"status": "error", "error": repr(exc),
-                  "retriable": False}
-    try:
-        conn.send(record)
-    finally:
-        conn.close()
+        return {"status": "error", "error": repr(exc), "retriable": False}
 
 
-def _spawn_solver_process(problem: str, method: str, graph: Graph,
-                          seed: int, epsilon: float):
-    """Start one solver child; returns ``(proc, recv_conn)``.
-
-    The serving twin of the farm's ``_spawn_cell_process`` seam: tests
-    substitute scripted process/connection fakes here to drive the
-    crash/deadline/cancel races deterministically.
-    """
-    recv_conn, send_conn = multiprocessing.Pipe(duplex=False)
-    proc = multiprocessing.Process(
-        target=_solver_child,
-        args=(send_conn, problem, method, graph, seed, epsilon),
-        daemon=True,
-    )
-    proc.start()
-    send_conn.close()
-    return proc, recv_conn
+#: The seam that starts one idle warm solver child (the farm's
+#: ``_spawn_cell_process`` is the same function).
+_spawn_solver_process = spawn_child
 
 
 def supervised_solve(
     problem: str, method: str, graph: Graph, seed: int, epsilon: float,
     deadline: float,
+    supervisor: Supervisor,
     cancel: Optional[threading.Event] = None,
-    spawn: Callable = _spawn_solver_process,
-    on_child: Optional[Callable[[Optional[int]], None]] = None,
     retries: int = 1,
 ) -> tuple[str, Optional[dict]]:
-    """Run one query in a supervised child under a monotonic deadline.
+    """Run one query in a warm child of ``supervisor`` under a
+    monotonic deadline.
 
     Returns ``(outcome, record)``:
 
     * ``("ok", record)`` — the child delivered a result (possibly its
       own non-retriable error record);
     * ``("deadline", None)`` — the deadline (or ``cancel``) fired; the
-      child was terminated through the cooperative kill seam and the
-      caller owes the client a degraded answer;
+      child was terminated and the caller owes the client a degraded
+      answer;
     * ``("crashed", None)`` — the child died without a result more than
       ``retries`` times (SIGKILL, OOM, a segfault); the caller owes a
       structured retriable error.
-
-    ``on_child`` observes the live child's pid (and ``None`` when it
-    exits) — the status verb exposes those pids so chaos tests can aim
-    real signals at a solver mid-request.
     """
     attempts = 0
     while True:
-        proc, conn = spawn(problem, method, graph, seed, epsilon)
-        if on_child is not None:
-            on_child(getattr(proc, "pid", None))
-        try:
-            while True:
-                if cancel is not None and cancel.is_set():
-                    proc.terminate()
-                    proc.join()
-                    return "deadline", None
-                if conn.poll(_POLL_S):
-                    try:
-                        record = conn.recv()
-                    except EOFError:
-                        record = None    # died mid-send: treat as crash
-                    proc.join()
-                    if record is not None:
-                        record["attempts"] = attempts + 1
-                        return "ok", record
-                    break
-                if not proc.is_alive():
-                    # One last drain: the child may have finished in the
-                    # window between the poll above and its exit.
-                    record = None
-                    if conn.poll():
-                        try:
-                            record = conn.recv()
-                        except EOFError:
-                            record = None
-                    proc.join()
-                    if record is not None:
-                        record["attempts"] = attempts + 1
-                        return "ok", record
-                    break
-                if time.monotonic() >= deadline:
-                    proc.terminate()
-                    proc.join()
-                    return "deadline", None
-        finally:
-            conn.close()
-            if on_child is not None:
-                on_child(None)
         attempts += 1
+        outcome = supervisor.call(
+            _solver_child, (problem, method, graph, seed, epsilon),
+            deadline - time.monotonic(), cancel)
+        if outcome.kind == "ok":
+            return "ok", {**outcome.reply, "attempts": attempts}
+        if outcome.kind != "died":
+            return "deadline", None
         if attempts > retries:
             return "crashed", None
         if time.monotonic() >= deadline:
@@ -495,15 +436,13 @@ class QueryServer:
         self.deadline_s = deadline_s
         self.grace_s = grace_s
         self.idle_s = idle_s
-        self._spawn = spawn
+        self._supervisor = Supervisor(spawn, solvers)
         self._host, self._port = host, port
         self._server: Optional[_ServeServer] = None
         self._lock = threading.Lock()
         self._slots = threading.Semaphore(solvers)
         #: admitted queries (waiting for a slot + running a solver).
         self._pending = 0
-        self._running = 0
-        self._child_pids: set[int] = set()
         self._cache: OrderedDict[str, dict] = OrderedDict()
         self._mean_wall = 1.0      # EWMA of solve wall, drives retry hints
         self.stats = ServeStats()
@@ -564,6 +503,7 @@ class QueryServer:
             self._server.shutdown()
             self._server.server_close()
             self._server = None
+        self._supervisor.close()
         self._finished.set()
 
     def __enter__(self) -> "QueryServer":
@@ -648,16 +588,11 @@ class QueryServer:
         if not self._slots.acquire(timeout=max(0.0,
                                                deadline - time.monotonic())):
             return degrade()
-        with self._lock:
-            self._running += 1
         try:
             outcome, record = supervised_solve(
                 problem, method, graph, seed, epsilon, deadline,
-                spawn=self._spawn, on_child=self._track_child,
-            )
+                self._supervisor)
         finally:
-            with self._lock:
-                self._running -= 1
             self._slots.release()
 
         if outcome == "deadline":
@@ -688,16 +623,6 @@ class QueryServer:
         self._cache_put(key, response)
         return response
 
-    def _track_child(self, pid: Optional[int]) -> None:
-        with self._lock:
-            if pid is not None:
-                self._child_pids.add(pid)
-            else:
-                # A child exited; prune every pid no longer alive
-                # (cheaper than threading identity through the seam).
-                self._child_pids -= {p for p in self._child_pids
-                                     if not _pid_alive(p)}
-
     # -- cache -------------------------------------------------------------
 
     def _cache_get(self, key: str) -> Optional[dict]:
@@ -721,11 +646,13 @@ class QueryServer:
     # -- status ------------------------------------------------------------
 
     def _retry_hint_locked(self) -> float:
-        backlog = max(1, self._pending - self._running + 1)
+        running = len(self._supervisor.busy_pids())
+        backlog = max(1, self._pending - running + 1)
         return round(max(0.1, backlog * self._mean_wall / self.solvers), 3)
 
     def status_snapshot(self) -> dict:
         now = time.monotonic()
+        solver_pids = self._supervisor.busy_pids()
         with self._lock:
             s = self.stats
             elapsed = max(1e-9, now - self._started_at)
@@ -745,8 +672,8 @@ class QueryServer:
                 "errors": s.errors,
                 "retries": s.retries,
                 "in_flight": self._pending,
-                "running": self._running,
-                "solver_pids": sorted(self._child_pids),
+                "running": len(solver_pids),
+                "solver_pids": solver_pids,
                 "solvers": self.solvers,
                 "max_pending": self.max_pending,
                 "deadline_s": self.deadline_s,
@@ -755,14 +682,6 @@ class QueryServer:
                 "p99_ms": round(p99 * 1000, 3) if p99 is not None else None,
                 "draining": self._draining.is_set(),
             }
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except OSError:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

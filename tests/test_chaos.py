@@ -43,49 +43,12 @@ from repro.experiments.distributed import (
     run_worker,
 )
 
+from scripted_children import DIE, HANG, Delay, ScriptedChild, spawn_script
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-# -- scripted farm fakes ------------------------------------------------------
-
-
-class _FakeProc:
-    """Stand-in for a single-cell farm child process."""
-
-    exitcode = 0
-
-    def __init__(self):
-        self.terminated = False
-
-    def is_alive(self):
-        return not self.terminated
-
-    def terminate(self):
-        self.terminated = True
-
-    def join(self, timeout=None):
-        pass
-
-
-class _SlowConn:
-    """A result pipe for a cell that 'finishes' only after ``polls``
-    negative answers (the last entry of the script repeats forever)."""
-
-    def __init__(self, polls, record):
-        self._polls = polls
-        self._record = record
-
-    def poll(self, timeout=0):
-        if self._polls > 0:
-            self._polls -= 1
-            return False
-        return True
-
-    def recv(self):
-        return dict(self._record)
-
-    def close(self):
-        pass
+# -- scripted farm children --------------------------------------------------
 
 
 def _ok_record(cell):
@@ -100,9 +63,8 @@ def test_farm_cancel_event_terminates_inflight(monkeypatch):
     """Setting the cancel event kills every running child and records
     nothing for it — the seam revocation/reconnect paths stand on."""
     cell = Cell("gnp", 30, 0, "luby")
-    proc = _FakeProc()
-    monkeypatch.setattr(runner, "_spawn_cell_process",
-                        lambda c: (proc, _SlowConn(10 ** 9, None)))
+    child = ScriptedChild(HANG)
+    monkeypatch.setattr(runner, "_spawn_cell_process", spawn_script(child))
     cancel = threading.Event()
     out = []
     farm = threading.Thread(
@@ -111,11 +73,11 @@ def test_farm_cancel_event_terminates_inflight(monkeypatch):
         daemon=True)
     farm.start()
     time.sleep(0.05)
-    assert farm.is_alive() and not proc.terminated
+    assert farm.is_alive() and not child.proc.terminated
     cancel.set()
     farm.join(5)
     assert not farm.is_alive()
-    assert proc.terminated
+    assert child.proc.terminated
     assert out == []
 
 
@@ -125,15 +87,29 @@ def test_farm_drains_record_sent_just_before_child_exit(monkeypatch):
     be recorded as 'worker exited with code 0 without a result'.  A dead
     child's pipe is drained once more before any failure is recorded."""
     cell = Cell("gnp", 30, 0, "luby")
-    proc = _FakeProc()
-    proc.terminated = True                      # already exited
-    # The first poll() says empty, the second finds the record.
-    monkeypatch.setattr(runner, "_spawn_cell_process",
-                        lambda c: (proc, _SlowConn(1, _ok_record(cell))))
+    child = ScriptedChild(HANG, dead=True)          # already exited
+    # The poll finds the pipe empty; the record lands by the time the
+    # supervisor sees the child dead.
+    child.proc.on_is_alive = lambda: child.reply(_ok_record(cell))
+    monkeypatch.setattr(runner, "_spawn_cell_process", spawn_script(child))
     out = []
     runner._run_cells_with_timeout([cell], 1, out.append)
     assert len(out) == 1
     assert out[0]["status"] == "ok" and out[0]["attempts"] == 1
+
+
+def test_farm_child_death_records_error(monkeypatch):
+    """A child that dies without a record yields an error record for its
+    cell; the next cell runs in a fresh child."""
+    dies, fine = (Cell("gnp", 30, s, "luby") for s in (0, 1))
+    first, second = ScriptedChild(DIE), ScriptedChild(_ok_record)
+    spawn = spawn_script(first, second)
+    monkeypatch.setattr(runner, "_spawn_cell_process", spawn)
+    out = []
+    runner._run_cells_with_timeout([dies, fine], 1, out.append)
+    assert [r["status"] for r in out] == ["error", "ok"]
+    assert "without a result" in out[0]["error"]
+    assert spawn.count == 2
 
 
 def test_heartbeat_gone_kills_child_and_drops_record(monkeypatch):
@@ -142,13 +118,12 @@ def test_heartbeat_gone_kills_child_and_drops_record(monkeypatch):
     duplicate record the coordinator had to dedup.  Now the in-flight
     child is terminated and the stale record dropped (None)."""
     cell = Cell("gnp", 30, 0, "luby")
-    proc = _FakeProc()
-    # Finishes after ~40 farm polls (~0.8s) if nobody cancels it: slow
-    # enough for a heartbeat to fire first, fast enough that the pre-fix
-    # behavior (run to completion, return the record) fails the assert
-    # instead of hanging the test.
-    monkeypatch.setattr(runner, "_spawn_cell_process",
-                        lambda c: (proc, _SlowConn(40, _ok_record(cell))))
+    # Finishes after 0.8s if nobody cancels it: slow enough for a
+    # heartbeat to fire first, fast enough that the pre-fix behavior
+    # (run to completion, return the record) fails the assert instead
+    # of hanging the test.
+    child = ScriptedChild(Delay(0.8, _ok_record))
+    monkeypatch.setattr(runner, "_spawn_cell_process", spawn_script(child))
     beats = []
 
     def gone_heartbeat():
@@ -158,7 +133,7 @@ def test_heartbeat_gone_kills_child_and_drops_record(monkeypatch):
     record = _run_leased_cell(cell, heartbeat=gone_heartbeat,
                               interval=0.01)
     assert record is None
-    assert proc.terminated
+    assert child.proc.terminated
     assert len(beats) == 1      # killed on the first gone, not later
 
 
@@ -167,16 +142,15 @@ def test_heartbeat_exception_reaps_farm_child(monkeypatch):
     heartbeat (connection loss mid-cell) used to leak the still-running
     farm child; every exit path must reap it."""
     cell = Cell("gnp", 30, 0, "luby")
-    proc = _FakeProc()
-    monkeypatch.setattr(runner, "_spawn_cell_process",
-                        lambda c: (proc, _SlowConn(10 ** 9, None)))
+    child = ScriptedChild(HANG)
+    monkeypatch.setattr(runner, "_spawn_cell_process", spawn_script(child))
 
     def dead_heartbeat():
         raise DistributedError("connection to coordinator lost")
 
     with pytest.raises(DistributedError):
         _run_leased_cell(cell, heartbeat=dead_heartbeat, interval=0.01)
-    assert proc.terminated
+    assert child.proc.terminated
 
 
 def test_revoked_lease_single_submission_e2e(tmp_path):
@@ -244,6 +218,9 @@ class _ScriptedSock:
     def close(self):
         self.closed = True
 
+    def shutdown(self, how):
+        pass
+
     # wfile surface
     def write(self, data):
         for line in data.decode("utf-8").splitlines():
@@ -253,7 +230,7 @@ class _ScriptedSock:
         pass
 
     # rfile surface
-    def readline(self):
+    def readline(self, limit=-1):
         if not self._replies:
             return b""
         reply = self._replies.popleft()

@@ -184,6 +184,31 @@ def test_worker_raises_on_reject():
     srv.close()
 
 
+def test_oversized_frame_drops_only_that_connection(monkeypatch):
+    """A newline-free stream past the frame cap ends that connection
+    instead of growing the coordinator's buffer; a well-formed worker
+    is still served afterwards."""
+    monkeypatch.setattr(distributed, "MAX_FRAME_BYTES", 4096)
+    spec = SweepSpec(families=("gnp",), sizes=(30,), seeds=(0,),
+                     methods=("luby",))
+    coord = Coordinator(spec)
+    host, port = coord.start()
+    try:
+        with socket.create_connection((host, port), timeout=5) as sock:
+            rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
+            _send_msg(wfile, {"type": "hello", "protocol": PROTOCOL,
+                              "version": PROTOCOL_VERSION, "worker": "x"})
+            assert _recv_msg(rfile)["type"] == "welcome"
+            try:
+                sock.sendall(b"x" * 65536)
+                assert rfile.readline() == b""
+            except ConnectionResetError:
+                pass        # closed with our bytes still unread: RST
+        assert run_worker(host, port, worker_id="w", poll_s=0.05) == 1
+    finally:
+        coord.stop()
+
+
 # -- coordinator + worker -----------------------------------------------------
 
 

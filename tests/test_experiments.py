@@ -23,6 +23,9 @@ from repro.experiments import (
     summarize,
 )
 from repro.graphs.generators import family_graph, regular_degree_for
+from repro.supervise import spawn_child
+
+from scripted_children import HANG, ScriptedChild, spawn_script
 
 
 # -- spec ---------------------------------------------------------------------
@@ -450,46 +453,6 @@ def test_timeout_records_excluded_from_fits_and_resume(tmp_path):
 # -- farm races (deterministic via the _spawn_cell_process seam) --------------
 
 
-class _FakeProc:
-    """Scripted stand-in for a single-cell farm process."""
-
-    exitcode = 0
-
-    def __init__(self):
-        self.terminated = False
-
-    def is_alive(self):
-        return not self.terminated
-
-    def terminate(self):
-        self.terminated = True
-
-    def join(self, timeout=None):
-        pass
-
-
-class _ScriptedConn:
-    """A result pipe whose poll() answers follow a script (the last entry
-    repeats forever); recv() hands out the prepared record."""
-
-    def __init__(self, polls, record=None):
-        self._polls = list(polls)
-        self._record = record
-
-    def poll(self, timeout=0):
-        if len(self._polls) > 1:
-            return self._polls.pop(0)
-        return self._polls[0]
-
-    def recv(self):
-        if self._record is None:
-            raise EOFError
-        return dict(self._record)
-
-    def close(self):
-        pass
-
-
 def _ok_record(cell, messages=123):
     return {"key": cell.key(), "family": cell.family, "n": cell.n,
             "seed": cell.seed, "method": cell.method, "engine": cell.engine,
@@ -507,11 +470,11 @@ def test_deadline_completion_race_drains_final_record(monkeypatch):
     from repro.experiments import runner
 
     cell = Cell("gnp", 30, 0, "luby", timeout_s=1e-9)
-    # poll: False at the in-loop completion check (the race window),
-    # True at the post-deadline drain.
-    conn = _ScriptedConn([False, True], _ok_record(cell))
-    monkeypatch.setattr(runner, "_spawn_cell_process",
-                        lambda c: (_FakeProc(), conn))
+    child = ScriptedChild(HANG)
+    # The record lands after the in-loop poll (the race window), at the
+    # liveness check just before the deadline fires.
+    child.proc.on_is_alive = lambda: child.reply(_ok_record(cell))
+    monkeypatch.setattr(runner, "_spawn_cell_process", spawn_script(child))
     out = []
     runner._run_cells_with_timeout([cell], 1, out.append)
     assert len(out) == 1
@@ -526,17 +489,76 @@ def test_retry_success_stamps_attempts(monkeypatch):
     from repro.experiments import runner
 
     cell = Cell("gnp", 30, 0, "luby", timeout_s=0.05, retries=1)
-    conns = [
-        _ScriptedConn([False]),                    # attempt 1: never done
-        _ScriptedConn([True], _ok_record(cell)),   # attempt 2: immediate
-    ]
+    hung, fresh = ScriptedChild(HANG), ScriptedChild(_ok_record)
     monkeypatch.setattr(runner, "_spawn_cell_process",
-                        lambda c: (_FakeProc(), conns.pop(0)))
+                        spawn_script(hung, fresh))
     out = []
     runner._run_cells_with_timeout([cell], 1, out.append)
     assert len(out) == 1
     assert out[0]["status"] == "ok"
     assert out[0]["attempts"] == 2
+    # the deadline kill replaced the child; the retry ran in a fresh one
+    assert hung.proc.terminated and len(fresh.tasks) == 1
+
+
+def test_farm_runs_many_cells_in_one_warm_child(monkeypatch):
+    from repro.experiments import runner
+
+    cells = [Cell("gnp", 30, s, "luby", timeout_s=5.0) for s in range(5)]
+    child = ScriptedChild(_ok_record)
+    spawn = spawn_script(child)
+    monkeypatch.setattr(runner, "_spawn_cell_process", spawn)
+    out = []
+    supervisor = runner.cell_supervisor()
+    runner._run_cells_with_timeout(cells[:2], 1, out.append,
+                                   supervisor=supervisor)
+    runner._run_cells_with_timeout(cells[2:], 1, out.append,
+                                   supervisor=supervisor)
+    assert not child.proc.terminated    # outlives each call
+    supervisor.close()
+    assert [r["key"] for r in out] == [c.key() for c in cells]
+    assert spawn.count == 1 and child.proc.terminated
+
+
+def test_farm_cell_error_record_keeps_the_child(monkeypatch):
+    """A cell that fails deterministically comes back as an error record
+    from a healthy child: the child is reused, not replaced."""
+    from repro.experiments import runner
+
+    bad, good = (Cell("gnp", 30, s, "luby", timeout_s=5.0) for s in (0, 1))
+    child = ScriptedChild(
+        lambda cell: runner._failure_record(cell, "error", error="boom"),
+        _ok_record)
+    spawn = spawn_script(child)
+    monkeypatch.setattr(runner, "_spawn_cell_process", spawn)
+    out = []
+    runner._run_cells_with_timeout([bad, good], 1, out.append,
+                                   supervisor=runner.cell_supervisor())
+    assert not child.proc.terminated
+    assert [r["status"] for r in out] == ["error", "ok"]
+    assert out[0]["error"] == "boom"
+    assert spawn.count == 1
+
+
+def test_farm_real_children_are_reused(monkeypatch):
+    """With real processes: a timeout sweep forks one child per slot,
+    not one per cell."""
+    from repro.experiments import runner
+
+    spawned = []
+
+    def counting_spawn():
+        proc, conn = spawn_child()
+        spawned.append(proc)
+        return proc, conn
+
+    monkeypatch.setattr(runner, "_spawn_cell_process", counting_spawn)
+    spec = SweepSpec(families=("gnp",), sizes=(30,), seeds=(0, 1, 2),
+                     methods=("luby", "baseline-trial"), timeout_s=60.0)
+    records = run_sweep(spec, store=None, workers=1)
+    assert len(records) == 6 and {r["status"] for r in records} == {"ok"}
+    assert len(spawned) == 1
+    assert not spawned[0].is_alive()        # closed with the sweep
 
 
 def test_farm_ok_records_carry_attempts():

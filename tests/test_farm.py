@@ -357,7 +357,7 @@ def _patched_cell_runner(monkeypatch, duration_by_key):
     """Make _run_leased_batch's farm children synthetic: each 'runs' for
     its scripted duration, honours the cancel seam, then emits an ok
     record."""
-    def fake(cells, slots, emit, cancel=None):
+    def fake(cells, slots, emit, cancel=None, supervisor=None):
         [cell] = cells
         end = time.monotonic() + duration_by_key.get(cell.key(), 0.0)
         while time.monotonic() < end:
@@ -450,7 +450,7 @@ def test_batch_resubmission_after_cut_off_send(tmp_path, monkeypatch):
     it — the store ends complete with no duplicates."""
     ran = []
 
-    def fake(cells, slots, emit, cancel=None):
+    def fake(cells, slots, emit, cancel=None, supervisor=None):
         [cell] = cells
         ran.append(cell.key())
         emit(_ok_record(cell))

@@ -3,11 +3,12 @@ process seam), admission control, the cache, the wire protocol, CLI
 verbs, and the examples as clients.
 
 The deterministic races — deadline expiry, child crashes, retry
-exhaustion, cancellation — are driven through ``QueryServer``'s
-``spawn`` seam with scripted process/pipe fakes (the serving twin of
-``test_chaos.py``'s farm fakes); real-subprocess SIGKILL/SIGTERM
-scenarios live in ``benchmarks/chaos_smoke.py``, driven end to end by
-the slow-marked test at the bottom.
+exhaustion, cancellation, child reuse — are driven through
+``QueryServer``'s ``spawn`` seam with scripted warm children
+(``scripted_children.py``, shared with ``test_chaos.py``'s farm
+tests); real-subprocess SIGKILL/SIGTERM scenarios live in
+``benchmarks/chaos_smoke.py``, driven end to end by the slow-marked
+test at the bottom.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import pytest
 from repro import cli, serving
 from repro.coloring.verify import check_proper_coloring
 from repro.errors import ProtocolMismatchError, ReproError, ServingError
+from repro.experiments import distributed
 from repro.experiments.distributed import recv_msg, send_msg
 from repro.graphs.core import Graph
 from repro.graphs.generators import connected_gnp_graph, family_graph
@@ -43,63 +45,14 @@ from repro.serving import (
     request_fingerprint,
     supervised_solve,
 )
+from repro.supervise import Supervisor
+
+from scripted_children import DIE, HANG, ScriptedChild, spawn_script
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-# -- scripted solver fakes ----------------------------------------------------
-
-
-class _FakeProc:
-    exitcode = 0
-    pid = 4242
-
-    def __init__(self, alive=True):
-        self.alive = alive
-        self.terminated = False
-
-    def is_alive(self):
-        return self.alive and not self.terminated
-
-    def terminate(self):
-        self.terminated = True
-
-    def join(self, timeout=None):
-        pass
-
-
-class _ScriptedConn:
-    """A result pipe that answers ``polls`` times 'not yet' and then
-    (optionally) yields ``record``; ``record=None`` models a child that
-    died without sending."""
-
-    def __init__(self, polls, record):
-        self._polls = polls
-        self._record = record
-
-    def poll(self, timeout=0):
-        if self._polls > 0:
-            self._polls -= 1
-            if timeout:
-                time.sleep(min(timeout, 0.005))
-            return False
-        return self._record is not None
-
-    def recv(self):
-        return dict(self._record)
-
-    def close(self):
-        pass
-
-
-def _spawn_script(script):
-    """A spawn seam fake that pops scripted (proc, conn) pairs."""
-    queue = list(script)
-
-    def spawn(problem, method, graph, seed, epsilon):
-        return queue.pop(0)
-
-    return spawn
+# -- scripted solver children ------------------------------------------------
 
 
 def _ok_record():
@@ -109,17 +62,24 @@ def _ok_record():
 
 def _hung():
     """A healthy child that never finishes (deadline fodder)."""
-    return _FakeProc(), _ScriptedConn(10 ** 9, None)
+    return ScriptedChild(HANG)
 
 
 def _dead():
     """A child that dies without ever sending a record."""
-    return _FakeProc(alive=False), _ScriptedConn(0, None)
+    return ScriptedChild(DIE)
 
 
-def _finishes(after_polls=0, record=None):
-    return (_FakeProc(),
-            _ScriptedConn(after_polls, record or _ok_record()))
+def _finishes(record=None):
+    """A child that answers every task with ``record``."""
+    return ScriptedChild(record or _ok_record())
+
+
+def _solve(*children, deadline_s=5.0, **kwargs):
+    supervisor = Supervisor(spawn_script(*children))
+    return supervised_solve("coloring", "luby", None, 0, 0.5,
+                            time.monotonic() + deadline_s, supervisor,
+                            **kwargs)
 
 
 # -- degraded-mode fallbacks --------------------------------------------------
@@ -184,70 +144,104 @@ def test_build_query_defaults_methods_per_problem():
 
 
 def test_supervised_solve_happy_path():
-    outcome, record = supervised_solve(
-        "coloring", "luby", None, 0, 0.5,
-        deadline=time.monotonic() + 5, spawn=_spawn_script([_finishes()]))
+    outcome, record = _solve(_finishes())
     assert outcome == "ok"
     assert record["attempts"] == 1 and record["valid"]
 
 
 def test_supervised_solve_deadline_kills_child():
-    proc, conn = _hung()
-    outcome, record = supervised_solve(
-        "coloring", "luby", None, 0, 0.5,
-        deadline=time.monotonic() + 0.05,
-        spawn=_spawn_script([(proc, conn)]))
+    child = _hung()
+    outcome, record = _solve(child, deadline_s=0.05)
     assert (outcome, record) == ("deadline", None)
-    assert proc.terminated
+    assert child.proc.terminated
+
+
+def test_supervised_solve_cancelled_before_start_forks_nothing():
+    cancel = threading.Event()
+    cancel.set()
+    spawn = spawn_script()
+    outcome, _ = supervised_solve("coloring", "luby", None, 0, 0.5,
+                                  time.monotonic() + 60, Supervisor(spawn),
+                                  cancel=cancel)
+    assert outcome == "deadline" and spawn.count == 0
 
 
 def test_supervised_solve_cancel_event_kills_child():
     cancel = threading.Event()
-    cancel.set()
-    proc, conn = _hung()
-    outcome, _ = supervised_solve(
-        "coloring", "luby", None, 0, 0.5,
-        deadline=time.monotonic() + 60, cancel=cancel,
-        spawn=_spawn_script([(proc, conn)]))
-    assert outcome == "deadline"
-    assert proc.terminated
+    child = _hung()
+    threading.Timer(0.05, cancel.set).start()
+    t0 = time.monotonic()
+    outcome, _ = _solve(child, deadline_s=60, cancel=cancel)
+    assert outcome == "deadline" and child.proc.terminated
+    assert time.monotonic() - t0 < 5
 
 
 def test_supervised_solve_retries_a_crashed_child_once():
-    outcome, record = supervised_solve(
-        "coloring", "luby", None, 0, 0.5,
-        deadline=time.monotonic() + 5,
-        spawn=_spawn_script([_dead(), _finishes()]))
+    outcome, record = _solve(_dead(), _finishes())
     assert outcome == "ok"
     assert record["attempts"] == 2
 
 
 def test_supervised_solve_reports_crash_after_retry_exhaustion():
-    outcome, record = supervised_solve(
-        "coloring", "luby", None, 0, 0.5,
-        deadline=time.monotonic() + 5,
-        spawn=_spawn_script([_dead(), _dead()]))
+    outcome, record = _solve(_dead(), _dead())
     assert (outcome, record) == ("crashed", None)
 
 
 def test_supervised_solve_passes_child_error_through():
     err = {"status": "error", "error": "ReproError('boom')",
            "retriable": False}
-    outcome, record = supervised_solve(
-        "coloring", "luby", None, 0, 0.5,
-        deadline=time.monotonic() + 5,
-        spawn=_spawn_script([_finishes(record=err)]))
+    outcome, record = _solve(_finishes(record=err))
     assert outcome == "ok"
     assert record["status"] == "error" and not record["retriable"]
 
 
 def test_supervised_solve_reports_child_pids():
+    """The supervisor lists a child's pid while it solves, and only
+    then: the status verb's ``solver_pids`` reads this."""
+    supervisor = Supervisor(spawn_script(_hung()))
     seen = []
-    supervised_solve(
-        "coloring", "luby", None, 0, 0.5,
-        deadline=time.monotonic() + 5, on_child=seen.append,
-        spawn=_spawn_script([_finishes()]))
-    assert seen == [4242, None]
+    threading.Timer(0.05, lambda: seen.append(
+        supervisor.busy_pids())).start()
+    outcome, _ = supervised_solve("coloring", "luby", None, 0, 0.5,
+                                  time.monotonic() + 0.2, supervisor)
+    assert outcome == "deadline"
+    assert seen == [[4242]]
+    assert supervisor.busy_pids() == []
+
+
+def test_queries_reuse_one_warm_child():
+    child = _finishes()
+    spawn = spawn_script(child)
+    server = QueryServer(spawn=spawn)
+    for seed in range(4):
+        resp = server.handle_query(_query(seed=seed))
+        assert resp["status"] == "ok" and not resp["cached"]
+    assert spawn.count == 1 and len(child.tasks) == 4
+    assert not child.proc.terminated
+
+
+def test_deadline_kill_replaces_the_child():
+    hung, fresh = _hung(), _finishes()
+    spawn = spawn_script(hung, fresh)
+    server = QueryServer(spawn=spawn)
+    assert server.handle_query(_query(deadline_s=0.05))["degraded"]
+    assert hung.proc.terminated
+    resp = server.handle_query(_query(seed=1))
+    assert resp["status"] == "ok" and not resp["degraded"]
+    assert spawn.count == 2 and len(fresh.tasks) == 1
+
+
+def test_child_error_record_keeps_the_child():
+    """A deterministic solver error is an answer, not a death: the child
+    stays warm and answers the next query."""
+    err = {"status": "error", "error": "ReproError('diverged')",
+           "retriable": False}
+    child = ScriptedChild(err, _ok_record())
+    spawn = spawn_script(child)
+    server = QueryServer(spawn=spawn)
+    assert server.handle_query(_query())["type"] == "error"
+    assert server.handle_query(_query(seed=1))["status"] == "ok"
+    assert spawn.count == 1 and not child.proc.terminated
 
 
 # -- the server's query path (handle_query, no sockets) -----------------------
@@ -261,7 +255,7 @@ def _query(n=20, seed=0, problem="coloring", **extra):
 
 
 def test_deadline_yields_valid_degraded_answer():
-    server = QueryServer(spawn=_spawn_script([_hung()]))
+    server = QueryServer(spawn=spawn_script(_hung()))
     resp = server.handle_query(_query(deadline_s=0.05))
     assert resp["status"] == "ok" and resp["degraded"]
     assert resp["messages"] is None
@@ -271,7 +265,7 @@ def test_deadline_yields_valid_degraded_answer():
 
 
 def test_degraded_mis_answer_is_verified_too():
-    server = QueryServer(spawn=_spawn_script([_hung()]))
+    server = QueryServer(spawn=spawn_script(_hung()))
     resp = server.handle_query(_query(problem="mis", deadline_s=0.05))
     assert resp["degraded"]
     check_mis(connected_gnp_graph(20, 0.3, seed=0), resp["in_mis"])
@@ -279,7 +273,7 @@ def test_degraded_mis_answer_is_verified_too():
 
 def test_crash_yields_structured_error_and_server_survives():
     server = QueryServer(
-        spawn=_spawn_script([_dead(), _dead(), _finishes()]))
+        spawn=spawn_script(_dead(), _dead(), _finishes()))
     resp = server.handle_query(_query())
     assert resp["type"] == "error" and resp["retriable"]
     assert server.stats.errors == 1
@@ -289,7 +283,7 @@ def test_crash_yields_structured_error_and_server_survives():
 
 
 def test_one_crash_then_success_is_transparent():
-    server = QueryServer(spawn=_spawn_script([_dead(), _finishes()]))
+    server = QueryServer(spawn=spawn_script(_dead(), _finishes()))
     resp = server.handle_query(_query())
     assert resp["status"] == "ok" and resp["attempts"] == 2
     assert server.stats.retries == 1
@@ -298,35 +292,36 @@ def test_one_crash_then_success_is_transparent():
 def test_child_error_record_is_not_retried():
     err = {"status": "error", "error": "ReproError('diverged')",
            "retriable": False}
-    server = QueryServer(spawn=_spawn_script([_finishes(record=err)]))
+    server = QueryServer(spawn=spawn_script(_finishes(record=err)))
     resp = server.handle_query(_query())
     assert resp["type"] == "error" and not resp["retriable"]
     assert "diverged" in resp["error"]
 
 
 def test_cache_hit_bypasses_solver():
-    server = QueryServer(spawn=_spawn_script([_finishes()]))
+    child = _finishes()
+    server = QueryServer(spawn=spawn_script(child))
     first = server.handle_query(_query())
     assert not first["cached"]
-    # no second scripted child exists: a hit must not spawn one
+    # a hit never reaches the solver child
     second = server.handle_query(_query())
     assert second["cached"] and second["num_colors"] == first["num_colors"]
-    assert server.stats.cache_hits == 1
+    assert server.stats.cache_hits == 1 and len(child.tasks) == 1
 
 
 def test_cache_is_lru_bounded():
     server = QueryServer(
         cache_size=1,
-        spawn=_spawn_script([_finishes(), _finishes(), _finishes()]))
+        spawn=spawn_script(_finishes()))
     server.handle_query(_query(seed=0))
     server.handle_query(_query(seed=1))    # evicts seed=0
     assert server.status_snapshot()["cache_entries"] == 1
-    resp = server.handle_query(_query(seed=0))   # third scripted child
+    resp = server.handle_query(_query(seed=0))   # solved again
     assert not resp["cached"]
 
 
 def test_degraded_answers_are_never_cached():
-    server = QueryServer(spawn=_spawn_script([_hung(), _finishes()]))
+    server = QueryServer(spawn=spawn_script(_hung(), _finishes()))
     first = server.handle_query(_query(deadline_s=0.05))
     assert first["degraded"]
     second = server.handle_query(_query())
@@ -335,7 +330,7 @@ def test_degraded_answers_are_never_cached():
 
 def test_flood_past_max_pending_sheds():
     server = QueryServer(solvers=1, max_pending=1,
-                         spawn=_spawn_script([_hung(), _hung()]))
+                         spawn=spawn_script(_hung(), _hung()))
     results = []
     threads = [
         threading.Thread(
@@ -362,7 +357,7 @@ def test_flood_past_max_pending_sheds():
 
 
 def test_draining_server_refuses_new_queries():
-    server = QueryServer(spawn=_spawn_script([]))
+    server = QueryServer(spawn=spawn_script())
     server._draining.set()
     resp = server.handle_query(_query())
     assert resp["type"] == "overloaded" and resp["draining"]
@@ -374,14 +369,14 @@ def test_draining_server_refuses_new_queries():
     ({"deadline_s": -1}, "deadline_s"),
 ])
 def test_invalid_queries_get_structured_errors(bad, fragment):
-    server = QueryServer(spawn=_spawn_script([]))
+    server = QueryServer(spawn=spawn_script())
     resp = server.handle_query(_query(**bad))
     assert resp["type"] == "error" and not resp["retriable"]
     assert fragment in resp["error"]
 
 
 def test_disconnected_graph_is_rejected_up_front():
-    server = QueryServer(spawn=_spawn_script([]))
+    server = QueryServer(spawn=spawn_script())
     msg = build_query("coloring", edges=[(0, 1), (2, 3)])
     resp = server.handle_query(msg)
     assert resp["type"] == "error" and "not connected" in resp["error"]
@@ -488,6 +483,40 @@ def test_malformed_line_drops_only_that_connection(live_server):
     g = connected_gnp_graph(20, 0.3, seed=0)
     with ServeClient(host, port) as client:
         assert client.color(g, method="baseline-rank-greedy").ok
+
+
+def test_oversized_frame_drops_only_that_connection(live_server,
+                                                   monkeypatch):
+    """A newline-free stream past the frame cap ends that connection
+    instead of growing the server's buffer; other clients are served."""
+    monkeypatch.setattr(distributed, "MAX_FRAME_BYTES", 4096)
+    host, port, _ = live_server
+    with socket.create_connection((host, port), timeout=5) as sock:
+        rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
+        send_msg(wfile, {"type": "hello", "protocol": PROTOCOL,
+                         "version": PROTOCOL_VERSION})
+        assert recv_msg(rfile)["type"] == "welcome"
+        try:
+            sock.sendall(b"x" * 65536)
+            assert rfile.readline() == b""
+        except ConnectionResetError:
+            pass            # closed with our bytes still unread: RST
+    g = connected_gnp_graph(20, 0.3, seed=0)
+    with ServeClient(host, port) as client:
+        assert client.color(g, method="baseline-rank-greedy").ok
+
+
+def test_idle_warm_child_is_not_a_solver_pid(live_server):
+    """``solver_pids`` lists children running a query, never idle warm
+    ones: chaos tooling SIGKILLs ``solver_pids[0]`` expecting that
+    query to fail."""
+    host, port, server = live_server
+    g = connected_gnp_graph(20, 0.3, seed=0)
+    with ServeClient(host, port) as client:
+        assert client.color(g, method="baseline-trial").ok
+        assert client.status()["solver_pids"] == []
+    [(proc, _conn)] = server._supervisor._idle
+    assert proc.is_alive()
 
 
 def test_unknown_message_type_is_answered_not_fatal(live_server):
