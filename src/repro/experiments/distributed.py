@@ -120,11 +120,8 @@ from collections import deque
 from typing import Callable, Iterable, Optional
 
 from repro.errors import DistributedError, ProtocolMismatchError, ReproError
-from repro.experiments.runner import (
-    _failure_record,
-    _run_cells_with_timeout,
-    cell_supervisor,
-)
+from repro.experiments import runner
+from repro.experiments.runner import _failure_record, _run_cells_with_timeout
 from repro.experiments.spec import Cell, SweepSpec
 from repro.experiments.store import ResultStore, write_json_atomic
 from repro.supervise import Supervisor
@@ -1469,10 +1466,8 @@ def cancel_sweep(host: str, port: int, name: str,
 
 
 def _run_leased_cell(cell: Cell, heartbeat: Callable[[], bool],
-                     interval: float,
-                     last_beat: Optional[float] = None,
-                     supervisor: Optional[Supervisor] = None
-                     ) -> Optional[dict]:
+                     interval: float, supervisor: Supervisor,
+                     last_beat: Optional[float] = None) -> Optional[dict]:
     """Run one cell through the supervised farm, heartbeating meanwhile.
 
     The farm (one slot) gives the exact local-sweep semantics — the cell
@@ -1493,27 +1488,27 @@ def _run_leased_cell(cell: Cell, heartbeat: Callable[[], bool],
     """
     out: list[dict] = []
     cancel = threading.Event()
-    runner = threading.Thread(
+    farm = threading.Thread(
         target=_run_cells_with_timeout, args=([cell], 1, out.append),
         kwargs={"cancel": cancel, "supervisor": supervisor},
         daemon=True,
     )
     if last_beat is None:
         last_beat = time.monotonic()
-    runner.start()
+    farm.start()
     try:
         while True:
-            runner.join(max(0.0, last_beat + interval - time.monotonic()))
-            if not runner.is_alive():
+            farm.join(max(0.0, last_beat + interval - time.monotonic()))
+            if not farm.is_alive():
                 break
             if not heartbeat():
                 cancel.set()
-                runner.join()
+                farm.join()
                 return None
             last_beat = time.monotonic()
     except BaseException:
         cancel.set()
-        runner.join()
+        farm.join()
         raise
     if not out:
         # The farm records every outcome; an empty result means the
@@ -1528,7 +1523,7 @@ def _run_leased_batch(
     heartbeat: Callable[[list[str]], set],
     interval: float,
     submit: Callable[[dict, float], None],
-    supervisor: Optional[Supervisor] = None,
+    supervisor: Supervisor,
 ) -> None:
     """Run a batch of leased cells sequentially, one heartbeat for all.
 
@@ -1565,8 +1560,8 @@ def _run_leased_batch(
         key = cell.key()
         started = time.monotonic()
         record = _run_leased_cell(cell, heartbeat=lambda: _beat(key),
-                                  interval=interval, last_beat=last_beat,
-                                  supervisor=supervisor)
+                                  interval=interval, supervisor=supervisor,
+                                  last_beat=last_beat)
         if record is None:
             continue
         submit(record, time.monotonic() - started)
@@ -1606,7 +1601,7 @@ class _WorkerState:
     of recomputed), and the supervisor whose warm child runs the cells."""
 
     def __init__(self):
-        self.supervisor = cell_supervisor()
+        self.supervisor = Supervisor(runner._spawn_cell_process)
         self.completed = 0
         #: (record, sweep name) not yet acked by a coordinator.
         self.pending: list[tuple[dict, str]] = []

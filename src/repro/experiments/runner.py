@@ -9,11 +9,12 @@ as it completes and skipping cells the store already holds.
 
 Timeouts: a spec with ``timeout_s`` runs its cells in warm, reusable
 child processes (:mod:`repro.supervise`, at most ``workers`` at once).
-A child is replaced only when it is killed, crashes or misses a
-deadline, and runs one cyclic GC after each cell.  A cell still running
-at its deadline has its child terminated — the other in-flight cells
-are unaffected — is retried up to ``retries`` times, and is finally
-recorded with ``status="timeout"`` (``valid=False``).
+A child is replaced only when it is killed, crashes, misses a deadline
+or has grown past ``supervise.MAX_WARM_GROWTH_MB``, and runs one cyclic
+GC after each cell.  A cell still running at its deadline has its
+child killed — the other in-flight cells are unaffected — is retried
+up to ``retries`` times, and is finally recorded with
+``status="timeout"`` (``valid=False``).
 Aggregation (:mod:`repro.experiments.stats`) excludes non-``ok`` records
 from exponent fits, and :meth:`ResultStore.completed_keys` omits them
 from the resume set so a re-run attempts them again.
@@ -222,29 +223,6 @@ def _cell_worker(cell: Cell) -> dict:
 _spawn_cell_process = spawn_child
 
 
-def cell_supervisor(slots: int = 1) -> Supervisor:
-    """A supervisor whose children are started through
-    :data:`_spawn_cell_process` (looked up at call time, so a patched
-    seam takes effect)."""
-    return Supervisor(_spawn_cell_process, slots)
-
-
-def _stamp_attempts(rec: dict, attempt: int, wall_s: float) -> dict:
-    """Stamp the supervisor's attempt count on a farm record.
-
-    Every record gets ``attempts`` — a cell that succeeded on retry 3
-    must be distinguishable from a first-try success (flaky-workload
-    triage, and `repro report` surfaces it).  The worker cannot know
-    which attempt it was; for non-ok records the supervisor's wall clock
-    also replaces the worker's, so a retry failure is not misreported as
-    a zero-second first attempt.
-    """
-    rec["attempts"] = attempt + 1
-    if rec.get("status", "ok") != "ok":
-        rec["wall_s"] = round(wall_s, 6)
-    return rec
-
-
 def _cell_task(cell: Cell, attempt: int) -> Task:
     budget = cell.timeout_s if cell.timeout_s is not None else math.inf
     return Task(_cell_worker, (cell,), budget, tag=attempt)
@@ -263,7 +241,10 @@ def _run_cells_with_timeout(
     ``supervisor`` when one is passed; otherwise a supervisor is made
     for this call and closed at the end).  A child past its cell's
     deadline is killed and the cell re-queued while it has retries
-    left; a child that dies yields an error record.
+    left; a child that dies yields an error record.  Every record gets
+    ``attempts`` (a success on retry 3 must be distinguishable from a
+    first-try one); a non-ok record also gets the supervisor's wall
+    clock, so a retry failure does not read as a zero-second attempt.
 
     ``cancel`` is the cooperative kill seam: setting it terminates every
     in-flight child process, drops the still-pending cells, and returns
@@ -274,7 +255,11 @@ def _run_cells_with_timeout(
     def settle(task: Task, outcome: Outcome) -> Optional[Task]:
         (cell,), attempt = task.args, task.tag
         if outcome.kind == "ok":
-            record(_stamp_attempts(outcome.reply, attempt, outcome.wall_s))
+            rec = outcome.reply
+            rec["attempts"] = attempt + 1
+            if rec.get("status", "ok") != "ok":
+                rec["wall_s"] = round(outcome.wall_s, 6)
+            record(rec)
         elif outcome.kind == "died":
             record(_failure_record(
                 cell, "error", wall_s=outcome.wall_s, attempts=attempt + 1,
@@ -288,7 +273,7 @@ def _run_cells_with_timeout(
 
     own = supervisor is None
     if own:
-        supervisor = cell_supervisor(workers)
+        supervisor = Supervisor(_spawn_cell_process, workers)
     try:
         supervisor.run([_cell_task(c, 0) for c in cells], settle, cancel)
     finally:

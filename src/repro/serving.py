@@ -22,8 +22,9 @@ problem.  The serving spine:
 * **Solver supervision.**  Solvers run in warm, reusable child
   processes (:mod:`repro.supervise`, the same supervisor the sweep farm
   uses), one query at a time each, with one cyclic GC after each query.
-  A child is replaced only when it is killed, crashes or misses a
-  deadline; a crashing or SIGKILL'd child costs one retry and then a
+  A child is replaced only when it is killed, crashes, misses a
+  deadline or has grown past ``supervise.MAX_WARM_GROWTH_MB``; a
+  crashing or SIGKILL'd child costs one retry and then a
   structured ``error`` response — never a dead server.
 * **Keyed result cache.**  Results are cached under a fingerprint of
   (problem, method, seed, epsilon, graph), LRU-bounded, so repeat
@@ -299,7 +300,7 @@ def supervised_solve(
     * ``("ok", record)`` — the child delivered a result (possibly its
       own non-retriable error record);
     * ``("deadline", None)`` — the deadline (or ``cancel``) fired; the
-      child was terminated and the caller owes the client a degraded
+      child was killed and the caller owes the client a degraded
       answer;
     * ``("crashed", None)`` — the child died without a result more than
       ``retries`` times (SIGKILL, OOM, a segfault); the caller owes a

@@ -3,7 +3,9 @@
 Children are **warm**: one runs a task, sends back the task function's
 return value, runs one cyclic GC and waits for the next task, so numpy
 and the engine are imported once per child.  A child is replaced only
-when killed at a deadline, cancelled, or dead; children are forked
+when killed at a deadline, cancelled, or dead, or when its peak RSS has
+grown by more than :data:`MAX_WARM_GROWTH_MB` since it was forked (the
+heap a large task reaches stays with the process); children are forked
 lazily.  The loop sleeps on the reply pipes and process sentinels; a
 reply already in the pipe at a deadline or death wins (the *last
 drain*).  Retry policy stays with the callers
@@ -15,7 +17,9 @@ from __future__ import annotations
 import gc
 import math
 import multiprocessing
+import resource
 import signal
+import sys
 import threading
 import time
 from collections import deque
@@ -25,14 +29,30 @@ from typing import Any, Callable, Iterable, NamedTuple, Optional
 #: Longest the loop blocks without looking at its cancel Event.
 CANCEL_CHECK_S = 0.05
 
+#: A child whose peak RSS has grown by more than this since it was forked
+#: exits after sending its reply instead of staying warm.  Importing
+#: numpy and the engine grows a child by ~15 MB; a query on a graph with
+#: ~50k edges grows it by ~70 MB.
+MAX_WARM_GROWTH_MB = 64
+
+
+def _peak_rss_mb() -> float:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
 
 def _child_main(conn, parent_end) -> None:
-    """A warm child: run ``(fn, args)`` tasks until the supervisor goes."""
+    """A warm child: run ``(fn, args)`` tasks until the supervisor goes.
+
+    Each reply is ``(fn's return value, keep)``; ``keep`` is False when
+    the child is about to exit because it has grown too large.
+    """
     parent_end.close()      # else a dead supervisor never reads as EOF
-    # Forked from a server that drains on SIGTERM/SIGINT: the child must
-    # die on terminate() and leave Ctrl-C to its supervisor.
+    # Forked from a server that drains on SIGTERM/SIGINT: a stray
+    # SIGTERM kills the child, and Ctrl-C is left to its supervisor.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    limit = _peak_rss_mb() + MAX_WARM_GROWTH_MB
     while True:
         try:
             fn, args = conn.recv()
@@ -40,9 +60,12 @@ def _child_main(conn, parent_end) -> None:
             return
         reply = fn(*args)
         del fn, args
+        keep = _peak_rss_mb() <= limit
         try:
-            conn.send(reply)
+            conn.send((reply, keep))
         except OSError:
+            return
+        if not keep:
             return
         del reply
         gc.collect()
@@ -75,7 +98,7 @@ class Task(NamedTuple):
 
 class Outcome(NamedTuple):
     """``ok`` (``reply`` is ``fn``'s return value), ``died`` (``error``
-    says how), ``deadline`` or ``cancelled``."""
+    says how) or ``deadline`` (also when cancelled)."""
 
     kind: str
     reply: Any = None
@@ -146,7 +169,7 @@ class Supervisor:
         if not self.run([Task(fn, args, budget_s)],
                         lambda task, outcome: outcomes.append(outcome),
                         cancel):
-            return Outcome("cancelled")
+            return Outcome("deadline")
         return outcomes[0]
 
     def close(self) -> None:
@@ -183,11 +206,12 @@ class Supervisor:
         # The last drain: a reply sent just before the child exited or
         # the deadline fired wins over the failure.
         try:
-            reply = conn.recv() if conn.poll() else None
+            message = conn.recv() if conn.poll() else None
         except (EOFError, OSError):
-            reply = None
-        if reply is not None:
-            self._release(proc, conn)
+            message = None
+        if message is not None:
+            reply, keep = message
+            self._release(proc, conn, keep)
             return Outcome("ok", reply, wall)
         self._retire(proc, conn)
         if exited:
@@ -195,18 +219,20 @@ class Supervisor:
                            f"{proc.exitcode} without a result")
         return Outcome("deadline", wall_s=wall)
 
-    def _release(self, proc, conn) -> None:
+    def _release(self, proc, conn, keep: bool) -> None:
         with self._lock:
             self._busy.discard(proc.pid)
-            keep = not self._closed and len(self._idle) < self.slots
+            keep = keep and not self._closed and len(self._idle) < self.slots
             if keep:
                 self._idle.append((proc, conn))
         if not keep:
             self._retire(proc, conn)
 
     def _retire(self, proc, conn) -> None:
-        proc.terminate()
-        proc.join()
+        # SIGKILL: a child still starting up may run its parent's SIGTERM
+        # handler; closing the pipe first lets it read EOF either way.
         conn.close()
+        proc.kill()
+        proc.join()
         with self._lock:
             self._busy.discard(proc.pid)

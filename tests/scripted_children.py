@@ -43,8 +43,8 @@ class FakeProc:
     def __init__(self, pid: int, dead: bool = False):
         self.pid = pid
         self.exitcode = None
-        self.terminated = False
-        self.killed = threading.Event()
+        self.killed = False
+        self.kill_switch = threading.Event()
         self.on_is_alive = None
         self._lock = threading.Lock()
         self.sentinel, self._alive_fd = os.pipe()
@@ -64,10 +64,10 @@ class FakeProc:
             hook()
         return self._alive_fd is not None
 
-    def terminate(self) -> None:
-        self.terminated = True
-        self.killed.set()
-        self.die(-15)
+    def kill(self) -> None:
+        self.killed = True
+        self.kill_switch.set()
+        self.die(-9)
 
     def join(self, timeout=None) -> None:
         pass
@@ -84,8 +84,9 @@ class ScriptedChild:
         threading.Thread(target=self._play, daemon=True).start()
 
     def reply(self, record) -> None:
-        """Send ``record`` as if the child had finished its task."""
-        self._end.send(record)
+        """Send ``record`` as if the child had finished its task (and
+        stays warm)."""
+        self._end.send((record, True))
 
     def _play(self) -> None:
         while True:
@@ -97,11 +98,11 @@ class ScriptedChild:
             step = (self._steps.pop(0) if len(self._steps) > 1
                     else self._steps[0])
             if isinstance(step, Delay):
-                if self.proc.killed.wait(step.seconds):
+                if self.proc.kill_switch.wait(step.seconds):
                     return
                 step = step.step
             if step == HANG:
-                self.proc.killed.wait()
+                self.proc.kill_switch.wait()
                 return
             if step == DIE:
                 self._end.close()

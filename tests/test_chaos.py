@@ -42,6 +42,7 @@ from repro.experiments.distributed import (
     _send_msg,
     run_worker,
 )
+from repro.supervise import Supervisor
 
 from scripted_children import DIE, HANG, Delay, ScriptedChild, spawn_script
 
@@ -73,11 +74,11 @@ def test_farm_cancel_event_terminates_inflight(monkeypatch):
         daemon=True)
     farm.start()
     time.sleep(0.05)
-    assert farm.is_alive() and not child.proc.terminated
+    assert farm.is_alive() and not child.proc.killed
     cancel.set()
     farm.join(5)
     assert not farm.is_alive()
-    assert child.proc.terminated
+    assert child.proc.killed
     assert out == []
 
 
@@ -112,7 +113,7 @@ def test_farm_child_death_records_error(monkeypatch):
     assert spawn.count == 2
 
 
-def test_heartbeat_gone_kills_child_and_drops_record(monkeypatch):
+def test_heartbeat_gone_kills_child_and_drops_record():
     """Regression (fails pre-fix): a heartbeat answered ``gone`` used to
     be ignored — the cell ran to completion and the worker submitted a
     duplicate record the coordinator had to dedup.  Now the in-flight
@@ -123,7 +124,6 @@ def test_heartbeat_gone_kills_child_and_drops_record(monkeypatch):
     # (run to completion, return the record) fails the assert instead
     # of hanging the test.
     child = ScriptedChild(Delay(0.8, _ok_record))
-    monkeypatch.setattr(runner, "_spawn_cell_process", spawn_script(child))
     beats = []
 
     def gone_heartbeat():
@@ -131,26 +131,27 @@ def test_heartbeat_gone_kills_child_and_drops_record(monkeypatch):
         return False
 
     record = _run_leased_cell(cell, heartbeat=gone_heartbeat,
-                              interval=0.01)
+                              interval=0.01,
+                              supervisor=Supervisor(spawn_script(child)))
     assert record is None
-    assert child.proc.terminated
+    assert child.proc.killed
     assert len(beats) == 1      # killed on the first gone, not later
 
 
-def test_heartbeat_exception_reaps_farm_child(monkeypatch):
+def test_heartbeat_exception_reaps_farm_child():
     """Regression (fails pre-fix): a DistributedError raised from the
     heartbeat (connection loss mid-cell) used to leak the still-running
     farm child; every exit path must reap it."""
     cell = Cell("gnp", 30, 0, "luby")
     child = ScriptedChild(HANG)
-    monkeypatch.setattr(runner, "_spawn_cell_process", spawn_script(child))
 
     def dead_heartbeat():
         raise DistributedError("connection to coordinator lost")
 
     with pytest.raises(DistributedError):
-        _run_leased_cell(cell, heartbeat=dead_heartbeat, interval=0.01)
-    assert child.proc.terminated
+        _run_leased_cell(cell, heartbeat=dead_heartbeat, interval=0.01,
+                         supervisor=Supervisor(spawn_script(child)))
+    assert child.proc.killed
 
 
 def test_revoked_lease_single_submission_e2e(tmp_path):

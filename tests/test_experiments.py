@@ -23,7 +23,7 @@ from repro.experiments import (
     summarize,
 )
 from repro.graphs.generators import family_graph, regular_degree_for
-from repro.supervise import spawn_child
+from repro.supervise import Supervisor, spawn_child
 
 from scripted_children import HANG, ScriptedChild, spawn_script
 
@@ -498,7 +498,7 @@ def test_retry_success_stamps_attempts(monkeypatch):
     assert out[0]["status"] == "ok"
     assert out[0]["attempts"] == 2
     # the deadline kill replaced the child; the retry ran in a fresh one
-    assert hung.proc.terminated and len(fresh.tasks) == 1
+    assert hung.proc.killed and len(fresh.tasks) == 1
 
 
 def test_farm_runs_many_cells_in_one_warm_child(monkeypatch):
@@ -509,15 +509,15 @@ def test_farm_runs_many_cells_in_one_warm_child(monkeypatch):
     spawn = spawn_script(child)
     monkeypatch.setattr(runner, "_spawn_cell_process", spawn)
     out = []
-    supervisor = runner.cell_supervisor()
+    supervisor = Supervisor(spawn)
     runner._run_cells_with_timeout(cells[:2], 1, out.append,
                                    supervisor=supervisor)
     runner._run_cells_with_timeout(cells[2:], 1, out.append,
                                    supervisor=supervisor)
-    assert not child.proc.terminated    # outlives each call
+    assert not child.proc.killed    # outlives each call
     supervisor.close()
     assert [r["key"] for r in out] == [c.key() for c in cells]
-    assert spawn.count == 1 and child.proc.terminated
+    assert spawn.count == 1 and child.proc.killed
 
 
 def test_farm_cell_error_record_keeps_the_child(monkeypatch):
@@ -533,8 +533,8 @@ def test_farm_cell_error_record_keeps_the_child(monkeypatch):
     monkeypatch.setattr(runner, "_spawn_cell_process", spawn)
     out = []
     runner._run_cells_with_timeout([bad, good], 1, out.append,
-                                   supervisor=runner.cell_supervisor())
-    assert not child.proc.terminated
+                                   supervisor=Supervisor(spawn))
+    assert not child.proc.killed
     assert [r["status"] for r in out] == ["error", "ok"]
     assert out[0]["error"] == "boom"
     assert spawn.count == 1

@@ -48,6 +48,7 @@ from repro.experiments.distributed import (
     list_sweeps,
     submit_sweep,
 )
+from repro.supervise import Supervisor
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
@@ -356,7 +357,7 @@ def test_observe_wall_is_an_ewma():
 def _patched_cell_runner(monkeypatch, duration_by_key):
     """Make _run_leased_batch's farm children synthetic: each 'runs' for
     its scripted duration, honours the cancel seam, then emits an ok
-    record."""
+    record (the supervisor passed in never starts a child)."""
     def fake(cells, slots, emit, cancel=None, supervisor=None):
         [cell] = cells
         end = time.monotonic() + duration_by_key.get(cell.key(), 0.0)
@@ -380,7 +381,8 @@ def test_batch_completes_all_and_heartbeat_covers_remainder(monkeypatch):
         return set()
 
     _run_leased_batch(cells, heartbeat=heartbeat, interval=0.02,
-                      submit=lambda rec, wall: submitted.append(rec))
+                      submit=lambda rec, wall: submitted.append(rec),
+                      supervisor=Supervisor())
     assert [r["key"] for r in submitted] == [c.key() for c in cells]
     # While cell 0 ran, the heartbeat covered it *and* the queued
     # remainder — their leases age while they wait their turn.
@@ -400,7 +402,8 @@ def test_batch_partial_completion_after_queued_revocation(monkeypatch):
         return {doomed} if doomed in keys else set()
 
     _run_leased_batch(cells, heartbeat=heartbeat, interval=0.02,
-                      submit=lambda rec, wall: submitted.append(rec))
+                      submit=lambda rec, wall: submitted.append(rec),
+                      supervisor=Supervisor())
     assert [r["key"] for r in submitted] == [cells[0].key(),
                                              cells[1].key()]
 
@@ -420,7 +423,8 @@ def test_batch_revoked_inflight_cell_killed_not_submitted(monkeypatch):
 
     start = time.monotonic()
     _run_leased_batch(cells, heartbeat=heartbeat, interval=0.02,
-                      submit=lambda rec, wall: submitted.append(rec))
+                      submit=lambda rec, wall: submitted.append(rec),
+                      supervisor=Supervisor())
     assert time.monotonic() - start < 10      # did not sit out the 30s
     assert [r["key"] for r in submitted] == [cells[1].key()]
 
@@ -440,7 +444,8 @@ def test_batch_submit_cut_off_aborts_rest(monkeypatch):
 
     with pytest.raises(DistributedError, match="cut"):
         _run_leased_batch(cells, heartbeat=lambda keys: set(),
-                          interval=5.0, submit=cut_submit)
+                          interval=5.0, submit=cut_submit,
+                          supervisor=Supervisor())
     assert attempts == [cells[0].key()]
 
 

@@ -153,7 +153,7 @@ def test_supervised_solve_deadline_kills_child():
     child = _hung()
     outcome, record = _solve(child, deadline_s=0.05)
     assert (outcome, record) == ("deadline", None)
-    assert child.proc.terminated
+    assert child.proc.killed
 
 
 def test_supervised_solve_cancelled_before_start_forks_nothing():
@@ -172,7 +172,7 @@ def test_supervised_solve_cancel_event_kills_child():
     threading.Timer(0.05, cancel.set).start()
     t0 = time.monotonic()
     outcome, _ = _solve(child, deadline_s=60, cancel=cancel)
-    assert outcome == "deadline" and child.proc.terminated
+    assert outcome == "deadline" and child.proc.killed
     assert time.monotonic() - t0 < 5
 
 
@@ -217,7 +217,7 @@ def test_queries_reuse_one_warm_child():
         resp = server.handle_query(_query(seed=seed))
         assert resp["status"] == "ok" and not resp["cached"]
     assert spawn.count == 1 and len(child.tasks) == 4
-    assert not child.proc.terminated
+    assert not child.proc.killed
 
 
 def test_deadline_kill_replaces_the_child():
@@ -225,7 +225,7 @@ def test_deadline_kill_replaces_the_child():
     spawn = spawn_script(hung, fresh)
     server = QueryServer(spawn=spawn)
     assert server.handle_query(_query(deadline_s=0.05))["degraded"]
-    assert hung.proc.terminated
+    assert hung.proc.killed
     resp = server.handle_query(_query(seed=1))
     assert resp["status"] == "ok" and not resp["degraded"]
     assert spawn.count == 2 and len(fresh.tasks) == 1
@@ -241,7 +241,7 @@ def test_child_error_record_keeps_the_child():
     server = QueryServer(spawn=spawn)
     assert server.handle_query(_query())["type"] == "error"
     assert server.handle_query(_query(seed=1))["status"] == "ok"
-    assert spawn.count == 1 and not child.proc.terminated
+    assert spawn.count == 1 and not child.proc.killed
 
 
 # -- the server's query path (handle_query, no sockets) -----------------------

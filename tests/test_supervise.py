@@ -1,5 +1,6 @@
 """The shared supervisor with real child processes: reuse, replacement
-after a deadline kill, and signal handling inherited from a server.
+after a deadline kill or a large task, and signal handling inherited
+from a server.
 
 The scripted races (last drain at a deadline or death, cancel, crash
 and retry) run on scripted children in ``test_chaos.py``,
@@ -12,7 +13,14 @@ import os
 import signal
 import time
 
-from repro.supervise import Supervisor
+from repro.supervise import MAX_WARM_GROWTH_MB, Supervisor
+
+
+def _grow_then_pid(mb: int) -> int:
+    """Touch ``mb`` MiB, free it, and say which child did."""
+    blob = b"x" * (mb << 20)
+    del blob
+    return os.getpid()
 
 
 def test_tasks_reuse_one_child():
@@ -36,19 +44,33 @@ def test_deadline_kill_then_fresh_child():
     assert after.kind == "ok" and after.reply != first
 
 
-def test_child_dies_on_terminate_despite_inherited_handler():
-    """A server drains on SIGTERM; its children must not inherit that,
-    or a deadline kill would wait for the solve to finish."""
+def test_fresh_child_killed_at_zero_budget_despite_inherited_handler():
+    """A server drains on SIGTERM.  A zero budget kills the child while
+    it may still be starting up with that handler installed; the kill
+    must not wait for the task."""
     previous = signal.signal(signal.SIGTERM, lambda *args: None)
     supervisor = Supervisor()
     try:
         t0 = time.monotonic()
-        outcome = supervisor.call(time.sleep, (30,), budget_s=0.2)
+        outcome = supervisor.call(time.sleep, (30,), budget_s=0)
         assert outcome.kind == "deadline"
         assert time.monotonic() - t0 < 10
     finally:
         supervisor.close()
         signal.signal(signal.SIGTERM, previous)
+
+
+def test_child_that_grew_past_the_cap_is_replaced():
+    supervisor = Supervisor()
+    try:
+        small = supervisor.call(_grow_then_pid, (1,))
+        again = supervisor.call(_grow_then_pid, (MAX_WARM_GROWTH_MB + 32,))
+        after = supervisor.call(_grow_then_pid, (1,))
+    finally:
+        supervisor.close()
+    assert small.kind == again.kind == after.kind == "ok"
+    assert again.reply == small.reply       # the large task still ran warm
+    assert after.reply != again.reply       # but its child did not stay
 
 
 def test_close_stops_idle_children():
