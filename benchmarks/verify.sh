@@ -40,6 +40,54 @@ python -m pytest -x -q \
     tests/test_farm.py::test_two_sweeps_two_workers_batched_matches_serial \
     tests/test_farm.py::test_farm_journal_multi_tenant_round_trip
 
+echo "== wire smoke (CLI clients give up on a trickling peer) =="
+# Every client reads each exchange under one total deadline
+# (src/repro/wire.py): against a peer that trickles one byte every
+# 100 ms, `farm status`, `serve-status` and `query` with --timeout 0.5
+# must each exit 1 within 5 s instead of hanging.
+python - << 'EOF'
+import socket, subprocess, sys, threading, time
+
+listener = socket.create_server(("127.0.0.1", 0))
+port = listener.getsockname()[1]
+
+def trickle(conn):
+    with conn:
+        try:
+            while True:
+                conn.sendall(b" ")
+                time.sleep(0.1)
+        except OSError:
+            pass
+
+def accept_loop():
+    while True:
+        try:
+            conn, _ = listener.accept()
+        except OSError:
+            return
+        threading.Thread(target=trickle, args=(conn,), daemon=True).start()
+
+threading.Thread(target=accept_loop, daemon=True).start()
+endpoint = f"127.0.0.1:{port}"
+for argv in (["farm", "status"], ["serve-status"], ["query", "--n", "20"]):
+    start = time.monotonic()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv, "--connect", endpoint,
+             "--timeout", "0.5"], capture_output=True, text=True, timeout=5)
+    except subprocess.TimeoutExpired:
+        sys.exit(f"wire smoke: `repro {' '.join(argv)}` still running "
+                 "after 5 s against a trickling peer")
+    elapsed = time.monotonic() - start
+    if proc.returncode != 1:
+        sys.exit(f"wire smoke: `repro {' '.join(argv)}` exited "
+                 f"{proc.returncode}, want 1: {proc.stderr}")
+    print(f"wire smoke: repro {' '.join(argv)} exited 1 in {elapsed:.2f}s "
+          f"({proc.stderr.strip()})")
+listener.close()
+EOF
+
 echo "== fault-sweep smoke (seeded drops, survivor-valid records) =="
 FAULT_OUT="$(mktemp -u "${TMPDIR:-/tmp}/repro-faults-XXXXXX.jsonl")"
 python -m repro sweep --families gnp --sizes 40 --seeds 0 1 \

@@ -346,53 +346,65 @@ def _serve_with_signals(args, spec, store, progress):
               f"    python -m repro worker "
               f"--connect HOST:{bound_port}", flush=True)
 
-    def _summary(snap: dict) -> str:
+    def _summary(snap: dict) -> None:
         eta = "?" if snap["eta_s"] is None else f"{snap['eta_s']:.0f}s"
-        return (f"[serve] {snap['done']}/{snap['total']} done, "
-                f"{snap['active_workers']} worker(s), "
-                f"{snap['cells_per_s']:.2f} cells/s, eta {eta}")
+        print(f"[serve] {snap['done']}/{snap['total']} done, "
+              f"{snap['active_workers']} worker(s), "
+              f"{snap['cells_per_s']:.2f} cells/s, eta {eta}", flush=True)
 
-    fresh = _serve_until_drained(coord, args, "coordinator", journal_path,
-                                 None if args.json else _summary)
+    fresh = _serve_until_drained(
+        coord, _drain_notice("coordinator", args, journal_path),
+        args.drain_grace, args.status_interval,
+        None if args.json else _summary)
     return fresh, coord.drained
 
 
-def _serve_until_drained(coord, args, what: str, journal_path: str,
-                         summary, linger_s: float = 0.0) -> list[dict]:
-    """Run a started coordinator to the end, draining on SIGTERM/SIGINT.
+def _drain_notice(what: str, args, journal_path: str) -> str:
+    return (f"draining {what} — no new leases, up to "
+            f"{args.drain_grace:g}s for in-flight cells "
+            f"(journal: {journal_path})")
 
-    A signal stops leasing and gives in-flight cells ``--drain-grace``
-    seconds to land, then store and journal are fsync'd and the process
-    exits 0 — instead of killing the coordinator mid-write.  With
-    ``--status-interval`` > 0, ``summary(status_snapshot)`` is printed
-    periodically (None = no summary) so long unattended serves are not
-    silent.  Returns the fresh records; the previous signal handlers are
-    restored on the way out.
+
+def _serve_until_drained(service, notice: str, grace_s, interval: float,
+                         observe=None, **wait_kwargs):
+    """Run a started Coordinator or QueryServer until ``wait`` returns,
+    draining on SIGTERM/SIGINT.
+
+    A signal prints ``notice`` and calls ``service.drain(grace_s)``, so
+    in-flight work lands and the process exits 0 instead of dying
+    mid-write.  ``observe(status_snapshot)`` (if given) runs every
+    ``interval`` seconds.  The service is stopped and the previous
+    handlers restored on the way out.
     """
+    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import wait as futures_wait
+
     def _drain_handler(signum, frame):
-        name = signal.Signals(signum).name
-        print(f"{name}: draining {what} — no new leases, up to "
-              f"{args.drain_grace:g}s for in-flight cells "
-              f"(journal: {journal_path})", file=sys.stderr, flush=True)
-        coord.drain(grace_s=args.drain_grace)
+        service.drain(grace_s=grace_s)
+        print(f"{signal.Signals(signum).name}: {notice}", file=sys.stderr,
+              flush=True)
 
     previous = {sig: signal.signal(sig, _drain_handler)
                 for sig in (signal.SIGTERM, signal.SIGINT)}
-
-    if summary is not None and args.status_interval > 0:
-        def _summary_loop():
-            while True:
-                time.sleep(args.status_interval)
-                snap = coord.status_snapshot()
-                if snap["finished"]:
-                    return
-                print(summary(snap), flush=True)
-        threading.Thread(target=_summary_loop, daemon=True).start()
+    done = threading.Event()
+    if observe is not None and interval > 0:
+        def _observe_loop():
+            while not done.wait(interval):
+                observe(service.status_snapshot())
+        threading.Thread(target=_observe_loop, daemon=True).start()
 
     try:
-        return coord.wait(linger_s=linger_s)
+        with ThreadPoolExecutor(1) as pool:
+            waiting = pool.submit(service.wait, **wait_kwargs)
+            # Wait in slices, not in one blocking call: a signal that
+            # another thread happens to take (one exiting, say) runs its
+            # Python handler only when the main thread next wakes.
+            while not waiting.done():
+                futures_wait([waiting], timeout=0.2)
+            return waiting.result()
     finally:
-        coord.stop()
+        done.set()
+        service.stop()
         for sig, handler in previous.items():
             signal.signal(sig, handler)
 
@@ -475,16 +487,17 @@ def cmd_farm_serve(args) -> int:
         print(f"resumed {len(resumed)} sweep(s) from the journal: "
               f"{', '.join(sorted(resumed))}", flush=True)
 
-    def _summary(snap: dict) -> str:
+    def _summary(snap: dict) -> None:
         sweeps = snap["sweeps"]
         live = sum(1 for s in sweeps.values()
                    if not s["finished"] and not s["cancelled"])
-        return (f"[farm] {len(sweeps)} sweep(s), {live} live, "
-                f"{snap['done']}/{snap['total']} cells done, "
-                f"{snap['active_workers']} worker(s), "
-                f"{snap['cells_per_s']:.2f} cells/s")
+        print(f"[farm] {len(sweeps)} sweep(s), {live} live, "
+              f"{snap['done']}/{snap['total']} cells done, "
+              f"{snap['active_workers']} worker(s), "
+              f"{snap['cells_per_s']:.2f} cells/s", flush=True)
 
-    _serve_until_drained(coord, args, "farm", journal_path, _summary,
+    _serve_until_drained(coord, _drain_notice("farm", args, journal_path),
+                         args.drain_grace, args.status_interval, _summary,
                          linger_s=2.0)
     print("farm drained: stores and journal flushed; restart with "
           "--resume-journal to continue every sweep", file=sys.stderr)
@@ -792,42 +805,26 @@ def cmd_serve(args) -> int:
           f"    python -m repro query --connect HOST:{bound_port} "
           f"--problem coloring --n 100", flush=True)
 
-    def _drain_handler(signum, frame):
-        name = signal.Signals(signum).name
-        print(f"{name}: draining — answering in-flight queries, "
-              "refusing new ones", file=sys.stderr, flush=True)
-        server.drain()
-
-    previous = {sig: signal.signal(sig, _drain_handler)
-                for sig in (signal.SIGTERM, signal.SIGINT)}
-
-    def _observer_loop():
-        while not server.wait(timeout=args.status_interval or 30.0):
-            snap = server.status_snapshot()
-            if args.stats_out:
-                write_json_atomic(args.stats_out, snap)
-            if args.status_interval > 0:
-                p99 = ("-" if snap["p99_ms"] is None
-                       else f"{snap['p99_ms']:.0f}ms")
-                print(f"[serve] {snap['queries']} queries "
-                      f"({snap['queries_per_s']:.2f}/s), "
-                      f"{snap['cache_hits']} cached, "
-                      f"{snap['degraded']} degraded, "
-                      f"{snap['shed']} shed, "
-                      f"{snap['errors']} errors, p99 {p99}",
-                      flush=True)
-
-    if args.status_interval > 0 or args.stats_out:
-        threading.Thread(target=_observer_loop, daemon=True).start()
-
-    try:
-        server.wait()
-    finally:
-        server.stop()
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
+    def _observe(snap: dict) -> None:
         if args.stats_out:
-            write_json_atomic(args.stats_out, server.status_snapshot())
+            write_json_atomic(args.stats_out, snap)
+        if args.status_interval > 0:
+            p99 = "-" if snap["p99_ms"] is None else f"{snap['p99_ms']:.0f}ms"
+            print(f"[serve] {snap['queries']} queries "
+                  f"({snap['queries_per_s']:.2f}/s), "
+                  f"{snap['cache_hits']} cached, "
+                  f"{snap['degraded']} degraded, "
+                  f"{snap['shed']} shed, "
+                  f"{snap['errors']} errors, p99 {p99}", flush=True)
+
+    # grace_s=None: a drain grants in-flight queries their deadline plus
+    # --grace.
+    _serve_until_drained(
+        server, "draining — answering in-flight queries, refusing new ones",
+        None, args.status_interval or 30.0,
+        _observe if args.status_interval > 0 or args.stats_out else None)
+    if args.stats_out:
+        write_json_atomic(args.stats_out, server.status_snapshot())
     print("drained: all in-flight queries answered", file=sys.stderr)
     return 0
 

@@ -57,6 +57,12 @@ class ProtocolMismatchError(DistributedError):
     pooling records produced under different conventions."""
 
 
+class WireError(ReproError):
+    """A frame on the JSON-lines wire (:mod:`repro.wire`) that is not a
+    JSON object or runs past the frame cap.  Clients report it in their
+    own error type; servers drop the connection that sent it."""
+
+
 class ServingError(ReproError):
     """A failure in the query-serving layer (``repro serve`` /
     ``repro query``): an unreachable or unresponsive server, a broken

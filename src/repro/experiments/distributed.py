@@ -26,10 +26,10 @@ while ``repro farm serve`` keeps the process up between sweeps
 
 Wire protocol (version 2)
 -------------------------
-JSON-lines over a plain TCP socket, strictly request/response from the
-worker's side, versioned so a coordinator and worker with different
-conventions refuse to mix records instead of silently mispooling them.
-Each verb has exactly one form:
+The framing and versioned handshake of :mod:`repro.wire`, strictly
+request/response from the worker's side; a coordinator and worker of
+different versions refuse to mix records instead of silently
+mispooling them.  Each verb has exactly one form:
 
     worker -> {"type": "hello", "protocol": "repro-sweep", "version": 2,
                "worker": ID}
@@ -107,13 +107,11 @@ real faults, not just simulated ones):
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import random
 import re
 import socket
-import socketserver
 import threading
 import time
 from collections import deque
@@ -125,15 +123,19 @@ from repro.experiments.runner import _failure_record, _run_cells_with_timeout
 from repro.experiments.spec import Cell, SweepSpec
 from repro.experiments.store import ResultStore, write_json_atomic
 from repro.supervise import Supervisor
+from repro.wire import (
+    DEFAULT_REQUEST_TIMEOUT_S,
+    Client,
+    Server,
+    handshake,
+    recv_msg as _recv_msg,
+    send_msg as _send_msg,
+)
 
 PROTOCOL = "repro-sweep"
 PROTOCOL_VERSION = 2
 DEFAULT_LEASE_S = 30.0
 DEFAULT_MAX_REQUEUES = 5
-#: Worker-side deadline for one request/response exchange (the
-#: coordinator answers every verb immediately; only a dead or wedged
-#: coordinator is slower).
-DEFAULT_REQUEST_TIMEOUT_S = 10.0
 #: Consecutive failed (re)connection attempts before a worker gives up.
 DEFAULT_RECONNECT_ATTEMPTS = 5
 DEFAULT_BACKOFF_S = 0.5
@@ -155,50 +157,10 @@ DEFAULT_BATCH_TARGET_S = 5.0
 #: Smoothing for the worker's per-cell wall-time estimate.
 BATCH_EWMA_ALPHA = 0.3
 
-#: Longest protocol line read; a longer one drops the connection.
-MAX_FRAME_BYTES = 64 * 1024 * 1024
-
 _SWEEP_NAME_PATTERN = r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}"
 #: Sweep names become store file names (`<name>.jsonl`), so the grammar
 #: excludes separators and anything a shell would mangle.
 _SWEEP_NAME_RE = re.compile(rf"^{_SWEEP_NAME_PATTERN}$")
-
-
-# -- framing ------------------------------------------------------------------
-
-
-def _send_msg(wfile, msg: dict) -> None:
-    wfile.write((json.dumps(msg, sort_keys=True) + "\n").encode("utf-8"))
-    wfile.flush()
-
-
-def _recv_msg(rfile) -> Optional[dict]:
-    """One JSON-lines message, or None when the peer closed the stream;
-    a line past :data:`MAX_FRAME_BYTES` raises :class:`DistributedError`."""
-    line = rfile.readline(MAX_FRAME_BYTES)
-    if not line:
-        return None
-    if len(line) >= MAX_FRAME_BYTES and not line.endswith(b"\n"):
-        raise DistributedError(
-            f"protocol line longer than {MAX_FRAME_BYTES} bytes")
-    return _parse_msg(line)
-
-
-def _parse_msg(line: bytes) -> dict:
-    try:
-        msg = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DistributedError(f"malformed protocol line: {exc}")
-    if not isinstance(msg, dict):
-        raise DistributedError("protocol message is not an object")
-    return msg
-
-
-#: Public names for the JSON-lines framing: the serving layer
-#: (:mod:`repro.serving`) speaks the same wire format, so the project
-#: has exactly one framing implementation.
-send_msg = _send_msg
-recv_msg = _recv_msg
 
 
 # -- the lease queue ----------------------------------------------------------
@@ -612,116 +574,14 @@ def _sweep_tag(msg: dict) -> str:
     return sweep
 
 
-class _WorkerConnection(socketserver.StreamRequestHandler):
-    """One coordinator-side thread per connected worker."""
-
-    def handle(self):  # noqa: C901 - one dispatch loop, clearer flat
-        coord: "Coordinator" = self.server.coordinator
-        # A healthy worker is never silent longer than a lease (it
-        # heartbeats at lease/3 while running); a socket quiet for two
-        # leases is a dead peer and its cells must go back in the queue.
-        self.connection.settimeout(max(10.0, 2 * coord.lease_s))
-        worker = None
-        registered = False
-        try:
-            hello = _recv_msg(self.rfile)
-            if (not hello or hello.get("type") != "hello"
-                    or hello.get("protocol") != PROTOCOL):
-                _send_msg(self.wfile, {
-                    "type": "reject",
-                    "reason": "not a repro-sweep worker handshake",
-                })
-                return
-            if hello.get("version") != PROTOCOL_VERSION:
-                _send_msg(self.wfile, {
-                    "type": "reject",
-                    "reason": (
-                        f"protocol version {hello.get('version')!r} != "
-                        f"coordinator {PROTOCOL_VERSION}; records from "
-                        "mismatched conventions must not be pooled — "
-                        "upgrade the older side"
-                    ),
-                })
-                return
-            worker = str(hello.get("worker")
-                         or f"{self.client_address[0]}:{self.client_address[1]}")
-            # Control clients (`repro farm status|submit|...`) are
-            # read-or-manage peers: they never lease, so they don't
-            # enter the worker registry that drain/status report on.
-            registered = hello.get("role") != "status"
-            if registered:
-                coord.worker_connected(worker)
-            _send_msg(self.wfile, {"type": "welcome",
-                                   "version": PROTOCOL_VERSION,
-                                   "lease_s": coord.lease_s})
-            while True:
-                msg = _recv_msg(self.rfile)
-                if msg is None:
-                    return
-                kind = msg.get("type")
-                if kind == "lease":
-                    coord.touch_worker(worker)
-                    if coord.draining:
-                        # Drain: no new work leaves the coordinator; the
-                        # worker is released cleanly mid-sweep.
-                        _send_msg(self.wfile, {"type": "shutdown"})
-                        return
-                    name, cells = coord.lease_cells(
-                        worker, max(1, int(msg.get("max_cells") or 1)))
-                    if cells:
-                        _send_msg(self.wfile, {
-                            "type": "cells",
-                            "sweep": name,
-                            "cells": [c.to_dict() for c in cells],
-                        })
-                    elif coord.work_complete():
-                        _send_msg(self.wfile, {"type": "shutdown"})
-                        return
-                    else:
-                        # Everything is leased out (or the farm is idle
-                        # but persistent); work may still arrive.
-                        _send_msg(self.wfile, {
-                            "type": "idle",
-                            "retry_s": min(1.0, coord.lease_s / 4),
-                        })
-                elif kind == "heartbeat":
-                    keys = msg.get("keys")
-                    if not isinstance(keys, list):
-                        raise DistributedError("heartbeat without keys")
-                    coord.touch_worker(worker, heartbeat=True)
-                    gone = coord.heartbeat_keys(
-                        worker, [str(k) for k in keys], _sweep_tag(msg))
-                    _send_msg(self.wfile, {"type": "ok", "gone": gone})
-                elif kind == "result":
-                    record = msg.get("record")
-                    if not isinstance(record, dict) or "key" not in record:
-                        raise DistributedError("result without a record")
-                    accepted = coord.submit(worker, record,
-                                            sweep=_sweep_tag(msg))
-                    _send_msg(self.wfile, {"type": "ok",
-                                           "accepted": accepted})
-                elif kind == "status":
-                    _send_msg(self.wfile, {"type": "status",
-                                           **coord.status_snapshot()})
-                elif kind in ("submit", "attach", "list", "cancel"):
-                    _send_msg(self.wfile, _farm_verb_reply(coord, msg))
-                else:
-                    raise DistributedError(
-                        f"unknown message type {kind!r}")
-        except (DistributedError, socket.timeout, OSError):
-            # Whatever this worker held goes back in the queue; the
-            # reaper/finish logic below records anything declared lost.
-            pass
-        finally:
-            if worker is not None:
-                coord.release_worker_cells(worker)
-                if registered:
-                    coord.worker_disconnected(worker)
-
-
-class _CoordinatorServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
+def _max_cells(msg: dict) -> int:
+    """A ``lease``'s batch size; a malformed one drops the worker like
+    any other malformed message."""
+    try:
+        return max(1, int(msg.get("max_cells") or 1))
+    except (TypeError, ValueError):
+        raise DistributedError(
+            f"lease with a malformed max_cells {msg.get('max_cells')!r}")
 
 
 class Coordinator:
@@ -805,8 +665,7 @@ class Coordinator:
         self._lease_seq = 0
         self._finished = threading.Event()
         self._draining = threading.Event()
-        self._server: Optional[_CoordinatorServer] = None
-        self._threads: list[threading.Thread] = []
+        self._server: Optional[Server] = None
         self._host, self._port = host, port
         if spec is not None or cells is not None:
             self.add_sweep(name, spec=spec, cells=cells, store=store,
@@ -952,23 +811,18 @@ class Coordinator:
 
     def start(self) -> tuple[str, int]:
         """Bind, start serving in background threads; returns (host, port)."""
-        self._server = _CoordinatorServer(
-            (self._host, self._port), _WorkerConnection
-        )
-        self._server.coordinator = self
-        self.address = self._server.server_address[:2]
-        serve = threading.Thread(target=self._server.serve_forever,
-                                 kwargs={"poll_interval": 0.1},
-                                 daemon=True)
-        reap = threading.Thread(target=self._reap_loop, daemon=True)
-        serve.start()
-        reap.start()
-        self._threads = [serve, reap]
+        # A healthy worker is never silent longer than a lease (it
+        # heartbeats at lease/3 while running); a socket quiet for two
+        # leases is a dead peer and its cells must go back in the queue.
+        self._server = Server((self._host, self._port), PROTOCOL,
+                              PROTOCOL_VERSION, self._session,
+                              idle_s=max(10.0, 2 * self.lease_s),
+                              error=DistributedError,
+                              welcome={"lease_s": self.lease_s})
+        self.address = self._server.start()
+        threading.Thread(target=self._reap_loop, daemon=True).start()
         if self._journal is not None:
-            journal = threading.Thread(target=self._journal_loop,
-                                       daemon=True)
-            journal.start()
-            self._threads.append(journal)
+            threading.Thread(target=self._journal_loop, daemon=True).start()
         return self.address
 
     def wait(self, timeout: Optional[float] = None,
@@ -1013,10 +867,8 @@ class Coordinator:
             return
         self.drained = True
         self._draining.set()
-        watcher = threading.Thread(target=self._drain_watch,
-                                   args=(grace_s,), daemon=True)
-        watcher.start()
-        self._threads.append(watcher)
+        threading.Thread(target=self._drain_watch, args=(grace_s,),
+                         daemon=True).start()
 
     def _drain_watch(self, grace_s: float) -> None:
         deadline = time.monotonic() + grace_s
@@ -1039,8 +891,7 @@ class Coordinator:
 
     def stop(self) -> None:
         if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
+            self._server.stop()
             self._server = None
         for state in self._states():
             if state.owns_store and state.store is not None:
@@ -1055,6 +906,78 @@ class Coordinator:
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+    # -- one connected peer (a server thread each) -------------------------
+
+    def _session(self, hello: dict, rfile, wfile, address) -> None:
+        """Serve one handshaken peer until it leaves; whatever it held
+        goes back in the queue.  A malformed worker message raises
+        :class:`DistributedError`, which drops the connection."""
+        worker = str(hello.get("worker") or f"{address[0]}:{address[1]}")
+        # Control clients (`repro farm status|submit|...`) are
+        # read-or-manage peers: they never lease, so they don't enter
+        # the worker registry that drain/status report on.
+        registered = hello.get("role") != "status"
+        if registered:
+            self.worker_connected(worker)
+        try:
+            while True:
+                msg = _recv_msg(rfile)
+                if msg is None:
+                    return
+                kind = msg.get("type")
+                if kind == "lease":
+                    self.touch_worker(worker)
+                    if self.draining:
+                        # Drain: no new work leaves the coordinator; the
+                        # worker is released cleanly mid-sweep.
+                        _send_msg(wfile, {"type": "shutdown"})
+                        return
+                    name, cells = self.lease_cells(worker, _max_cells(msg))
+                    if cells:
+                        _send_msg(wfile, {
+                            "type": "cells",
+                            "sweep": name,
+                            "cells": [c.to_dict() for c in cells],
+                        })
+                    elif self.work_complete():
+                        _send_msg(wfile, {"type": "shutdown"})
+                        return
+                    else:
+                        # Everything is leased out (or the farm is idle
+                        # but persistent); work may still arrive.
+                        _send_msg(wfile, {
+                            "type": "idle",
+                            "retry_s": min(1.0, self.lease_s / 4),
+                        })
+                elif kind == "heartbeat":
+                    keys = msg.get("keys")
+                    if not isinstance(keys, list):
+                        raise DistributedError("heartbeat without keys")
+                    self.touch_worker(worker, heartbeat=True)
+                    gone = self.heartbeat_keys(
+                        worker, [str(k) for k in keys], _sweep_tag(msg))
+                    _send_msg(wfile, {"type": "ok", "gone": gone})
+                elif kind == "result":
+                    record = msg.get("record")
+                    if (not isinstance(record, dict)
+                            or not isinstance(record.get("key"), str)):
+                        raise DistributedError("result without a record")
+                    accepted = self.submit(worker, record,
+                                           sweep=_sweep_tag(msg))
+                    _send_msg(wfile, {"type": "ok", "accepted": accepted})
+                elif kind == "status":
+                    _send_msg(wfile, {"type": "status",
+                                      **self.status_snapshot()})
+                elif kind in ("submit", "attach", "list", "cancel"):
+                    _send_msg(wfile, _farm_verb_reply(self, msg))
+                else:
+                    raise DistributedError(
+                        f"unknown message type {kind!r}")
+        finally:
+            self.release_worker_cells(worker)
+            if registered:
+                self.worker_disconnected(worker)
 
     # -- leasing / record sinks (handler and reaper threads) ---------------
 
@@ -1320,99 +1243,18 @@ class Coordinator:
 # -- control clients (status / farm management) -------------------------------
 
 
-def _control_exchange(host: str, port: int, requests: list[dict],
-                      timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
-                      role: str = "status") -> list[dict]:
-    """Run a short request/reply conversation under one total deadline.
-
-    Unlike the worker loop's per-request timeouts, ``timeout_s`` here
-    bounds the *whole* exchange with a monotonic deadline re-armed
-    before every socket operation — a wedged coordinator that trickles
-    a byte per timeout window can stall a per-read timeout forever, but
-    not this (`repro farm status` against a hung farm returns in
-    ``timeout_s``, full stop).
-    """
-    deadline = time.monotonic() + timeout_s
-    try:
-        sock = socket.create_connection((host, port), timeout=timeout_s)
-    except OSError as exc:
-        raise DistributedError(
-            f"cannot reach coordinator at {host}:{port}: {exc}")
-    replies: list[dict] = []
-    with sock:
-        buf = b""
-
-        def _arm() -> None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise socket.timeout("control deadline exhausted")
-            sock.settimeout(remaining)
-
-        def _send(msg: dict) -> None:
-            _arm()
-            sock.sendall(
-                (json.dumps(msg, sort_keys=True) + "\n").encode("utf-8"))
-
-        def _recv_line() -> Optional[bytes]:
-            # Manual framing on the raw socket: makefile().readline()
-            # cannot be bounded by a total deadline, only per-read.
-            nonlocal buf
-            while b"\n" not in buf:
-                _arm()
-                chunk = sock.recv(65536)
-                if not chunk:
-                    return None
-                buf += chunk
-            line, buf = buf.split(b"\n", 1)
-            return line
-
-        try:
-            _send({"type": "hello", "protocol": PROTOCOL,
-                   "version": PROTOCOL_VERSION,
-                   "worker": f"{role}-{os.getpid()}",
-                   "role": "status"})
-            line = _recv_line()
-            if line is None:
-                raise DistributedError("coordinator closed during handshake")
-            welcome = _parse_msg(line)
-            if welcome.get("type") == "reject":
-                raise ProtocolMismatchError(
-                    welcome.get("reason", "handshake rejected"))
-            for request in requests:
-                _send(request)
-                line = _recv_line()
-                if line is None:
-                    raise DistributedError("coordinator closed mid-exchange")
-                replies.append(_parse_msg(line))
-        except socket.timeout:
-            raise DistributedError("coordinator stopped responding")
-        except OSError as exc:
-            raise DistributedError(f"control exchange failed: {exc}")
-    return replies
-
-
-def fetch_status(host: str, port: int,
-                 timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S) -> dict:
-    """One read-only ``status`` round trip against a live coordinator.
-
-    The client behind ``repro farm status``: handshakes with
-    ``role="status"`` (so it never appears in the worker registry),
-    asks once, returns the snapshot dict.  ``timeout_s`` bounds the
-    whole call — connect, handshake, and reply.
-    """
-    [reply] = _control_exchange(host, port, [{"type": "status"}],
-                                timeout_s=timeout_s)
-    if reply.get("type") != "status":
-        raise DistributedError(
-            f"unexpected status reply "
-            f"{reply.get('type')!r} (old coordinator?)")
-    return reply
-
-
 def _farm_request(host: str, port: int, msg: dict, expect: str,
                   timeout_s: float, role: str) -> dict:
-    [reply] = _control_exchange(host, port, [msg],
-                                timeout_s=timeout_s, role=role)
+    """One control round trip: connect, handshake as a ``role="status"``
+    peer (never in the worker registry), send ``msg``, and return the
+    reply of type ``expect``.  ``timeout_s`` bounds the whole call."""
+    deadline = time.monotonic() + timeout_s
+    with Client.connect(host, port, timeout_s, DistributedError,
+                        "coordinator") as client:
+        handshake(lambda hello: client.exchange(hello, deadline), PROTOCOL,
+                  PROTOCOL_VERSION, DistributedError,
+                  worker=f"{role}-{os.getpid()}", role="status")
+        reply = client.exchange(msg, deadline)
     if reply.get("type") == "error":
         raise DistributedError(
             reply.get("reason") or f"{msg['type']} refused")
@@ -1421,6 +1263,14 @@ def _farm_request(host: str, port: int, msg: dict, expect: str,
             f"unexpected {msg['type']} reply "
             f"{reply.get('type')!r} (old coordinator?)")
     return reply
+
+
+def fetch_status(host: str, port: int,
+                 timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S) -> dict:
+    """One read-only ``status`` round trip against a live coordinator
+    (``repro farm status``); returns the snapshot dict."""
+    return _farm_request(host, port, {"type": "status"}, "status",
+                         timeout_s, "status")
 
 
 def submit_sweep(host: str, port: int, name: str, spec: SweepSpec,
@@ -1660,16 +1510,12 @@ def run_worker(
         while True:
             progressed_before = state.progressed
             try:
-                sock = connect()
-                with sock:
-                    try:
-                        return _worker_loop(sock, poll_s, worker_id, progress,
-                                            state, request_timeout_s,
-                                            max_batch=max_batch,
-                                            batch_target_s=batch_target_s)
-                    finally:   # the warm cell child holds a copy of sock
-                        with contextlib.suppress(OSError):
-                            sock.shutdown(socket.SHUT_RDWR)
+                with Client(connect(), DistributedError,
+                            "coordinator") as client:
+                    return _worker_loop(client, poll_s, worker_id, progress,
+                                        state, request_timeout_s,
+                                        max_batch=max_batch,
+                                        batch_target_s=batch_target_s)
             except ProtocolMismatchError:
                 raise
             except (DistributedError, OSError) as exc:
@@ -1689,49 +1535,27 @@ def run_worker(
         state.supervisor.close()
 
 
-def _worker_loop(sock, poll_s: float, worker_id: str, progress,
+def _worker_loop(client: Client, poll_s: float, worker_id: str, progress,
                  state: _WorkerState,
                  request_timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S,
                  max_batch: int = DEFAULT_MAX_BATCH,
                  batch_target_s: float = DEFAULT_BATCH_TARGET_S) -> int:
-    """The protocol side of :func:`run_worker`, on an open socket."""
-    rfile = sock.makefile("rb")
-    wfile = sock.makefile("wb")
-    # Per-request deadlines, not one blanket timeout: every exchange is
-    # an immediate request/response, so each send/recv pair gets its own
-    # short deadline — a coordinator that stops answering is detected in
-    # seconds regardless of how long the lease (and therefore the old
-    # blanket 2x-lease timeout) is.
-    sock.settimeout(request_timeout_s)
+    """The protocol side of :func:`run_worker`, on an open connection."""
 
     def _request(msg: dict) -> dict:
-        sock.settimeout(request_timeout_s)
-        try:
-            _send_msg(wfile, msg)
-            reply = _recv_msg(rfile)
-        except socket.timeout:
-            raise DistributedError("coordinator stopped responding")
+        # Its own short deadline per exchange, however long the lease.
+        # Not ``client.exchange``: frames go through this module's
+        # ``_send_msg``/``_recv_msg``, which instrumentation wraps.
+        with client.deadline(time.monotonic() + request_timeout_s):
+            _send_msg(client.wfile, msg)
+            reply = _recv_msg(client.rfile)
         if reply is None:
             raise DistributedError("connection to coordinator lost")
         state.progressed += 1
         return reply
 
-    _send_msg(wfile, {"type": "hello", "protocol": PROTOCOL,
-                      "version": PROTOCOL_VERSION,
-                      "worker": worker_id})
-    try:
-        welcome = _recv_msg(rfile)
-    except socket.timeout:
-        raise DistributedError("coordinator stopped responding")
-    if welcome is None:
-        raise DistributedError("coordinator closed during handshake")
-    if welcome.get("type") == "reject":
-        raise ProtocolMismatchError(
-            welcome.get("reason", "handshake rejected"))
-    if welcome.get("type") != "welcome":
-        raise DistributedError(
-            f"unexpected handshake reply {welcome.get('type')!r}")
-    state.progressed += 1
+    welcome = handshake(_request, PROTOCOL, PROTOCOL_VERSION,
+                        DistributedError, worker=worker_id)
     lease_s = float(welcome.get("lease_s", DEFAULT_LEASE_S))
     heartbeat_interval = max(0.05, lease_s / 3)
 

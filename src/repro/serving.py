@@ -37,9 +37,8 @@ problem.  The serving spine:
 
 Wire protocol
 -------------
-JSON lines over TCP, the same framing and versioned-handshake
-conventions as the sweep farm (:mod:`repro.experiments.distributed`) —
-one wire format for the whole project:
+The framing and versioned handshake of :mod:`repro.wire`, shared with
+the sweep farm:
 
     client -> {"type": "hello", "protocol": "repro-serve", "version": V}
     server <- {"type": "welcome", "version": V}
@@ -56,16 +55,14 @@ one wire format for the whole project:
     server <- {"type": "status", ...}
 
 Connections are persistent (many queries per connection); every
-client-side exchange runs under a per-request socket deadline, so a
-dead server is detected in seconds.  See ``docs/serving.md`` for the
-full contract and failure matrix.
+client-side exchange runs under one total deadline, so a dead or
+trickling server is detected in seconds.  See ``docs/serving.md`` for
+the full contract and failure matrix.
 """
 
 from __future__ import annotations
 
 import hashlib
-import socket
-import socketserver
 import threading
 import time
 from collections import OrderedDict, deque
@@ -74,12 +71,7 @@ from typing import Callable, Optional
 
 from repro import api
 from repro.coloring.verify import coloring_violations
-from repro.errors import ProtocolMismatchError, ReproError, ServingError
-from repro.experiments.distributed import (
-    DEFAULT_REQUEST_TIMEOUT_S,
-    recv_msg,
-    send_msg,
-)
+from repro.errors import ReproError, ServingError
 from repro.experiments.spec import COLORING_METHODS, MIS_METHODS
 from repro.graphs.analysis import is_connected
 from repro.graphs.core import Graph
@@ -88,6 +80,14 @@ from repro.graphs.io import load_edge_list
 from repro.mis.greedy import sequential_greedy_mis
 from repro.mis.verify import mis_violations
 from repro.supervise import Supervisor, spawn_child
+from repro.wire import (
+    DEFAULT_REQUEST_TIMEOUT_S,
+    Client,
+    Server,
+    handshake,
+    recv_msg,
+    send_msg,
+)
 
 PROTOCOL = "repro-serve"
 PROTOCOL_VERSION = 1
@@ -349,60 +349,6 @@ class ServeStats:
         return ordered[idx]
 
 
-class _ClientConnection(socketserver.StreamRequestHandler):
-    """One server-side thread per connected client."""
-
-    def handle(self):
-        server: "QueryServer" = self.server.owner
-        self.connection.settimeout(server.idle_s)
-        try:
-            hello = recv_msg(self.rfile)
-            if (not hello or hello.get("type") != "hello"
-                    or hello.get("protocol") != PROTOCOL):
-                send_msg(self.wfile, {
-                    "type": "reject",
-                    "reason": "not a repro-serve handshake",
-                })
-                return
-            if hello.get("version") != PROTOCOL_VERSION:
-                send_msg(self.wfile, {
-                    "type": "reject",
-                    "reason": (
-                        f"protocol version {hello.get('version')!r} != "
-                        f"server {PROTOCOL_VERSION}; answers from "
-                        "mismatched conventions must not mix — upgrade "
-                        "the older side"
-                    ),
-                })
-                return
-            send_msg(self.wfile, {"type": "welcome",
-                                  "version": PROTOCOL_VERSION})
-            while True:
-                msg = recv_msg(self.rfile)
-                if msg is None:
-                    return
-                kind = msg.get("type")
-                if kind == "query":
-                    send_msg(self.wfile, server.handle_query(msg))
-                elif kind == "status":
-                    send_msg(self.wfile, {"type": "status",
-                                          **server.status_snapshot()})
-                else:
-                    send_msg(self.wfile, {
-                        "type": "error", "retriable": False,
-                        "error": f"unknown message type {kind!r}",
-                    })
-        except (ReproError, socket.timeout, OSError):
-            # A malformed frame or a dead/idle client ends this
-            # connection only; the server keeps serving everyone else.
-            return
-
-
-class _ServeServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
 class QueryServer:
     """The long-running coloring/MIS query service.
 
@@ -439,7 +385,7 @@ class QueryServer:
         self.idle_s = idle_s
         self._supervisor = Supervisor(spawn, solvers)
         self._host, self._port = host, port
-        self._server: Optional[_ServeServer] = None
+        self._server: Optional[Server] = None
         self._lock = threading.Lock()
         self._slots = threading.Semaphore(solvers)
         #: admitted queries (waiting for a slot + running a solver).
@@ -454,15 +400,11 @@ class QueryServer:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> tuple[str, int]:
-        self._server = _ServeServer((self._host, self._port),
-                                    _ClientConnection)
-        self._server.owner = self
-        self.address = self._server.server_address[:2]
+        self._server = Server((self._host, self._port), PROTOCOL,
+                              PROTOCOL_VERSION, self._session,
+                              idle_s=self.idle_s, error=ReproError)
+        self.address = self._server.start()
         self._started_at = time.monotonic()
-        thread = threading.Thread(target=self._server.serve_forever,
-                                  kwargs={"poll_interval": 0.1},
-                                  daemon=True)
-        thread.start()
         return self.address
 
     @property
@@ -501,8 +443,7 @@ class QueryServer:
 
     def stop(self) -> None:
         if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
+            self._server.stop()
             self._server = None
         self._supervisor.close()
         self._finished.set()
@@ -513,6 +454,22 @@ class QueryServer:
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+    def _session(self, hello: dict, rfile, wfile, address) -> None:
+        """Answer one handshaken client until it leaves.  A malformed
+        frame or a dead or idle client ends this connection only."""
+        while True:
+            msg = recv_msg(rfile)
+            if msg is None:
+                return
+            kind = msg.get("type")
+            if kind == "query":
+                send_msg(wfile, self.handle_query(msg))
+            elif kind == "status":
+                send_msg(wfile, {"type": "status", **self.status_snapshot()})
+            else:
+                send_msg(wfile, {"type": "error", "retriable": False,
+                                 "error": f"unknown message type {kind!r}"})
 
     # -- the query path ----------------------------------------------------
 
@@ -764,66 +721,39 @@ class QueryResult:
 
 
 class ServeClient:
-    """Persistent client connection with per-request socket deadlines."""
+    """Persistent client connection; each exchange (the handshake, a
+    query, a status read) runs under one total deadline."""
 
     def __init__(self, host: str, port: int,
                  timeout_s: float = DEFAULT_REQUEST_TIMEOUT_S):
         self.host, self.port = host, port
         self.timeout_s = timeout_s
+        self._conn = Client.connect(host, port, timeout_s, ServingError,
+                                    "server")
         try:
-            self._sock = socket.create_connection((host, port),
-                                                  timeout=timeout_s)
-        except OSError as exc:
-            raise ServingError(
-                f"cannot reach server at {host}:{port}: {exc}")
-        self._rfile = self._sock.makefile("rb")
-        self._wfile = self._sock.makefile("wb")
-        send_msg(self._wfile, {"type": "hello", "protocol": PROTOCOL,
-                               "version": PROTOCOL_VERSION})
-        welcome = self._recv(timeout_s)
-        if welcome.get("type") == "reject":
-            raise ProtocolMismatchError(
-                welcome.get("reason", "handshake rejected"))
-        if welcome.get("type") != "welcome":
-            raise ServingError(
-                f"unexpected handshake reply {welcome.get('type')!r}")
+            handshake(lambda hello: self._exchange(hello, timeout_s),
+                      PROTOCOL, PROTOCOL_VERSION, ServingError)
+        except ReproError:
+            self._conn.close()
+            raise
 
-    def _recv(self, timeout_s: float) -> dict:
-        self._sock.settimeout(timeout_s)
-        try:
-            reply = recv_msg(self._rfile)
-        except socket.timeout:
-            raise ServingError("server stopped responding")
-        except OSError as exc:
-            raise ServingError(f"connection to server lost: {exc}")
-        if reply is None:
-            raise ServingError("connection to server closed")
-        return reply
+    def _exchange(self, msg: dict, timeout_s: float) -> dict:
+        return self._conn.exchange(msg, time.monotonic() + timeout_s)
 
     def query(self, request: dict) -> QueryResult:
         """One query round trip.
 
-        The socket deadline covers the request's solve deadline plus the
+        The deadline covers the request's solve deadline plus the
         degraded-mode grace, so even a worst-case answer arrives before
         the client gives up — a wedged server is detected, a slow solve
         is not misdiagnosed as one.
         """
         deadline = float(request.get("deadline_s", DEFAULT_DEADLINE_S))
-        budget = deadline + DEFAULT_GRACE_S + self.timeout_s
-        self._sock.settimeout(budget)
-        try:
-            send_msg(self._wfile, request)
-        except OSError as exc:
-            raise ServingError(f"connection to server lost: {exc}")
-        return QueryResult(self._recv(budget))
+        return QueryResult(self._exchange(
+            request, deadline + DEFAULT_GRACE_S + self.timeout_s))
 
     def status(self) -> dict:
-        self._sock.settimeout(self.timeout_s)
-        try:
-            send_msg(self._wfile, {"type": "status"})
-        except OSError as exc:
-            raise ServingError(f"connection to server lost: {exc}")
-        reply = self._recv(self.timeout_s)
+        reply = self._exchange({"type": "status"}, self.timeout_s)
         if reply.get("type") != "status":
             raise ServingError(
                 f"unexpected status reply {reply.get('type')!r}")
@@ -858,12 +788,7 @@ class ServeClient:
         return result
 
     def close(self) -> None:
-        for closer in (self._rfile.close, self._wfile.close,
-                       self._sock.close):
-            try:
-                closer()
-            except OSError:
-                pass
+        self._conn.close()
 
     def __enter__(self) -> "ServeClient":
         return self

@@ -201,6 +201,7 @@ class _ScriptedSock:
     def __init__(self, handler):
         self._handler = handler
         self._replies = deque()
+        self._unread = b""
         self.closed = False
 
     # socket surface run_worker/_worker_loop touches
@@ -209,12 +210,6 @@ class _ScriptedSock:
 
     def settimeout(self, value):
         pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
     def close(self):
         self.closed = True
@@ -230,16 +225,21 @@ class _ScriptedSock:
     def flush(self):
         pass
 
-    # rfile surface
-    def readline(self, limit=-1):
-        if not self._replies:
-            return b""
-        reply = self._replies.popleft()
-        if reply is None:
-            return b""
-        if isinstance(reply, Exception):
-            raise reply
-        return (json.dumps(reply) + "\n").encode("utf-8")
+    # read surface
+    def recv_into(self, buf):
+        if not self._unread:
+            if not self._replies:
+                return 0
+            reply = self._replies.popleft()
+            if reply is None:
+                return 0
+            if isinstance(reply, Exception):
+                raise reply
+            self._unread = (json.dumps(reply) + "\n").encode("utf-8")
+        n = min(len(buf), len(self._unread))
+        buf[:n] = self._unread[:n]
+        self._unread = self._unread[n:]
+        return n
 
 
 def _welcome():

@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro import cli
+from repro import cli, wire
 from repro.errors import ProtocolMismatchError, ReproError
 from repro.experiments import (
     Cell,
@@ -188,7 +188,7 @@ def test_oversized_frame_drops_only_that_connection(monkeypatch):
     """A newline-free stream past the frame cap ends that connection
     instead of growing the coordinator's buffer; a well-formed worker
     is still served afterwards."""
-    monkeypatch.setattr(distributed, "MAX_FRAME_BYTES", 4096)
+    monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 4096)
     spec = SweepSpec(families=("gnp",), sizes=(30,), seeds=(0,),
                      methods=("luby",))
     coord = Coordinator(spec)
@@ -207,6 +207,38 @@ def test_oversized_frame_drops_only_that_connection(monkeypatch):
         assert run_worker(host, port, worker_id="w", poll_s=0.05) == 1
     finally:
         coord.stop()
+
+
+@pytest.mark.parametrize("bad", [
+    {"type": "lease", "max_cells": "many"},
+    {"type": "result", "record": {"key": ["not", "a", "key"]},
+     "sweep": "default"},
+], ids=["lease-max-cells", "result-key"])
+def test_malformed_worker_message_drops_only_that_worker(bad, capfd):
+    """A malformed worker message drops that worker and releases its
+    leases, with nothing printed; a well-formed worker is still
+    served."""
+    spec = SweepSpec(families=("gnp",), sizes=(30,), seeds=(0,),
+                     methods=("luby",))
+    coord = Coordinator(spec, lease_s=30.0)
+    host, port = coord.start()
+    try:
+        with socket.create_connection((host, port), timeout=5) as sock:
+            rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
+            _send_msg(wfile, {"type": "hello", "protocol": PROTOCOL,
+                              "version": PROTOCOL_VERSION, "worker": "x"})
+            assert _recv_msg(rfile)["type"] == "welcome"
+            _send_msg(wfile, {"type": "lease", "max_cells": 1})
+            assert _recv_msg(rfile)["type"] == "cells"
+            _send_msg(wfile, bad)
+            assert rfile.readline() == b""
+        # The lease went back at once, not after 30 s of expiry.
+        assert coord.queue.counts()["leased"] == 0
+        assert run_worker(host, port, worker_id="w", poll_s=0.05) == 1
+        assert coord.wait(timeout=5)[0]["status"] == "ok"
+    finally:
+        coord.stop()
+    assert capfd.readouterr().err == ""
 
 
 # -- coordinator + worker -----------------------------------------------------

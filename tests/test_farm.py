@@ -4,7 +4,8 @@ Covers the farm layers the single-sweep tests don't: per-sweep queues
 under one coordinator (fair-share leasing, priorities), the farm verbs
 (submit/attach/list/cancel) and their clients, batched leases with one
 covering heartbeat, the EWMA batch tuner, the multi-sweep journal
-round-trip, the `fetch_status` total deadline, and the farm CLI.
+round-trip, and the farm CLI.  The clients' deadlines and frame cap
+are covered for every entry point in ``tests/test_wire.py``.
 """
 
 from __future__ import annotations
@@ -582,60 +583,6 @@ def test_single_sweep_journal_refuses_foreign_farm_journal(tmp_path):
     coord.stop()
     with pytest.raises(DistributedError, match="repro farm serve"):
         Coordinator(_spec_a(), journal=journal, resume_journal=True)
-
-
-# -- fetch_status total deadline ----------------------------------------------
-
-
-def test_fetch_status_deadline_on_silent_coordinator():
-    """A coordinator that accepts but never answers must not stall
-    `repro farm status` past its deadline."""
-    server = socket.socket()
-    server.bind(("127.0.0.1", 0))
-    server.listen(1)
-    host, port = server.getsockname()
-    try:
-        start = time.monotonic()
-        with pytest.raises(DistributedError,
-                           match="stopped responding"):
-            fetch_status(host, port, timeout_s=0.5)
-        assert time.monotonic() - start < 5.0
-    finally:
-        server.close()
-
-
-def test_fetch_status_deadline_on_trickling_coordinator():
-    """Regression (hangs pre-fix): a wedged coordinator that trickles a
-    byte per read used to re-arm a per-read timeout forever.  The total
-    monotonic deadline bounds the whole exchange."""
-    server = socket.socket()
-    server.bind(("127.0.0.1", 0))
-    server.listen(1)
-    host, port = server.getsockname()
-    stop = threading.Event()
-
-    def trickle():
-        conn, _ = server.accept()
-        with conn:
-            while not stop.is_set():
-                try:
-                    conn.sendall(b" ")
-                except OSError:
-                    return
-                time.sleep(0.1)
-
-    feeder = threading.Thread(target=trickle, daemon=True)
-    feeder.start()
-    try:
-        start = time.monotonic()
-        with pytest.raises(DistributedError,
-                           match="stopped responding"):
-            fetch_status(host, port, timeout_s=0.5)
-        assert time.monotonic() - start < 5.0
-    finally:
-        stop.set()
-        server.close()
-        feeder.join(5)
 
 
 # -- farm CLI -----------------------------------------------------------------

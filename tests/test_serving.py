@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -23,11 +24,9 @@ import time
 
 import pytest
 
-from repro import cli, serving
+from repro import cli, serving, wire
 from repro.coloring.verify import check_proper_coloring
 from repro.errors import ProtocolMismatchError, ReproError, ServingError
-from repro.experiments import distributed
-from repro.experiments.distributed import recv_msg, send_msg
 from repro.graphs.core import Graph
 from repro.graphs.generators import connected_gnp_graph, family_graph
 from repro.mis.verify import check_mis
@@ -46,6 +45,7 @@ from repro.serving import (
     supervised_solve,
 )
 from repro.supervise import Supervisor
+from repro.wire import recv_msg, send_msg
 
 from scripted_children import DIE, HANG, ScriptedChild, spawn_script
 
@@ -489,7 +489,7 @@ def test_oversized_frame_drops_only_that_connection(live_server,
                                                    monkeypatch):
     """A newline-free stream past the frame cap ends that connection
     instead of growing the server's buffer; other clients are served."""
-    monkeypatch.setattr(distributed, "MAX_FRAME_BYTES", 4096)
+    monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 4096)
     host, port, _ = live_server
     with socket.create_connection((host, port), timeout=5) as sock:
         rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
@@ -522,8 +522,8 @@ def test_idle_warm_child_is_not_a_solver_pid(live_server):
 def test_unknown_message_type_is_answered_not_fatal(live_server):
     host, port, _ = live_server
     with ServeClient(host, port) as client:
-        send_msg(client._wfile, {"type": "gossip"})
-        reply = recv_msg(client._rfile)
+        send_msg(client._conn.wfile, {"type": "gossip"})
+        reply = recv_msg(client._conn.rfile)
         assert reply["type"] == "error"
         assert "gossip" in reply["error"]
         assert client.status()["queries"] == 0
@@ -641,6 +641,32 @@ def test_cli_query_unreachable_server_fails_cleanly(capsys):
     rc = cli.main(["query", "--connect", "127.0.0.1:1", "--n", "20"])
     assert rc == 1
     assert "cannot reach" in capsys.readouterr().err
+
+
+def test_cli_serve_drains_through_the_shared_loop(tmp_path, capsys):
+    """`repro serve` drains on SIGTERM through the CLI's one
+    serve-until-drained loop: exit 0, the previous handler restored,
+    and a final --stats-out snapshot written after the drain."""
+    stats = tmp_path / "stats.json"
+    previous = signal.getsignal(signal.SIGTERM)
+
+    def terminate_when_observed():
+        # The observer writes --stats-out only after the drain handler
+        # is installed.
+        deadline = time.monotonic() + 30
+        while not stats.exists() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        os.kill(os.getpid(), signal.SIGTERM)
+
+    threading.Thread(target=terminate_when_observed, daemon=True).start()
+    rc = cli.main(["serve", "127.0.0.1:0", "--solvers", "1",
+                   "--status-interval", "0.05", "--stats-out", str(stats)])
+    assert rc == 0
+    assert signal.getsignal(signal.SIGTERM) is previous
+    assert json.loads(stats.read_text())["draining"]
+    err = capsys.readouterr().err
+    assert "SIGTERM: draining" in err
+    assert "drained: all in-flight queries answered" in err
 
 
 # -- the examples as clients --------------------------------------------------
