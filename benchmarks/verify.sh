@@ -88,22 +88,43 @@ for argv in (["farm", "status"], ["serve-status"], ["query", "--n", "20"]):
 listener.close()
 EOF
 
-echo "== fault-sweep smoke (seeded drops, survivor-valid records) =="
+echo "== fault-sweep smoke (drops, crashes, adversary; counts pinned) =="
 FAULT_OUT="$(mktemp -u "${TMPDIR:-/tmp}/repro-faults-XXXXXX.jsonl")"
 python -m repro sweep --families gnp --sizes 40 --seeds 0 1 \
-    --methods luby baseline-trial --faults drop:0.05 \
-    --out "$FAULT_OUT"
+    --methods luby baseline-trial \
+    --faults drop:0.05 crash:0.1 adversary:64 --out "$FAULT_OUT"
 python - "$FAULT_OUT" << 'EOF'
 import json, sys
 
+# (messages, rounds, dropped_messages) per cell, recorded before the
+# fan-out send path landed.  The count-regression gate covers only
+# fault-free cells; these pin the drop/crash/adversary decisions and
+# their rng draws, which run per receiver in submission order.
+PINNED = {
+    ("luby", "drop:0.05", 0): (536, 4, 19),
+    ("luby", "drop:0.05", 1): (580, 4, 25),
+    ("luby", "crash:0.1", 0): (876, 7, 0),
+    ("luby", "crash:0.1", 1): (1032, 7, 0),
+    ("luby", "adversary:64", 0): (498, 4, 25),
+    ("luby", "adversary:64", 1): (563, 3, 31),
+    ("baseline-trial", "drop:0.05", 0): (595, 6, 21),
+    ("baseline-trial", "drop:0.05", 1): (662, 6, 25),
+    ("baseline-trial", "crash:0.1", 0): (724, 7, 0),
+    ("baseline-trial", "crash:0.1", 1): (805, 7, 8),
+    ("baseline-trial", "adversary:64", 0): (493, 4, 25),
+    ("baseline-trial", "adversary:64", 1): (555, 3, 33),
+}
 records = [json.loads(line) for line in open(sys.argv[1])]
-assert records, "fault smoke produced no records"
+assert len(records) == len(PINNED), (len(records), records)
 assert all(r["status"] == "ok" for r in records), records
-assert all(r["faults"] == "drop:0.05" for r in records), records
 assert all(r["survivor_valid"] for r in records), records
+for r in records:
+    cell = (r["method"], r["faults"], r["seed"])
+    got = (r["messages"], r["rounds"], r["dropped_messages"])
+    assert got == PINNED[cell], f"{cell}: {got} != pinned {PINNED[cell]}"
 dropped = sum(r["dropped_messages"] for r in records)
-assert dropped > 0, "drop:0.05 sweep dropped nothing"
-print(f"fault smoke: {len(records)} cells ok, {dropped} messages dropped")
+print(f"fault smoke: {len(records)} cells match the pinned counts, "
+      f"{dropped} messages dropped")
 EOF
 rm -f "$FAULT_OUT"
 

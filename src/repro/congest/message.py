@@ -30,9 +30,12 @@ class Msg:
 
     Engine-internal vertex indices never reach algorithm code; in KT-1 and
     above the port-to-neighbor-ID mapping is initial knowledge, so exposing
-    the sender ID is model-faithful.  A ``__slots__`` class: the engine
-    builds one per delivered envelope, and frozen-dataclass construction
-    costs an ``object.__setattr__`` per field.
+    the sender ID is model-faithful.  The engine builds one ``Msg`` per
+    send (a ``ctx.broadcast`` is one send) when it flushes the outbox, and
+    every receiver of that send gets the same object in its inbox —
+    algorithms must treat a ``Msg`` as read-only.  A ``__slots__`` class:
+    frozen-dataclass construction costs an ``object.__setattr__`` per
+    field.
     """
 
     __slots__ = ("sender_id", "tag", "fields")
@@ -47,34 +50,29 @@ class Msg:
 
 
 class Envelope:
-    """A message in flight: engine-level routing plus the user payload.
+    """One send in flight: engine-level routing plus the delivered ``Msg``.
 
-    A plain ``__slots__`` class rather than a (frozen) dataclass: the
-    engine builds one per send on its hottest path, and frozen-dataclass
-    construction pays an ``object.__setattr__`` per field.
+    A fan-out (``ctx.broadcast``, or a ``ctx.send`` as a fan-out of one)
+    travels as a single envelope shared by all its receivers; schedulers
+    pair it with each receiver vertex.  A plain ``__slots__`` class
+    rather than a (frozen) dataclass: the engine builds one per send on
+    its hottest path.
     """
 
-    __slots__ = ("sender", "receiver", "tag", "fields", "round_sent",
-                 "words", "ids")
+    __slots__ = ("sender", "words", "ids", "msg")
 
-    def __init__(self, sender: int, receiver: int, tag: str, fields: tuple,
-                 round_sent: int, words: int, ids: tuple = ()):
+    def __init__(self, sender: int, words: int, ids: tuple, msg: Msg):
         self.sender = sender          # vertex index (engine-internal)
-        self.receiver = receiver      # vertex index (engine-internal)
-        self.tag = tag
-        self.fields = fields
-        self.round_sent = round_sent
         self.words = words
-        #: Distinct NodeIds embedded in ``fields``, extracted once at send
-        #: time so the receive side never rescans the payload
-        #: (Definition 2.3 accounting).
+        #: Distinct NodeIds embedded in the payload, extracted once at
+        #: send time so the receive side never rescans it (Definition
+        #: 2.3 accounting).
         self.ids = ids
+        self.msg = msg
 
     def __repr__(self) -> str:
-        return (
-            f"Envelope({self.sender}->{self.receiver} '{self.tag}' "
-            f"{self.fields!r} @r{self.round_sent})"
-        )
+        msg = self.msg
+        return f"Envelope(from {self.sender} '{msg.tag}' {msg.fields!r})"
 
 
 #: The container types a payload may nest.  Both the word-accounting scan
@@ -113,14 +111,14 @@ def _scan_field(field: Any, word_bits: int, ids: list) -> int:
 def analyze_payload(fields: tuple, word_bits: int) -> tuple[int, tuple]:
     """Word count plus every embedded NodeId, in a single recursive pass.
 
-    The engine calls this once per send (or once per *broadcast*, via
-    ``ctx.broadcast``) and carries the extracted IDs on the
-    :class:`Envelope`, so neither the word accounting nor the
-    utilized-edge bookkeeping (send- or receive-side) ever rescans the
-    payload.  The returned ID tuple is deduplicated (first occurrence
-    order): a payload repeating phi(w) k times utilizes the same edge
-    {sender, w} once, so the duplicates would only trigger redundant
-    ``mark_utilized`` lookups on both the send and receive side.
+    The engine calls this once per send (a ``ctx.broadcast`` is one send)
+    and carries the extracted IDs on the :class:`Envelope`, so neither
+    the word accounting nor the utilized-edge bookkeeping (send- or
+    receive-side) ever rescans the payload.  The returned ID tuple is
+    deduplicated (first occurrence order): a payload repeating phi(w) k
+    times utilizes the same edge {sender, w} once, so the duplicates
+    would only trigger redundant ``mark_utilized`` lookups on both the
+    send and receive side.
     """
     if not fields:
         return 1, ()

@@ -14,17 +14,22 @@ Accounting: every send is charged words (one word = Theta(log n) bits) and
 ``ceil(words / words_per_message)`` CONGEST messages; utilized edges follow
 Definition 2.3 (see :mod:`repro.congest.metrics`).
 
-Send path (hot): ``ctx.send`` / ``ctx.broadcast`` validate the receiver
-and append raw entries to a per-round *outbox*; once per round the engine
-flushes the outbox in submission order — analyzing each payload once
-(with an LRU memo for small ID-free payloads), handing each envelope to
-the network's :class:`~repro.congest.runtime.Scheduler` for delivery,
-and accounting the whole round with a single
-:meth:`MessageStats.charge_send_batch` call.  ``ctx.broadcast(to_ids,
-tag, *fields)`` additionally shares one ``analyze_payload`` result across
-the entire fan-out.  All of this is count-identical to the per-send
-reference path (``eager_charges=True``): same sends, words, messages,
-rounds, and utilized edges on fixed seeds.
+Send path (hot): a send is a *fan-out* — ``ctx.broadcast(to_ids, tag,
+*fields)`` to k neighbors, or ``ctx.send`` as a fan-out of one — and
+travels as one unit.  On submit the engine checks each recipient with
+one dict lookup in the sender's port map (neighbor ID value -> vertex),
+analyzes the payload once (with a small memo for ID-free payloads), and
+appends a single outbox entry holding the receivers in order.  Once per
+round it flushes the outbox in submission order: each entry is charged
+once, multiplied by k (sends, words, messages, ``by_tag``,
+``by_sender``), its transport edges join the utilized set in one
+``set.update``, one :class:`~repro.congest.message.Msg` is built and
+shared by every receiver, and the whole fan-out goes to the network's
+:class:`~repro.congest.runtime.Scheduler` in one
+``schedule_fanout`` call.  Fault drops and trace events stay per
+receiver, in submission order.  All of this is identical to the
+per-submit reference path (``eager_charges=True``): same counts,
+utilized edges, fault decisions and inbox order on fixed seeds.
 
 Delivery discipline is pluggable (:mod:`repro.congest.runtime`): the
 default :class:`~repro.congest.runtime.RoundScheduler` implements
@@ -43,7 +48,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.congest.ids import IdAssignment, NodeId, OpaqueId, id_value
 from repro.congest.knowledge import KTKnowledge, build_knowledge
-from repro.congest.message import Envelope, analyze_payload
+from repro.congest.message import Envelope, Msg, analyze_payload
 from repro.congest.metrics import MessageStats, StageStats
 from repro.congest.node import Context, NodeAlgorithm
 from repro.congest.runtime import (
@@ -122,6 +127,13 @@ class SyncNetwork:
         self._vertex_by_value = {
             self.assignment.value_of(v): v for v in range(graph.n)
         }
+        #: Per-vertex port map, neighbor ID value -> neighbor vertex: one
+        #: dict lookup both validates a recipient and resolves it.  Built
+        #: per network (a Graph pickles without it).
+        values = self.assignment.values()
+        self._ports: list[dict[int, int]] = [
+            {values[u]: u for u in graph.neighbors(v)} for v in range(graph.n)
+        ]
         self.knowledge: list[KTKnowledge] = build_knowledge(
             graph, rho, lambda v: self._ids[v]
         )
@@ -131,9 +143,9 @@ class SyncNetwork:
         )
         self._stage_counter = 0
         self._n = graph.n
-        #: Raw sends of the current round, flushed in submission order by
-        #: :meth:`_flush_outbox`: (sender, receiver, tag, fields, words,
-        #: ids) with words < 0 meaning "payload not yet analyzed".
+        #: Sends of the current round, flushed in submission order by
+        #: :meth:`_flush_outbox`: one (sender, receivers, tag, fields,
+        #: words, ids) entry per fan-out, receivers in order.
         self._outbox: list[tuple] = []
         #: LRU-ish memo of analyze_payload results for small ID-free
         #: payloads, keyed by the fields tuple (structural identity).
@@ -143,8 +155,8 @@ class SyncNetwork:
         #: callers may plug in any bound :class:`Scheduler`.
         self.scheduler: Scheduler = scheduler or self._default_scheduler()
         self.scheduler.bind(self)
-        #: Cached bound method — the outbox flush calls it per envelope.
-        self._schedule = self.scheduler.schedule
+        #: Cached bound method — the outbox flush calls it per send.
+        self._schedule = self.scheduler.schedule_fanout
         self._current_round = 0
         #: Failure seam (see :mod:`repro.congest.runtime`): None is the
         #: fault-free reference path — the schedulers and the outbox
@@ -240,49 +252,55 @@ class SyncNetwork:
 
     # -- engine internals ------------------------------------------------------
 
-    def _submit_send(self, sender: int, to_id: NodeId, tag: str,
-                     fields: tuple) -> None:
-        value = id_value(to_id)
-        receiver = self._vertex_by_value.get(value)
-        if receiver is None:
-            raise UnknownNeighborError(
-                f"no node with ID value {value} exists"
-            )
-        if not self.graph.has_edge(sender, receiver):
+    def _submit(self, sender: int, to_ids, tag: str, fields: tuple) -> None:
+        """Buffer one fan-out of ``fields`` to ``to_ids`` (``ctx.send`` is
+        a fan-out of one) as a single outbox entry."""
+        ports = self._ports[sender]
+        try:
+            receivers = [ports[to_id._value] for to_id in to_ids]
+        except (KeyError, AttributeError):
+            raise self._recipient_error(sender, to_ids) from None
+        try:
+            words, payload_ids = self._analyze(fields)
+        except ModelViolationError as exc:
             raise ModelViolationError(
+                f"invalid payload sent by vertex {sender} (tag {tag!r}): "
+                f"{exc}"
+            ) from exc
+        if receivers:
+            self._outbox.append(
+                (sender, receivers, tag, fields, words, payload_ids)
+            )
+            if self.eager_charges:
+                self._flush_outbox()
+
+    def _recipient_error(self, sender: int, to_ids) -> ReproError:
+        """The precise error for the first recipient that is not a
+        neighbor's ID (the slow path behind :meth:`_submit`)."""
+        ports = self._ports[sender]
+        for to_id in to_ids:
+            if not isinstance(to_id, NodeId):
+                return ModelViolationError(
+                    f"vertex {sender} addressed a message to {to_id!r} of "
+                    f"type {type(to_id).__name__}; recipients must be "
+                    "NodeIds from ctx.neighbor_ids"
+                )
+            value = id_value(to_id)
+            if value in ports:
+                continue
+            receiver = self._vertex_by_value.get(value)
+            if receiver is None:
+                return UnknownNeighborError(
+                    f"no node with ID value {value} exists"
+                )
+            return ModelViolationError(
                 f"vertex {sender} tried to send to non-neighbor {receiver}; "
                 "CONGEST only delivers over edges"
             )
-        self._outbox.append((sender, receiver, tag, fields, -1, ()))
-        if self.eager_charges:
-            self._flush_outbox()
-
-    def _submit_broadcast(self, sender: int, to_ids, tag: str,
-                          fields: tuple) -> None:
-        """Fan one payload out to several neighbors (``ctx.broadcast``).
-
-        Count-identical to submitting one send per recipient in the same
-        order; the payload is analyzed once and the shared (words, ids)
-        result rides every outbox entry.
-        """
-        words, payload_ids = self._analyze(fields)
-        vertex_of = self._vertex_by_value
-        has_edge = self.graph.has_edge
-        outbox = self._outbox
-        for to_id in to_ids:
-            receiver = vertex_of.get(id_value(to_id))
-            if receiver is None:
-                raise UnknownNeighborError(
-                    f"no node with ID value {id_value(to_id)} exists"
-                )
-            if not has_edge(sender, receiver):
-                raise ModelViolationError(
-                    f"vertex {sender} tried to send to non-neighbor "
-                    f"{receiver}; CONGEST only delivers over edges"
-                )
-            outbox.append((sender, receiver, tag, fields, words, payload_ids))
-        if self.eager_charges and outbox:
-            self._flush_outbox()
+        # A one-shot iterable was consumed by the failed fast path.
+        return ModelViolationError(
+            f"vertex {sender} addressed a message to a non-neighbor"
+        )
 
     #: Exact field types the payload memo may key on.  Restricting to
     #: these small ID-free scalars keeps the memo sound: tuple equality
@@ -317,91 +335,91 @@ class SyncNetwork:
     def _flush_outbox(self) -> None:
         """Charge, schedule, and (optionally) trace the buffered sends.
 
-        Runs once per round (or per submit under ``eager_charges``);
-        entries are processed in submission order, so link occupancy and
-        delivery order are identical to the per-send path.
+        Runs once per round (or per submit under ``eager_charges``).
+        Entries are processed in submission order and each entry's
+        receivers in their given order, so link occupancy, fault
+        decisions, and delivery order are those of a loop of single
+        sends.
         """
         outbox = self._outbox
         stats = self.stats
         collect = self.collect_utilization
         wpm = self.words_per_message
         n = self._n
-        analyze = self._analyze
+        ids = self._ids
         trace = self.trace
         schedule = self._schedule
         faults = self.faults
         round_sent = self._current_round
+        total_sends = 0
         total_words = 0
         total_msgs = 0
         if collect:
             by_tag = stats.by_tag
             sender_counts = stats._sender_counts
             utilized = stats._utilized
-            vertex_of = self._vertex_by_value
-            has_edge = self.graph.has_edge
-        for sender, receiver, tag, fields, words, payload_ids in outbox:
-            if words < 0:
-                try:
-                    words, payload_ids = analyze(fields)
-                except ModelViolationError as exc:
-                    # Validation runs at flush, a whole round after the
-                    # offending ctx.send — re-raise with the sender/tag
-                    # so the protocol bug is attributable.
-                    raise ModelViolationError(
-                        f"invalid payload sent by vertex {sender} "
-                        f"(tag {tag!r}): {exc}"
-                    ) from exc
+            ports = self._ports
+        for sender, receivers, tag, fields, words, payload_ids in outbox:
+            k = len(receivers)
             charged = 1 if words <= wpm else -(-words // wpm)
-            total_words += words
-            total_msgs += charged
+            total_sends += k
+            total_words += words * k
+            total_msgs += charged * k
             if collect:
                 if tag:
-                    by_tag[tag] = by_tag.get(tag, 0) + charged
-                sender_counts[sender] += charged
-                # Utilization, Definition 2.3: the transport edge ...
-                utilized.add(sender * n + receiver if sender < receiver
-                             else receiver * n + sender)
-                # ... plus every edge {sender, w} for an ID phi(w) shipped.
-                for nid in payload_ids:
-                    w = vertex_of.get(nid._value)
-                    if w is not None and w != sender \
-                            and has_edge(sender, w):
-                        utilized.add(sender * n + w if sender < w
-                                     else w * n + sender)
-            env = Envelope(sender, receiver, tag, fields, round_sent,
-                           words, payload_ids)
-            if faults is not None and faults.drops(env, charged):
+                    by_tag[tag] = by_tag.get(tag, 0) + charged * k
+                sender_counts[sender] += charged * k
+                # Utilization, Definition 2.3: the transport edges ...
+                base = sender * n
+                utilized.update([
+                    base + r if sender < r else r * n + sender
+                    for r in receivers
+                ])
+                # ... plus every edge {sender, w} for an ID phi(w)
+                # shipped, which does not depend on the receiver.
+                if payload_ids:
+                    nbrs = ports[sender]
+                    for nid in payload_ids:
+                        w = nbrs.get(nid._value)
+                        if w is not None:
+                            utilized.add(base + w if sender < w
+                                         else w * n + sender)
+            env = Envelope(sender, words, payload_ids,
+                           Msg(ids[sender], tag, fields))
+            if faults is not None:
                 # Charged but undelivered: the sender paid full price,
-                # the envelope never reaches the scheduler.
-                stats.charge_dropped(charged)
-                continue
-            schedule(env, charged)
+                # a dropped copy never reaches the scheduler.
+                kept = []
+                for r in receivers:
+                    if faults.drops(env, r, charged):
+                        stats.charge_dropped(charged)
+                    else:
+                        kept.append(r)
+                if not kept:
+                    continue
+                receivers = kept
+            schedule(env, receivers, charged)
             if trace is not None:
-                trace.record(
-                    round_sent, sender, receiver, tag, fields,
-                    self.vertex_of_value,
-                )
-        stats.charge_send_batch(len(outbox), total_words, total_msgs)
+                for r in receivers:
+                    trace.record(round_sent, sender, r, tag, fields,
+                                 self.vertex_of_value)
+        stats.charge_send_batch(total_sends, total_words, total_msgs)
         outbox.clear()
 
-    def _register_received_ids(self, receiver: int,
-                               inbox: list[Envelope]) -> None:
-        """Definition 2.3 receive-side utilization.
+    def _register_received_ids(self, receiver: int, payload_ids) -> None:
+        """Definition 2.3 receive-side utilization for one delivery.
 
         Uses the (deduplicated) NodeIds extracted at send time
         (``Envelope.ids``); ID-free payloads cost nothing here.
         """
         n = self._n
         utilized = self.stats._utilized
-        vertex_of = self._vertex_by_value
-        has_edge = self.graph.has_edge
-        for env in inbox:
-            for nid in env.ids:
-                w = vertex_of.get(nid._value)
-                if w is not None and w != receiver \
-                        and has_edge(receiver, w):
-                    utilized.add(receiver * n + w if receiver < w
-                                 else w * n + receiver)
+        nbrs = self._ports[receiver]
+        for nid in payload_ids:
+            w = nbrs.get(nid._value)
+            if w is not None:
+                utilized.add(receiver * n + w if receiver < w
+                             else w * n + receiver)
 
     # -- conveniences -----------------------------------------------------------
 

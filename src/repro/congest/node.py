@@ -12,7 +12,7 @@ instance.  The node's window on the world is its :class:`Context`:
 * ``ctx.send(to_id, tag, *fields)`` — send over the edge to a neighbor;
 * ``ctx.broadcast(to_ids, tag, *fields)`` — send the same payload to
   several neighbors; count-identical to a ``ctx.send`` loop, but the
-  engine analyzes the payload once for the whole fan-out;
+  engine carries the whole fan-out as one send;
 * ``ctx.done(output)`` — mark this node finished with a final output
   (the node keeps receiving and may keep answering messages; the stage
   ends at global quiescence: all nodes done and no messages in flight).
@@ -94,31 +94,30 @@ class Context:
     # -- actions -------------------------------------------------------------
 
     def send(self, to_id: NodeId, tag: str, *fields) -> None:
-        """Send a message over the edge to the neighbor with ID ``to_id``."""
+        """Send a message over the edge to the neighbor with ID ``to_id``
+        (a fan-out of one)."""
         if not self._send_allowed:
             raise ModelViolationError(
                 "send() is only allowed inside on_round(), not setup()"
             )
-        self._network._submit_send(self._vertex, to_id, tag, tuple(fields))
+        self._network._submit(self._vertex, (to_id,), tag, fields)
 
     def broadcast(self, to_ids, tag: str, *fields) -> None:
         """Send one payload to every neighbor in ``to_ids`` (fan-out).
 
         Semantically identical to ``for u in to_ids: ctx.send(u, tag,
         *fields)`` — same sends, charges, per-link scheduling, and
-        utilized edges, in the same order — but the engine analyzes the
-        payload once and shares the (word count, embedded IDs) result
-        across the whole fan-out.  The idiomatic path for the
-        neighbor-broadcast rounds that dominate symmetry-breaking
-        protocols.
+        utilized edges, in the same order — but the engine carries the
+        fan-out as one unit: one payload analysis, one outbox entry,
+        one shared :class:`Msg` and one scheduler call.  The idiomatic
+        path for the neighbor-broadcast rounds that dominate
+        symmetry-breaking protocols.
         """
         if not self._send_allowed:
             raise ModelViolationError(
                 "broadcast() is only allowed inside on_round(), not setup()"
             )
-        self._network._submit_broadcast(
-            self._vertex, to_ids, tag, tuple(fields)
-        )
+        self._network._submit(self._vertex, to_ids, tag, fields)
 
     def done(self, output: Any = None) -> None:
         """Declare this node finished with the given stage output."""

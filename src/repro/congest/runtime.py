@@ -32,14 +32,14 @@ network, so executions are reproducible cell-by-cell):
 ========== =============================================================
 
 Adding a discipline means subclassing :class:`Scheduler` (two methods:
-``schedule`` and ``run_stage``); adding a latency model means
+``schedule_fanout`` and ``run_stage``); adding a latency model means
 subclassing :class:`LatencyModel` and registering it in
 :data:`LATENCY_MODELS`.  See ``docs/engines.md``.
 
 Fault models (the robustness seam, ``docs/faults.md``): a network may
 carry one seeded :class:`FaultModel` — a sibling of the latency seam —
-consulted on every charged envelope and every node activation by *both*
-schedulers:
+consulted on every charged copy of a send (once per receiver) and every
+node activation by *both* schedulers:
 
 ========== =============================================================
 ``none``        no faults — the reference path, bit-identical to a
@@ -72,7 +72,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from array import array
+from collections import defaultdict
 from typing import TYPE_CHECKING, Optional
 
 from repro.congest.message import Envelope, Msg
@@ -115,8 +115,9 @@ class LatencyModel:
         The default replicates the scheduler's historical draw loop
         exactly — first packet plus ``charged - 1`` more, in order — so
         every distribution-only model consumes the identical rng stream
-        and fixed-seed arrival schedules are unchanged.  Models that
-        need the envelope (who is sending to whom) override this.
+        and fixed-seed arrival schedules are unchanged.  The scheduler
+        calls it once per receiver, in order, with the send's shared
+        envelope; models that need to know who is sending override this.
         """
         delay = self.packet_delay(rng)
         for _ in range(charged - 1):
@@ -317,10 +318,10 @@ class FaultModel:
 
     Two hooks, both cheap and both optional to override:
 
-    * :meth:`drops` — called once per charged envelope at flush time.
-      Returning True loses the envelope *after* it has been charged
-      (charged-but-undelivered: the sender paid for the bandwidth, the
-      receiver never sees it).
+    * :meth:`drops` — called at flush time once per receiver of every
+      charged send, in submission order.  Returning True loses that copy
+      *after* it has been charged (charged-but-undelivered: the sender
+      paid for the bandwidth, the receiver never sees it).
     * :meth:`crashed_at` — called with a vertex and the engine's
       cumulative clock (synchronous round count or normalized async
       time, accumulated across stages).  While it returns True the node
@@ -351,8 +352,9 @@ class FaultModel:
     def _on_bind(self) -> None:
         """Hook for subclasses that pre-draw schedules at bind time."""
 
-    def drops(self, env: Envelope, charged: int) -> bool:
-        """Decide the fate of one charged envelope (True = lost)."""
+    def drops(self, env: Envelope, receiver: int, charged: int) -> bool:
+        """Decide the fate of the copy of ``env`` bound for ``receiver``
+        (True = lost)."""
         return False
 
     def crashed_at(self, vertex: int, now: float) -> bool:
@@ -389,9 +391,9 @@ class MessageDrop(FaultModel):
         self.p = p
         self.spec = f"drop:{p:g}"
 
-    def drops(self, env: Envelope, charged: int) -> bool:
+    def drops(self, env: Envelope, receiver: int, charged: int) -> bool:
         if self.p and self.rng.random() < self.p:
-            self.mark(env.receiver, "dropped")
+            self.mark(receiver, "dropped")
             return True
         return False
 
@@ -483,7 +485,7 @@ class AdaptiveAdversary(FaultModel):
     def _on_bind(self) -> None:
         self._sent = [0] * self.net._n
 
-    def drops(self, env: Envelope, charged: int) -> bool:
+    def drops(self, env: Envelope, receiver: int, charged: int) -> bool:
         count = self._sent[env.sender] + charged
         self._sent[env.sender] = count
         is_busiest = count >= self._max
@@ -491,7 +493,7 @@ class AdaptiveAdversary(FaultModel):
             self._max = count
         if is_busiest and count > self.warmup and self.remaining > 0:
             self.remaining -= 1
-            self.mark(env.receiver, "dropped")
+            self.mark(receiver, "dropped")
             return True
         return False
 
@@ -565,8 +567,8 @@ class Scheduler:
     A scheduler is bound to exactly one network (:meth:`bind`, called by
     the network constructor) and reused across its stages.  The network
     keeps validation, charging, and the outbox; it calls
-    :meth:`schedule` once per charged send (from its outbox flush) and
-    :meth:`run_stage` once per protocol stage.
+    :meth:`schedule_fanout` once per charged send (from its outbox
+    flush) and :meth:`run_stage` once per protocol stage.
     """
 
     #: "sync" or "async" — what ``stats.rounds`` means under this
@@ -581,8 +583,11 @@ class Scheduler:
             raise ReproError("a Scheduler instance serves a single network")
         self.net = net
 
-    def schedule(self, env: Envelope, charged: int) -> None:
-        """Enqueue one analyzed, charged send for future delivery."""
+    def schedule_fanout(self, env: Envelope, receivers: list[int],
+                        charged: int) -> None:
+        """Enqueue one analyzed, charged send for delivery to each vertex
+        in ``receivers``, in order (a vertex may repeat; each copy
+        queues on its link behind the previous one)."""
         raise NotImplementedError
 
     def run_stage(self, stage_name: str, algorithms, contexts,
@@ -597,11 +602,11 @@ class Scheduler:
         """
         raise NotImplementedError
 
-    def _crash_discards(self, env: Envelope, faults: FaultModel,
-                        now: float) -> bool:
-        """Discard an in-flight envelope whose endpoint is crashed at
-        delivery time; the loss is charged to ``dropped_messages``."""
-        if (faults.crashed_at(env.receiver, now)
+    def _crash_discards(self, env: Envelope, receiver: int,
+                        faults: FaultModel, now: float) -> bool:
+        """Discard an in-flight copy whose endpoint is crashed at delivery
+        time; the loss is charged to ``dropped_messages``."""
+        if (faults.crashed_at(receiver, now)
                 or faults.crashed_at(env.sender, now)):
             net = self.net
             wpm = net.words_per_message
@@ -624,56 +629,85 @@ class RoundScheduler(Scheduler):
     """Synchronous CONGEST rounds (the reference discipline).
 
     Messages in flight live in a ring-buffer slot scheduler: slot
-    ``r & mask`` holds the envelopes delivered at round r.  Each directed
-    edge carries one message per round; a w-word payload occupies
-    ``ceil(w / words_per_message)`` consecutive slots on its link, and
-    bursts to the same neighbor queue up behind each other.  The ring
-    grows (power of two) whenever a payload is scheduled beyond the
-    current horizon, preserving the invariant that every pending round
-    lies within ring_size of the current round — so slots never alias.
-    Link occupancy is a flat ``sender*n + receiver`` array (dict fallback
-    for very large graphs where the n^2 array would dominate memory).
+    ``r & mask`` holds ``(receivers, envelope)`` batches delivered at
+    round r — a fan-out whose links are all free lands as one batch.
+    Each directed edge carries one message per round; a w-word payload
+    occupies ``ceil(w / words_per_message)`` consecutive slots on its
+    link, and bursts to the same neighbor queue up behind each other.
+    The ring grows (power of two) whenever a payload is scheduled beyond
+    the current horizon, preserving the invariant that every pending
+    round lies within ring_size of the current round — so slots never
+    alias.
+    Link occupancy is a flat ``sender*n + receiver`` list (dict fallback
+    for very large graphs where the n^2 list would dominate memory).
     """
 
     kind = "sync"
 
-    #: Largest n*n for which per-link occupancy uses a flat array (above
-    #: it, a dict keyed by the same flat index — the array would cost
+    #: Largest n*n for which per-link occupancy uses a flat list (above
+    #: it, a dict keyed by the same flat index — the list would cost
     #: 8 * n^2 bytes per stage).
     _LINK_ARRAY_MAX = 1 << 21
 
     def _begin_stage(self) -> None:
         n = self.net._n
-        self._ring: list[list[Envelope]] = [[] for _ in range(64)]
+        self._ring: list[list[tuple]] = [[] for _ in range(64)]
         self._ring_mask = 63
         self._in_flight = 0
         # Per-directed-link next-free round, flat-indexed sender*n +
-        # receiver.
+        # receiver; a missing dict key reads as round 0, like the list.
+        # A list, not an array: reads then return stored ints instead
+        # of boxing a new one per access.
         if n * n <= self._LINK_ARRAY_MAX:
-            self._link_free = array("q", bytes(8 * n * n))
-            self._link_free_map = None
+            self._link_free = [0] * (n * n)
         else:
-            self._link_free = None
-            self._link_free_map: dict[int, int] = {}
+            self._link_free = defaultdict(int)
 
-    def schedule(self, env: Envelope, charged: int) -> None:
-        net = self.net
-        cur = net._current_round
-        key = env.sender * net._n + env.receiver
+    def schedule_fanout(self, env: Envelope, receivers: list[int],
+                        charged: int) -> None:
+        cur = self.net._current_round
+        earliest = cur + 1
+        tail = charged - 1
+        deliver_at = earliest + tail
+        free_after = deliver_at + 1
+        base = env.sender * self.net._n
         link_free = self._link_free
-        if link_free is not None:
+        # Fast path: every link free by the next round, so the whole
+        # fan-out lands in one slot as one batch.
+        pending = iter(receivers)
+        for receiver in pending:
+            key = base + receiver
+            if link_free[key] > earliest:
+                break
+            link_free[key] = free_after
+        else:
+            self._enqueue(deliver_at, receivers, env)
+            return
+        # A busy link (an earlier payload, or a repeated receiver):
+        # the receivers before it are on time; the rest are placed one
+        # by one and grouped per delivery round, each group in order.
+        rest = [receiver, *pending]
+        groups = {deliver_at: receivers[:len(receivers) - len(rest)]}
+        for receiver in rest:
+            key = base + receiver
             free = link_free[key]
-        else:
-            free = self._link_free_map.get(key, 0)
-        start = free if free > cur + 1 else cur + 1
-        deliver_at = start + charged - 1
-        if link_free is not None:
-            link_free[key] = deliver_at + 1
-        else:
-            self._link_free_map[key] = deliver_at + 1
-        if deliver_at - cur > self._ring_mask + 1:
-            self._grow_ring(deliver_at - cur)
-        self._ring[deliver_at & self._ring_mask].append(env)
+            at = (free if free > earliest else earliest) + tail
+            link_free[key] = at + 1
+            group = groups.get(at)
+            if group is None:
+                groups[at] = [receiver]
+            else:
+                group.append(receiver)
+        for at, group in groups.items():
+            if group:
+                self._enqueue(at, group, env)
+
+    def _enqueue(self, deliver_at: int, receivers: list[int],
+                 env: Envelope) -> None:
+        horizon = deliver_at - self.net._current_round
+        if horizon > self._ring_mask + 1:
+            self._grow_ring(horizon)
+        self._ring[deliver_at & self._ring_mask].append((receivers, env))
         self._in_flight += 1
 
     def _grow_ring(self, horizon: int) -> None:
@@ -688,7 +722,7 @@ class RoundScheduler(Scheduler):
         new_size = old_size
         while new_size < horizon:
             new_size *= 2
-        new_ring: list[list[Envelope]] = [[] for _ in range(new_size)]
+        new_ring: list[list[tuple]] = [[] for _ in range(new_size)]
         cur = self.net._current_round
         new_mask = new_size - 1
         for i, slot in enumerate(old):
@@ -707,17 +741,18 @@ class RoundScheduler(Scheduler):
         round_index = 0
         converged = False
         collect = net.collect_utilization
-        ids = net._ids
+        register_ids = net._register_received_ids
         faults = net.faults
         # Faults run on the *cumulative* round clock: stats.rounds holds
         # the total of all prior stages (this stage's rounds are charged
         # at stage end), so a crash schedule spans stage boundaries.
         base_time = net.stats.rounds if faults is not None else 0
 
-        # Persistent per-vertex inbox buffers, cleared and refilled each
-        # round instead of rebuilding a dict-of-lists; ``touched`` lists
-        # the vertices with a non-empty buffer in first-arrival order.
-        inbox_buffers: list[list[Envelope]] = [[] for _ in range(n)]
+        # Per-vertex inboxes filled at delivery time; an activated node
+        # takes its list as its inbox and leaves a fresh one behind.
+        # ``touched`` lists the vertices with a non-empty inbox in
+        # first-arrival order.
+        inbox_buffers: list[list[Msg]] = [[] for _ in range(n)]
         touched: list[int] = []
 
         # The round budget counts rounds in which the engine does work
@@ -747,14 +782,22 @@ class RoundScheduler(Scheduler):
             if arriving:
                 self._ring[slot_index] = []
                 self._in_flight -= len(arriving)
-                for env in arriving:
-                    if faults is not None and self._crash_discards(
-                            env, faults, base_time + round_index):
-                        continue
-                    buf = inbox_buffers[env.receiver]
-                    if not buf:
-                        touched.append(env.receiver)
-                    buf.append(env)
+                for receivers, env in arriving:
+                    if faults is not None:
+                        now = base_time + round_index
+                        receivers = [
+                            r for r in receivers
+                            if not self._crash_discards(env, r, faults, now)
+                        ]
+                    if collect and env.ids:
+                        for receiver in receivers:
+                            register_ids(receiver, env.ids)
+                    msg = env.msg
+                    for receiver in receivers:
+                        buf = inbox_buffers[receiver]
+                        if not buf:
+                            touched.append(receiver)
+                        buf.append(msg)
             active_vertices = (
                 range(n)
                 if (round_index == 0 or not passive)
@@ -767,20 +810,14 @@ class RoundScheduler(Scheduler):
                 ctx = contexts[v]
                 ctx.round = round_index
                 ctx._send_allowed = True
-                envelopes = inbox_buffers[v]
-                if envelopes:
-                    if collect:
-                        net._register_received_ids(v, envelopes)
-                    inbox = [
-                        Msg(ids[e.sender], e.tag, e.fields)
-                        for e in envelopes
-                    ]
-                else:
-                    inbox = []
+                inbox = inbox_buffers[v]
+                inbox_buffers[v] = []
                 algorithms[v].on_round(ctx, inbox)
                 ctx._send_allowed = False
-            for v in touched:
-                inbox_buffers[v].clear()
+            if faults is not None:
+                # A crashed node skipped activation with mail waiting.
+                for v in touched:
+                    inbox_buffers[v].clear()
             touched.clear()
             if net._outbox:
                 net._flush_outbox()
@@ -1074,14 +1111,27 @@ class EventScheduler(Scheduler):
         self._rng = random.Random(f"delays-{net.seed}")
         self.latency.begin(net)
 
-    def schedule(self, env: Envelope, charged: int) -> None:
-        link = (env.sender, env.receiver)
-        start = max(self._now, self._link_clock.get(link, 0.0))
-        delay = self.latency.link_delay(env, charged, self._rng)
-        arrival = start + delay
-        self._link_clock[link] = arrival
-        self._seq += 1
-        heapq.heappush(self._queue, (arrival, self._seq, env))
+    def schedule_fanout(self, env: Envelope, receivers: list[int],
+                        charged: int) -> None:
+        now = self._now
+        link_clock = self._link_clock
+        link_delay = self.latency.link_delay
+        rng = self._rng
+        queue = self._queue
+        push = heapq.heappush
+        seq = self._seq
+        base = env.sender * self.net._n
+        for receiver in receivers:
+            # Delays are drawn per receiver in order: the rng stream is
+            # that of a loop of single sends.
+            link = base + receiver
+            clock = link_clock.get(link, 0.0)
+            arrival = (clock if clock > now else now) + link_delay(
+                env, charged, rng)
+            link_clock[link] = arrival
+            seq += 1
+            push(queue, (arrival, seq, receiver, env))
+        self._seq = seq
 
     def run_stage(self, stage_name: str, algorithms, contexts,
                   max_rounds: int) -> tuple[int, bool]:
@@ -1089,11 +1139,11 @@ class EventScheduler(Scheduler):
         n = net._n
         self._queue: list = []
         self._seq = 0
-        self._link_clock: dict[tuple[int, int], float] = {}
+        # Per-directed-link FIFO clock, flat-indexed sender*n + receiver.
+        self._link_clock: dict[int, float] = {}
         self._now = 0.0
         net._current_round = 0
         activations = [0] * n
-        ids = net._ids
         faults = net.faults
         # Faults run on the cumulative clock (see RoundScheduler): prior
         # stages' ceil(time) totals are already in stats.rounds.
@@ -1126,21 +1176,18 @@ class EventScheduler(Scheduler):
                 raise ConvergenceError(
                     f"async stage '{stage_name}' exceeded {max_events} events"
                 )
-            arrival, _seq, env = heapq.heappop(self._queue)
+            arrival, _seq, v, env = heapq.heappop(self._queue)
             self._now = arrival
             if faults is not None and self._crash_discards(
-                    env, faults, base_time + arrival):
+                    env, v, faults, base_time + arrival):
                 continue
-            v = env.receiver
             activations[v] += 1
             ctx = contexts[v]
             ctx.round = activations[v]
             if collect and env.ids:
-                net._register_received_ids(v, (env,))
+                net._register_received_ids(v, env.ids)
             ctx._send_allowed = True
-            algorithms[v].on_round(
-                ctx, [Msg(ids[env.sender], env.tag, env.fields)]
-            )
+            algorithms[v].on_round(ctx, [env.msg])
             ctx._send_allowed = False
             if net._outbox:
                 net._flush_outbox()

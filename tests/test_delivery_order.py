@@ -1,0 +1,182 @@
+"""Delivery-order parity: batched and eager sends give the same inboxes.
+
+Count identity (``test_count_identity.py``) cannot see a reordering
+inside a round: two messages swapped in one inbox leave every total
+unchanged.  These tests record each node's full inbox transcript —
+stage, activation round, sender ID, tag and decoded fields, in the
+order the node saw them — and require the batched outbox (one flush per
+round or activation) and the per-send reference path
+(``eager_charges=True``) to produce the same transcript, the same
+counts, the same fault casualties and, with ``record_trace=True``, the
+same trace events in the same order.  Cases cover the synchronous round
+scheduler and the event scheduler, fault-free and under seeded drops
+and the adaptive adversary.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.coloring.algorithm1 import run_algorithm1
+from repro.coloring.baselines import run_baseline_coloring
+from repro.congest.async_network import AsyncNetwork
+from repro.congest.ids import id_value
+from repro.congest.network import SyncNetwork
+from repro.congest.node import NodeAlgorithm
+from repro.congest.trace import decode_value
+from repro.errors import ReproError
+from repro.graphs.core import Graph
+from repro.graphs.generators import family_graph
+from repro.mis.luby import run_luby
+
+RUNNERS = {
+    "luby": lambda net, seed: run_luby(net),
+    "baseline-trial": lambda net, seed: run_baseline_coloring(net, "trial"),
+    "kt1-delta-plus-one": lambda net, seed: run_algorithm1(net, seed=seed),
+}
+
+ENGINES = {
+    "rounds": lambda graph, **kw: SyncNetwork(graph, **kw),
+    "event": lambda graph, **kw: AsyncNetwork(graph, **kw),
+    "rounds-traced": lambda graph, **kw: SyncNetwork(
+        graph, record_trace=True, **kw),
+}
+
+
+def record_inboxes(net) -> dict[int, list]:
+    """Make ``net`` log every node's inboxes; returns the live log.
+
+    Wraps each stage's algorithms after the engine's own adaptation (the
+    async synchronizer wrap), so the log holds exactly what the engine
+    handed to ``on_round``.
+    """
+    log: dict[int, list] = {}
+    vertex_of = net.vertex_of_value
+    adapt = net._adapt_stage
+
+    def recording_adapt(factory, inputs, stage_name):
+        factory, inputs = adapt(factory, inputs, stage_name)
+
+        def build():
+            alg = factory()
+            inner = alg.on_round
+
+            def on_round(ctx, inbox):
+                log.setdefault(ctx._vertex, []).append((
+                    stage_name,
+                    ctx.round,
+                    [(id_value(m.sender_id), m.tag,
+                      decode_value(m.fields, vertex_of)) for m in inbox],
+                ))
+                inner(ctx, inbox)
+
+            alg.on_round = on_round
+            return alg
+
+        return build, inputs
+
+    net._adapt_stage = recording_adapt
+    return log
+
+
+def observe(net, run) -> dict:
+    """Run ``run(net)`` and collect everything a reordering could move.
+
+    A protocol run that gives up (Algorithm 1's Boruvka under heavy
+    drops) is an observation too: both paths must give up at the same
+    point.
+    """
+    log = record_inboxes(net)
+    error = None
+    try:
+        run(net)
+    except ReproError as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    stats = net.stats
+    return {
+        "error": error,
+        "inboxes": log,
+        "counts": (stats.sends, stats.messages, stats.words, stats.rounds,
+                   stats.dropped_messages),
+        "stages": [s.as_dict() for s in stats.stages],
+        "by_tag": dict(stats.by_tag),
+        "by_sender": stats.by_sender,
+        "utilized": stats.utilized,
+        "casualties": net.casualties,
+        "trace": None if net.trace is None else list(net.trace.events),
+    }
+
+
+@pytest.mark.parametrize("faults", [None, "drop:0.1", "adversary"])
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("method", sorted(RUNNERS))
+def test_batched_and_eager_deliver_identical_inboxes(method, engine, faults):
+    graph = family_graph("gnp", 40, p=0.3, seed=2)
+    build = ENGINES[engine]
+    runner = RUNNERS[method]
+    seen = [
+        observe(build(graph, seed=3, faults=faults, eager_charges=eager),
+                lambda net: runner(net, 3))
+        for eager in (False, True)
+    ]
+    assert seen[0]["inboxes"], "no node was ever activated"
+    assert sum(len(v) for v in seen[0]["inboxes"].values()) > 40
+    assert seen[0] == seen[1]
+    if faults is not None:
+        assert seen[0]["counts"][4] > 0, "the fault model dropped nothing"
+
+
+class DuplicateFanout(NodeAlgorithm):
+    """The node whose input is True broadcasts to a recipient list that
+    repeats neighbors, between two unicasts on the same links, so several
+    payloads queue on one link within a single round."""
+
+    passive_when_idle = True
+
+    def on_round(self, ctx, inbox):
+        if ctx.round == 0 and ctx.input:
+            a, b = ctx.neighbor_ids[:2]
+            ctx.send(a, "first", 1)
+            ctx.broadcast([a, b, a, a, b], "fan", ctx.my_id, 7, 8, 9, 10, 11)
+            ctx.send(b, "last", 2)
+        ctx.done(None)
+
+
+@pytest.mark.parametrize("faults", [None, "drop:0.3"])
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_duplicate_recipients_in_one_broadcast(engine, faults):
+    graph = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    seen = []
+    for eager in (False, True):
+        net = ENGINES[engine](graph, seed=5, faults=faults,
+                              eager_charges=eager)
+        seen.append(observe(net, lambda net: net.run(
+            DuplicateFanout, inputs=[True, False, False])))
+    assert seen[0] == seen[1]
+    # Every copy is a separate send: 2 unicasts plus 5 fan-out copies,
+    # each copy of the 6-word payload charged 2 messages.
+    assert seen[0]["counts"][:3] == (7, 2 + 5 * 2, 2 + 5 * 6)
+    if faults is None:
+        delivered = [
+            msg for v in (1, 2) for _stage, _r, inbox in seen[0]["inboxes"][v]
+            for msg in inbox
+        ]
+        tags = sorted(tag for _sender, tag, _fields in delivered)
+        assert tags == ["fan"] * 5 + ["first", "last"]
+
+
+def test_duplicate_recipients_queue_on_their_link():
+    """On synchronous rounds each copy to the same neighbor occupies the
+    link for its charged rounds, in submission order."""
+    graph = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    net = SyncNetwork(graph, seed=5)
+    log = record_inboxes(net)
+    net.run(DuplicateFanout, inputs=[True, False, False])
+    first_neighbor = net.vertex_of(net.knowledge[0].neighbor_ids[0])
+    arrivals = [
+        (r, tag) for _stage, r, inbox in log[first_neighbor]
+        for _sender, tag, _fields in inbox
+    ]
+    # "first" takes round 1; each 2-message "fan" copy then holds the
+    # link for two rounds: arrivals at rounds 3, 5 and 7.
+    assert arrivals == [(1, "first"), (3, "fan"), (5, "fan"), (7, "fan")]

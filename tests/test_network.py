@@ -5,6 +5,8 @@ Lemma 2.4's utilized-edges = O(messages) invariant, the one-message-per-
 link-per-round discipline, and the comparison-based enforcement.
 """
 
+import pickle
+
 import pytest
 
 from repro.congest.ids import IdAssignment, NodeId, OpaqueId
@@ -367,3 +369,55 @@ def test_inbox_isolated_between_rounds(path4):
     assert all(c == 0 for c in seen[0])
     assert sum(seen[1]) == 6 and sum(seen[2]) == 6
     assert all(c == 0 for c in seen[3])
+
+
+@pytest.mark.parametrize("how", ["send", "broadcast"])
+@pytest.mark.parametrize("bad", [3, "node-1", None])
+def test_non_id_recipient_rejected_with_its_type(path4, how, bad):
+    """A recipient that is not a NodeId is a model violation naming the
+    offending type, not a raw AttributeError from the engine."""
+    net = SyncNetwork(path4, seed=6)
+
+    def fn(ctx, inbox):
+        if ctx.round == 0:
+            if how == "send":
+                ctx.send(bad, "x")
+            else:
+                ctx.broadcast([*ctx.neighbor_ids, bad], "x")
+        ctx.done(None)
+
+    with pytest.raises(ModelViolationError,
+                       match=f"of type {type(bad).__name__};"):
+        net.run(lambda: FunctionAlgorithm(fn))
+
+
+@pytest.mark.parametrize("eager", [False, True])
+@pytest.mark.parametrize("how", ["send", "broadcast"])
+def test_unencodable_payload_error_names_sender_and_tag(path4, how, eager):
+    """ctx.send and ctx.broadcast report a bad payload the same way:
+    with the sending vertex and the tag."""
+    net = SyncNetwork(path4, seed=7, eager_charges=eager)
+    source = net.id_of(1)
+
+    def fn(ctx, inbox):
+        if ctx.round == 0 and ctx.my_id == source:
+            if how == "send":
+                ctx.send(ctx.neighbor_ids[0], "bad", 2.5)
+            else:
+                ctx.broadcast(ctx.neighbor_ids, "bad", 2.5)
+        ctx.done(None)
+
+    with pytest.raises(ModelViolationError) as info:
+        net.run(lambda: FunctionAlgorithm(fn))
+    message = str(info.value)
+    assert message.startswith("invalid payload sent by vertex 1 (tag 'bad'): ")
+    assert "float is not encodable" in message
+
+
+def test_running_a_network_leaves_the_graph_pickle_unchanged(gnp_small):
+    """``repro serve`` ships graphs to its children: the engine's
+    neighbor lookup tables live on the network, never on the Graph."""
+    before = pickle.dumps(gnp_small)
+    net = SyncNetwork(gnp_small, seed=1)
+    net.run(PingOnce)
+    assert pickle.dumps(gnp_small) == before
