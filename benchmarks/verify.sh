@@ -15,6 +15,11 @@ cd "$REPO_ROOT"
 export PYTHONPATH="$REPO_ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 (fast slice: -m 'not slow') =="
+# Includes the delivery pins counts cannot see:
+# tests/test_delivery_order.py::test_kt2_algorithm3_transcript_is_pinned
+# holds Algorithm 3's KT-2 inbox transcripts (rounds and event
+# schedulers) to sha256 digests recorded before KT-rho knowledge became
+# lazy, and ::test_kt3_cycle_experiment_counts_are_pinned covers KT-3.
 python -m pytest -x -q -m "not slow"
 
 echo "== benchmark harness tests (perfbench/) =="

@@ -123,9 +123,9 @@ class NotifyStage(ColumnarStage, NodeAlgorithm):
                          count=len(colored)),
             counts_c,
         )
-        vertex_by_value = net._vertex_by_value
+        vertex_of = net.assignment.vertex_of_value
         dst_c = np_.fromiter(
-            (vertex_by_value[u._value] for _, a in colored
+            (vertex_of(u._value) for _, a in colored
              for u in a.targets),
             dtype=np_.int64, count=kc,
         )
@@ -141,10 +141,7 @@ class NotifyStage(ColumnarStage, NodeAlgorithm):
 
         # Defer wave: every out-edge of each deferred node, in the
         # scalar fan-out order (``neighbor_ids`` ascends by ID value).
-        values = np_.fromiter(
-            (net.assignment.value_of(v) for v in range(n)),
-            dtype=np_.int64, count=n,
-        )
+        values = np_.asarray(net.topology.values, dtype=np_.int64)
         emit_perm = np_.lexsort((values[graph.edst], graph.esrc))
         da = np_.asarray(deferred, dtype=np_.int64)
         from repro.congest.columnar import block_positions

@@ -9,16 +9,80 @@ So KT-1 gives a node its neighbors' IDs (but nothing about who *their*
 neighbors are), and KT-2 additionally gives the full adjacency lists of its
 neighbors (hence the IDs at distance two).  Algorithm 3 (the KT-2 MIS)
 leans on (ii) to build local 2-hop BFS trees without communication.
+
+What is computed when.  One :class:`Topology` per network is built up
+front with what every send needs: each vertex's ID object, port map
+(neighbor ID value -> vertex) and neighbor IDs sorted by value.  The
+rest is built on first query and cached: a vertex's neighbor-ID set,
+shared by every node that may read it; a node's ID layers by distance;
+under rho >= 3, its (rho - 1)-ball.  Laziness changes when a set is
+built, never what a node may read: each query first checks the model's
+bounds and raises :class:`~repro.errors.ModelViolationError` beyond rho
+or outside the (rho - 1)-ball, as eagerly built knowledge did.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable
+from typing import Callable, Optional
 
-from repro.congest.ids import NodeId
+from repro.congest.ids import NodeId, id_value
 from repro.errors import ModelViolationError, ReproError
 from repro.graphs.core import Graph
+
+
+class Topology:
+    """One network's KT-rho topology table, shared by the engine and by
+    every node's :class:`KTKnowledge`.  Lives on the network, never on the
+    :class:`Graph` (a graph pickles without it)."""
+
+    __slots__ = ("graph", "rho", "n", "id_of", "values", "ports",
+                 "neighbor_ids", "_neighborhoods")
+
+    def __init__(self, graph: Graph, rho: int, id_of: list[NodeId]):
+        if rho < 1:
+            raise ReproError("this simulator supports KT-rho for rho >= 1")
+        n = graph.n
+        self.graph = graph
+        self.rho = rho
+        self.n = n
+        self.id_of = id_of
+        values = self.values = list(map(id_value, id_of))
+        value_of = values.__getitem__
+        nbrs = graph.neighbors
+        #: Per-vertex port map, neighbor ID value -> neighbor vertex: one
+        #: dict lookup both validates a send's recipient and resolves it.
+        self.ports = [dict(zip(map(value_of, nbrs(v)), nbrs(v)))
+                      for v in range(n)]
+        ids = id_of.__getitem__
+        self.neighbor_ids = [tuple(map(ids, sorted(nbrs(v), key=value_of)))
+                             for v in range(n)]
+        self._neighborhoods: list[Optional[frozenset[NodeId]]] = [None] * n
+
+    def neighborhood(self, u: int) -> frozenset[NodeId]:
+        """Vertex ``u``'s neighbor-ID set, built on first use."""
+        s = self._neighborhoods[u]
+        if s is None:
+            s = self._neighborhoods[u] = frozenset(
+                map(self.id_of.__getitem__, self.graph.neighbors(u)))
+        return s
+
+    def layers(self, source: int) -> list[list[int]]:
+        """Vertices grouped by exact distance 0..rho from ``source``."""
+        nbrs = self.graph.neighbors
+        seen = {source}
+        layers = [[source]]
+        for _ in range(self.rho):
+            layer = []
+            for u in layers[-1]:
+                for w in nbrs(u):
+                    if w not in seen:
+                        seen.add(w)
+                        layer.append(w)
+            layers.append(layer)
+        return layers
+
+    def knowledge(self) -> list["KTKnowledge"]:
+        return [KTKnowledge(self, v) for v in range(self.n)]
 
 
 class KTKnowledge:
@@ -28,48 +92,82 @@ class KTKnowledge:
     comparison-based protocols), never as raw integers.
     """
 
-    __slots__ = ("rho", "n", "my_id", "neighbor_ids", "_ids_by_distance",
-                 "_neighborhoods")
+    __slots__ = ("rho", "n", "my_id", "neighbor_ids", "_table", "_vertex",
+                 "_ball", "_layers")
 
-    def __init__(
-        self,
-        rho: int,
-        n: int,
-        my_id: NodeId,
-        neighbor_ids: tuple[NodeId, ...],
-        ids_by_distance: tuple[frozenset[NodeId], ...],
-        neighborhoods: dict[NodeId, frozenset[NodeId]],
-    ):
-        self.rho = rho
-        self.n = n
-        self.my_id = my_id
-        self.neighbor_ids = neighbor_ids
-        self._ids_by_distance = ids_by_distance
-        self._neighborhoods = neighborhoods
+    def __init__(self, table: Topology, vertex: int):
+        self.rho = rho = table.rho
+        self.n = table.n
+        self.my_id = table.id_of[vertex]
+        self.neighbor_ids = table.neighbor_ids[vertex]
+        self._table = table
+        self._vertex = vertex
+        #: ID value -> vertex over the (rho - 1)-ball, self aside: empty
+        #: under KT-1, the port map under KT-2, searched under KT-3 and up.
+        self._ball: Optional[dict[int, int]] = (
+            {} if rho == 1 else table.ports[vertex] if rho == 2 else None)
+        self._layers: Optional[tuple[frozenset[NodeId], ...]] = None
 
     # -- queries -------------------------------------------------------------
 
-    def ids_within(self, distance: int) -> frozenset[NodeId]:
-        """All known IDs at distance <= ``distance`` (excluding self)."""
+    def _id_layers(self) -> tuple[frozenset[NodeId], ...]:
+        layers = self._layers
+        if layers is None:
+            table = self._table
+            ids = table.id_of.__getitem__
+            layers = self._layers = tuple(
+                table.neighborhood(self._vertex) if d == 1
+                else frozenset(map(ids, layer))
+                for d, layer in enumerate(table.layers(self._vertex))
+            )
+        return layers
+
+    def _check_distance(self, distance: int) -> None:
+        if distance < 0:
+            raise ReproError(f"distance must be >= 0, got {distance}")
         if distance > self.rho:
             raise ModelViolationError(
                 f"KT-{self.rho} knowledge does not extend to distance {distance}"
             )
-        combined: set[NodeId] = set()
-        for d in range(1, distance + 1):
-            combined |= self._ids_by_distance[d]
-        return frozenset(combined)
+
+    def ids_within(self, distance: int) -> frozenset[NodeId]:
+        """All known IDs at distance <= ``distance`` (excluding self)."""
+        self._check_distance(distance)
+        return frozenset().union(*self._id_layers()[1:distance + 1])
 
     def ids_at(self, distance: int) -> frozenset[NodeId]:
         """Known IDs at exactly ``distance`` hops."""
-        if distance > self.rho:
+        self._check_distance(distance)
+        return self._id_layers()[distance]
+
+    def _ball_vertex(self, node_id: NodeId) -> Optional[int]:
+        """The vertex owning ``node_id`` if it lies within distance
+        rho - 1 of this node, else None."""
+        if not isinstance(node_id, NodeId):
             raise ModelViolationError(
-                f"KT-{self.rho} knowledge does not extend to distance {distance}"
+                f"KT-{self.rho} knowledge is indexed by NodeIds, not "
+                f"{type(node_id).__name__} ({node_id!r})"
             )
-        return self._ids_by_distance[distance]
+        table = self._table
+        ball = self._ball
+        if ball is None:
+            values = table.values
+            ball = self._ball = {
+                values[u]: u
+                for layer in table.layers(self._vertex)[1:self.rho]
+                for u in layer
+            }
+        w = ball.get(node_id._value, self._vertex)
+        known = table.id_of[w]
+        # The test a dict keyed by this network's IDs would make: an
+        # equal-valued ID of another kind or salt was never given here.
+        if known is node_id or (known == node_id
+                                and hash(known) == hash(node_id)):
+            return w
+        return None
 
     def knows_neighborhood_of(self, node_id: NodeId) -> bool:
-        return node_id in self._neighborhoods
+        return self._ball_vertex(node_id) is not None
 
     def neighborhood_of(self, node_id: NodeId) -> frozenset[NodeId]:
         """The full neighbor-ID set of a node at distance <= rho - 1.
@@ -77,38 +175,17 @@ class KTKnowledge:
         Under KT-1 this is only available for the node itself; under KT-2
         it is available for every 1-hop neighbor, etc.
         """
-        try:
-            return self._neighborhoods[node_id]
-        except KeyError:
+        w = self._ball_vertex(node_id)
+        if w is None:
             raise ModelViolationError(
                 f"KT-{self.rho} knowledge does not include the neighborhood "
                 f"of {node_id!r}"
-            ) from None
+            )
+        return self._table.neighborhood(w)
 
     @property
     def degree(self) -> int:
         return len(self.neighbor_ids)
-
-
-def _bfs_within(graph: Graph, source: int, radius: int) -> list[list[int]]:
-    """Vertices grouped by exact distance 0..radius from ``source``."""
-    layers: list[list[int]] = [[source]]
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        if dist[u] == radius:
-            continue
-        for v in graph.neighbors(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                while len(layers) <= dist[v]:
-                    layers.append([])
-                layers[dist[v]].append(v)
-                queue.append(v)
-    while len(layers) <= radius:
-        layers.append([])
-    return layers
 
 
 def build_knowledge(
@@ -116,71 +193,8 @@ def build_knowledge(
     rho: int,
     make_id: Callable[[int], NodeId],
 ) -> list[KTKnowledge]:
-    """Compute every node's KT-rho knowledge for ``graph``.
-
-    ``make_id`` maps a vertex to its (possibly opaque) NodeId object; the
-    engine passes a memoized constructor so identical vertices share one
-    NodeId instance.
-    """
-    if rho < 1:
-        raise ReproError("this simulator supports KT-rho for rho >= 1")
-    n = graph.n
-    # Memoize per-vertex artifacts that are identical from every observer's
-    # point of view.  Under KT-2 a high-degree vertex u appears in the
-    # <= rho-1 ball of every neighbor, so without the cache its neighbor-ID
-    # frozenset would be rebuilt deg(u) times.
-    id_of = [make_id(v) for v in range(n)]
-    nbhd_set: list = [None] * n
-
-    def neighborhood_set(u: int):
-        s = nbhd_set[u]
-        if s is None:
-            s = nbhd_set[u] = frozenset(id_of[w] for w in graph.neighbors(u))
-        return s
-
-    # Integer adjacency sets shared across all observers — the rho <= 2
-    # fast paths below compose them instead of running one BFS per node
-    # (the BFS costs O(m) per node in dict/deque churn; KT-2 knowledge
-    # for the whole network is just unions of these shared sets).
-    adj: list[set[int]] = [set(graph.neighbors(v)) for v in range(n)]
-
-    knowledge: list[KTKnowledge] = []
-    for v in range(n):
-        if rho == 1:
-            layers = [[v], list(adj[v])]
-        elif rho == 2:
-            # Distance 2 = union of the neighbors' neighborhoods minus
-            # the closed 1-ball; identical contents to the BFS layers
-            # (layer order is irrelevant — they become frozensets).
-            ball = adj[v] | {v}
-            two = set()
-            for u in adj[v]:
-                two |= adj[u]
-            layers = [[v], list(adj[v]), list(two - ball)]
-        else:
-            layers = _bfs_within(graph, v, rho)
-        # Distance-1 is exactly v's neighborhood; share the cached set.
-        ids_by_distance = tuple(
-            neighborhood_set(v) if d == 1
-            else frozenset(id_of[u] for u in layer)
-            for d, layer in enumerate(layers)
-        )
-        neighbor_ids = tuple(
-            sorted((id_of[u] for u in graph.neighbors(v)),
-                   key=lambda x: x._value)  # noqa: SLF001 - engine-side sort
-        )
-        neighborhoods: dict[NodeId, frozenset[NodeId]] = {}
-        for d in range(0, rho):  # nodes at distance <= rho - 1
-            for u in layers[d]:
-                neighborhoods[id_of[u]] = neighborhood_set(u)
-        knowledge.append(
-            KTKnowledge(
-                rho=rho,
-                n=n,
-                my_id=make_id(v),
-                neighbor_ids=neighbor_ids,
-                ids_by_distance=ids_by_distance,
-                neighborhoods=neighborhoods,
-            )
-        )
-    return knowledge
+    """Every node's KT-rho knowledge for ``graph`` over one shared
+    :class:`Topology`; ``make_id`` maps a vertex to its (possibly opaque)
+    NodeId object."""
+    ids = [make_id(v) for v in range(graph.n)]
+    return Topology(graph, rho, ids).knowledge()

@@ -1,10 +1,12 @@
 """The synchronous KT-rho CONGEST engine.
 
 One :class:`SyncNetwork` owns a graph, an ID assignment, the KT-rho
-knowledge of every node, and cumulative :class:`MessageStats`.  Protocols
-are executed as *stages* (:meth:`SyncNetwork.run`): each stage runs one
-:class:`NodeAlgorithm` on every node until global quiescence (every node
-has called ``ctx.done`` and no message is in flight).  Composite protocols
+topology table every node's knowledge reads
+(:class:`~repro.congest.knowledge.Topology`), and cumulative
+:class:`MessageStats`.  Protocols are executed as *stages*
+(:meth:`SyncNetwork.run`): each stage runs one :class:`NodeAlgorithm` on
+every node until global quiescence (every node has called ``ctx.done``
+and no message is in flight).  Composite protocols
 (Algorithm 1's danner -> leader election -> broadcast -> coloring pipeline)
 are drivers that run several stages, feeding each node's stage output back
 as its next stage input — a per-node handoff that never moves information
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.congest.ids import IdAssignment, NodeId, OpaqueId, id_value
-from repro.congest.knowledge import KTKnowledge, build_knowledge
+from repro.congest.knowledge import KTKnowledge, Topology
 from repro.congest.message import Envelope, Msg, analyze_payload
 from repro.congest.metrics import MessageStats, StageStats
 from repro.congest.node import Context, NodeAlgorithm
@@ -94,8 +96,6 @@ class SyncNetwork:
         scheduler: Optional[Scheduler] = None,
         faults: Optional[FaultModel | str] = None,
     ):
-        if rho < 1:
-            raise ReproError("SyncNetwork supports KT-rho for rho >= 1")
         self.graph = graph
         self.rho = rho
         self.seed = seed
@@ -120,23 +120,17 @@ class SyncNetwork:
         self.word_bits = max(8, self.assignment.space_bound().bit_length())
 
         self._salt = random.Random(f"salt-{seed}").getrandbits(32)
-        self._ids: list[NodeId] = [
-            self._make_id_object(self.assignment.value_of(v))
-            for v in range(graph.n)
-        ]
-        self._vertex_by_value = {
-            self.assignment.value_of(v): v for v in range(graph.n)
-        }
-        #: Per-vertex port map, neighbor ID value -> neighbor vertex: one
-        #: dict lookup both validates a recipient and resolves it.  Built
-        #: per network (a Graph pickles without it).
-        values = self.assignment.values()
-        self._ports: list[dict[int, int]] = [
-            {values[u]: u for u in graph.neighbors(v)} for v in range(graph.n)
-        ]
-        self.knowledge: list[KTKnowledge] = build_knowledge(
-            graph, rho, lambda v: self._ids[v]
-        )
+        ids = list(map(self._make_id_object, self.assignment.values()))
+        #: The KT-rho topology table (:mod:`repro.congest.knowledge`; it
+        #: rejects rho < 1): built once here, read by the send path and
+        #: by every node's knowledge.  Per network, so a Graph pickles
+        #: without it.
+        self.topology = Topology(graph, rho, ids)
+        #: The table's vertex -> ID object list, and its per-vertex port
+        #: maps (neighbor ID value -> neighbor vertex: one dict lookup
+        #: both validates a recipient and resolves it).
+        self._ids, self._ports = self.topology.id_of, self.topology.ports
+        self.knowledge: list[KTKnowledge] = self.topology.knowledge()
         self.stats = MessageStats(graph.n)
         self.trace: Optional[ExecutionTrace] = (
             ExecutionTrace() if record_trace else None
@@ -180,10 +174,10 @@ class SyncNetwork:
         return self._ids[vertex]
 
     def vertex_of(self, node_id: NodeId) -> int:
-        return self._vertex_by_value[id_value(node_id)]
+        return self.assignment.vertex_of_value(id_value(node_id))
 
     def vertex_of_value(self, value: int) -> int:
-        return self._vertex_by_value[value]
+        return self.assignment.vertex_of_value(value)
 
     # -- stage execution ------------------------------------------------------
 
@@ -288,8 +282,9 @@ class SyncNetwork:
             value = id_value(to_id)
             if value in ports:
                 continue
-            receiver = self._vertex_by_value.get(value)
-            if receiver is None:
+            try:
+                receiver = self.vertex_of_value(value)
+            except KeyError:
                 return UnknownNeighborError(
                     f"no node with ID value {value} exists"
                 )

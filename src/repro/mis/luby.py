@@ -208,10 +208,7 @@ class _LubyKernel:
         n = self.n = net._n
         self.word_bits = net.word_bits
         self.space = max(contexts[0].n, 2) ** 3 if n else 8
-        values = np_.fromiter(
-            (net.assignment.value_of(v) for v in range(n)),
-            dtype=np_.int64, count=n,
-        )
+        values = np_.asarray(net.topology.values, dtype=np_.int64)
         self.rank = np_.empty(n, dtype=np_.int64)
         self.rank[np_.argsort(values)] = np_.arange(n, dtype=np_.int64)
         self.key = np_.zeros(n, dtype=np_.int64)

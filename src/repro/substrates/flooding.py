@@ -116,10 +116,7 @@ class _FloodKernel:
         self.contexts = contexts
         n = self.n = net._n
         self.ids = net._ids
-        values = np_.fromiter(
-            (net.assignment.value_of(v) for v in range(n)),
-            dtype=np_.int64, count=n,
-        )
+        values = np_.asarray(net.topology.values, dtype=np_.int64)
         self.values = values
         # Each node's out-edges in scalar fan-out order: the ``active``
         # tuple ascends by ID value, not by vertex index.
@@ -199,12 +196,12 @@ class _FloodKernel:
         parents = senders[firstmax[improved]]
         ids = self.ids
         contexts = self.contexts
-        vertex_by_value = self.net._vertex_by_value
+        vertex_of = self.net.assignment.vertex_of_value
         for v, bval, pv in zip(
             upd.tolist(), gmax[improved].tolist(), parents.tolist()
         ):
             contexts[v].done(
-                {"leader": ids[vertex_by_value[bval]], "parent": ids[pv]}
+                {"leader": ids[vertex_of(bval)], "parent": ids[pv]}
             )
         # Re-flood in scalar activation order: touched (first-arrival)
         # order restricted to the improvers.

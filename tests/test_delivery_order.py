@@ -11,9 +11,16 @@ counts, the same fault casualties and, with ``record_trace=True``, the
 same trace events in the same order.  Cases cover the synchronous round
 scheduler and the event scheduler, fault-free and under seeded drops
 and the adaptive adversary.
+
+Comparing the engine with itself cannot see a change both paths share,
+so Algorithm 3's KT-2 transcripts (rounds and event schedulers) and one
+KT-3 lower-bound run are also pinned to values recorded before KT-rho
+knowledge was computed on demand.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -27,6 +34,8 @@ from repro.congest.trace import decode_value
 from repro.errors import ReproError
 from repro.graphs.core import Graph
 from repro.graphs.generators import family_graph
+from repro.lowerbounds.kt_rho import run_cycle_experiment
+from repro.mis.algorithm3 import run_algorithm3
 from repro.mis.luby import run_luby
 
 RUNNERS = {
@@ -180,3 +189,75 @@ def test_duplicate_recipients_queue_on_their_link():
     # "first" takes round 1; each 2-message "fan" copy then holds the
     # link for two rounds: arrivals at rounds 3, 5 and 7.
     assert arrivals == [(1, "first"), (3, "fan"), (5, "fan"), (7, "fan")]
+
+
+def canonical(value):
+    """A decoded payload with every frozenset in a fixed order (decoded
+    vertex tuples hash through a str, so set order varies by process)."""
+    if isinstance(value, tuple):
+        return tuple(canonical(v) for v in value)
+    if isinstance(value, frozenset):
+        return ("frozenset",
+                tuple(sorted((canonical(v) for v in value), key=repr)))
+    return value
+
+
+def transcript_digest(log: dict[int, list]) -> str:
+    """sha256 of every node's inbox transcript: stage, round, sender ID
+    value, tag and decoded fields, in delivery order."""
+    h = hashlib.sha256()
+    for v in sorted(log):
+        for stage, rnd, inbox in log[v]:
+            h.update(repr((v, stage, rnd, [
+                (sender, tag, canonical(fields))
+                for sender, tag, fields in inbox
+            ])).encode())
+    return h.hexdigest()
+
+
+#: Algorithm 3 (kt2-sampled-greedy, comparison-based) on gnp n=60
+#: p=0.3, graph and run seeded alike: (transcript digest, messages),
+#: recorded before KT-rho knowledge became lazy.  Algorithm 3 iterates
+#: the shared neighbor-ID frozensets of KT-2 knowledge when it picks
+#: relay targets, and counts cannot see a change in that order.
+KT2_TRANSCRIPTS = {
+    ("rounds", 0): ("f9730926041c52dd8c39393edc4bc6f8"
+                    "e08d04b4ba402aa5d89c2cbb48c63297", 538),
+    ("rounds", 1): ("49effee27b7a89cace6763fe5df6e589"
+                    "0735be8f363b832e7ee2a675dd873d31", 383),
+    ("rounds", 2): ("0d809450008d578da5a33f7892419f00"
+                    "5eab8ea2dc3efca3809a1a4b52c0ba30", 614),
+    ("event", 0): ("49ab3e2f163cffed6a3b45d3705ddb6d"
+                   "74a3cf343a70fdb902ed733384c116c9", 5092),
+    ("event", 1): ("cd5aaa29f9aa46ad9e5625ac82a87dd0"
+                   "b6eb45b2d8091dd794e23d831fb678cd", 4935),
+    ("event", 2): ("87954a3b5b264183c4bd00cb39fe4347"
+                   "a8694194f2542e51c7d30975617d0f52", 6278),
+}
+
+
+@pytest.mark.parametrize("engine, seed", sorted(KT2_TRANSCRIPTS))
+def test_kt2_algorithm3_transcript_is_pinned(engine, seed):
+    graph = family_graph("gnp", 60, p=0.3, seed=seed)
+    kwargs = {}
+    if engine == "event":
+        # Synchronizer budgets from a synchronous run, as api does.
+        shadow = SyncNetwork(graph, rho=2, seed=seed, comparison_based=True)
+        run_algorithm3(shadow, seed=seed)
+        kwargs["round_budgets"] = [
+            (s.name, s.rounds) for s in shadow.stats.stages
+        ]
+    net = ENGINES[engine](graph, rho=2, seed=seed, comparison_based=True,
+                          **kwargs)
+    log = record_inboxes(net)
+    run_algorithm3(net, seed=seed)
+    assert (transcript_digest(log), net.stats.messages) == \
+        KT2_TRANSCRIPTS[engine, seed]
+
+
+def test_kt3_cycle_experiment_counts_are_pinned():
+    """KT-3 knowledge (the BFS ball path) has no benchmark cell; pin one
+    lower-bound cycle run to the values recorded before it became lazy."""
+    result = run_cycle_experiment(12, 12, 0.5, seed=9, rho=3)
+    assert (result.n, result.active_cycles, result.messages,
+            result.failed_cycles, result.success) == (144, 6, 144, 6, False)
