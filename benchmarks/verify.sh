@@ -19,7 +19,11 @@ echo "== tier-1 (fast slice: -m 'not slow') =="
 # tests/test_delivery_order.py::test_kt2_algorithm3_transcript_is_pinned
 # holds Algorithm 3's KT-2 inbox transcripts (rounds and event
 # schedulers) to sha256 digests recorded before KT-rho knowledge became
-# lazy, and ::test_kt3_cycle_experiment_counts_are_pinned covers KT-3.
+# lazy, ::test_kt3_cycle_experiment_counts_are_pinned covers KT-3, and
+# ::test_kt1_algorithm1_transcript_is_pinned holds Algorithm 1's KT-1
+# transcripts (rounds, columnar and event schedulers, partition levels
+# with deferrals) to digests recorded before its driver evaluated the
+# level hashes once per ID instead of once per edge.
 python -m pytest -x -q -m "not slow"
 
 echo "== benchmark harness tests (perfbench/) =="

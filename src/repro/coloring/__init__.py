@@ -33,6 +33,7 @@ from repro.coloring.partition import (
     is_l_member,
     part_index,
     color_part,
+    color_parts,
     compute_partition,
     partition_properties,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "is_l_member",
     "part_index",
     "color_part",
+    "color_parts",
     "compute_partition",
     "partition_properties",
     "Algorithm1Result",

@@ -32,7 +32,7 @@ from typing import Optional
 from repro.congest.node import ColumnarStage, Context, NodeAlgorithm
 from repro.coloring import partition as P
 from repro.coloring.johansson import JohanssonListColoring
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, ReproError
 from repro.substrates.danner import build_danner, share_random_bits
 from repro.substrates.flooding import TreeAggregate
 
@@ -383,6 +383,11 @@ def run_algorithm1(
     {0, ..., deg(v)} ⊆ {0, ..., Δ} — i.e. a (Δ+1)-coloring realized as
     (deg+1)-list-coloring, exactly the paper's setting.
     """
+    if max_levels < 1:
+        raise ReproError(
+            f"max_levels must be at least 1 (got {max_levels!r}): "
+            "Algorithm 1 needs a level to color anything"
+        )
     if net.comparison_based:
         raise ProtocolError(
             "Algorithm 1 is non-comparison-based (it hashes IDs); "
@@ -412,7 +417,9 @@ def run_algorithm1(
     tree_inputs = danner.tree_inputs()
 
     # Per-node local state (driver-held, node-local information only).
-    values = [net.assignment.value_of(v) for v in range(n)]
+    topology = net.topology
+    ids = topology.id_of
+    neighborhood = topology.neighborhood
     colors: list[Optional[int]] = [None] * n
     palettes: list[set[int]] = [
         set(range(graph.degree(v) + 1)) for v in range(n)
@@ -420,57 +427,37 @@ def run_algorithm1(
     deferred = [False] * n
     extras: list[set] = [set() for _ in range(n)]
 
-    levels_info: list[tuple[P.LevelHashes, float, int]] = []
     reports: list[LevelReport] = []
     deferred_total = 0
 
-    # Hash memo: every node evaluates the same level hashes on the same
-    # ~n ID values over and over (once per neighbor per level per use
-    # site), and each evaluation is a degree-(c-1) Horner loop.  The
-    # hashes are frozen once appended to levels_info, so membership is a
-    # pure function of (value, upto) and caching it is count-invariant —
-    # it changes no decision, only skips re-deriving one.
-    remnant_cache: dict[tuple[int, int], bool] = {}
-
-    def hash_remnant(value: int, upto: int) -> bool:
-        """Remnant membership (hash part): L-member at all levels <= upto."""
-        if upto < 0:
-            return True
-        key = (value, upto)
-        cached = remnant_cache.get(key)
-        if cached is None:
-            h, q, _k = levels_info[upto]
-            cached = hash_remnant(value, upto - 1) and \
-                P.is_l_member(h, value, q)
-            remnant_cache[key] = cached
-        return cached
+    # The KT-1 trick as set algebra.  A level's hashes are frozen once
+    # the shared string R is drawn, so whether an ID is a remnant member
+    # (or which part B_i it joins) is a pure function of the ID value
+    # (Lemmas 3.1-3.2).  Every node can evaluate the shared hashes on any
+    # ID it knows under KT-1 — its own and its neighbors' — at zero
+    # message cost.  So the driver evaluates each hash once per ID per
+    # level, keeps the answers as frozensets of IDs, and lets each node
+    # intersect them with its own neighbor-ID set: the intersection is
+    # exactly the filter the node would run over its neighbors, i.e.
+    # still node-local computation.  remnant_ids[upto + 1] holds the IDs
+    # that are L-members at every level <= upto (all IDs for upto = -1).
+    # Memoizing a pure function changes no decision and no count.
+    remnant_ids: list[frozenset] = [frozenset(ids)]
 
     def in_remnant(v: int, upto: int) -> bool:
         if colors[v] is not None:
             return False
         if deferred[v]:
             return True
-        return hash_remnant(values[v], upto)
-
-    # Valid within one level iteration: the result depends only on the
-    # frozen hashes and extras[v], and extras mutate only at the very end
-    # of each iteration (where the cache is cleared).  Each (v, upto)
-    # pair is queried by several call sites per level (measure inputs,
-    # base-case actives, notify targets).
-    rn_cache: dict[tuple[int, int], frozenset] = {}
+        return ids[v] in remnant_ids[upto + 1]
 
     def remnant_neighbor_ids(v: int, upto: int) -> frozenset:
         """Neighbors of v that are remnant members (hash + learned extras)."""
-        key = (v, upto)
-        hit = rn_cache.get(key)
-        if hit is None:
-            vx = extras[v]
-            hit = frozenset(
-                u_id for u_id in net.knowledge[v].neighbor_ids
-                if u_id in vx or hash_remnant(u_id.value, upto)
-            )
-            rn_cache[key] = hit
-        return hit
+        nbrs = neighborhood(v)
+        found = nbrs & remnant_ids[upto + 1]
+        if extras[v]:
+            found |= nbrs & extras[v]
+        return found
 
     for level in range(max_levels):
         upto_prev = level - 1
@@ -544,26 +531,31 @@ def run_algorithm1(
         hashes = P.derive_level_hashes(
             bits, 0, n, id_space, independence_constant
         )
-        levels_info.append((hashes, q, k))
 
-        # Same memo argument as remnant_cache: this level's h_l/h_b are
-        # fixed, so each ID's part is computed once instead of once per
-        # incident edge.
-        part_cache: dict[int, int] = {}
-
-        def member_part(value: int) -> int:
-            part = part_cache.get(value)
-            if part is None:
-                part = P.member_part(hashes, value, q, k)
-                part_cache[value] = part
-            return part
+        # This level's hashes, once per remnant ID and once per color:
+        # each ID's part (L or B_i), each B_i as an ID set, the next
+        # level's remnant, and the color parts C_i over every palette.
+        part_of = {
+            u: P.member_part(hashes, u.value, q, k)
+            for u in remnant_ids[level]
+        }
+        members: list[list] = [[] for _ in range(k)]
+        next_remnant = []
+        for u, part in part_of.items():
+            if part == P.L_PART:
+                next_remnant.append(u)
+            else:
+                members[part].append(u)
+        part_ids = [frozenset(m) for m in members]
+        remnant_ids.append(frozenset(next_remnant))
+        color_parts = P.color_parts(hashes, graph.max_degree() + 1, k)
 
         participates = []
         active_sets = []
         part_palettes = []
         for v in range(n):
             part = (
-                member_part(values[v])
+                part_of[ids[v]]
                 if (in_remnant(v, upto_prev) and not deferred[v])
                 else P.L_PART
             )
@@ -572,20 +564,9 @@ def run_algorithm1(
                 active_sets.append(frozenset())
                 part_palettes.append(frozenset())
                 continue
-            same_part = set()
-            for u_id in net.knowledge[v].neighbor_ids:
-                uval = u_id.value
-                if not hash_remnant(uval, upto_prev):
-                    continue
-                if u_id in extras[v]:
-                    continue
-                if member_part(uval) == part:
-                    same_part.add(u_id)
             participates.append(True)
-            active_sets.append(frozenset(same_part))
-            part_palettes.append(
-                P.palette_in_part(hashes, palettes[v], part, k)
-            )
+            active_sets.append((neighborhood(v) & part_ids[part]) - extras[v])
+            part_palettes.append(color_parts[part].intersection(palettes[v]))
         stage = net.run(
             lambda: JohanssonListColoring(),
             inputs=[
@@ -631,9 +612,6 @@ def run_algorithm1(
                     palettes[v].discard(c)
             for u_id in out["extras"]:
                 extras[v].add(u_id)
-        # extras may have changed: remnant-neighbor sets computed from
-        # here on must not see this level's cached values.
-        rn_cache.clear()
         reports.append(LevelReport(
             level, len(rem_vertices), rem_edges, max_deg, k, q,
             colored_now, deferred_now, False,

@@ -119,10 +119,15 @@ def member_part(hashes: LevelHashes, id_value: int, q: float, k: int) -> int:
     return part_index(hashes, id_value, k)
 
 
-def palette_in_part(hashes: LevelHashes, palette, part: int, k: int
-                    ) -> frozenset[int]:
-    """Psi(v) ∩ C_part — the list a B_part vertex colors from."""
-    return frozenset(c for c in palette if color_part(hashes, c, k) == part)
+def color_parts(hashes: LevelHashes, num_colors: int, k: int
+                ) -> tuple[frozenset[int], ...]:
+    """C_0..C_{k-1} over the colors ``range(num_colors)``, one frozenset
+    per part: h_c evaluated once per color.  A B_i vertex colors from
+    Psi(v) ∩ C_i."""
+    parts: list[list[int]] = [[] for _ in range(k)]
+    for c in range(num_colors):
+        parts[color_part(hashes, c, k)].append(c)
+    return tuple(map(frozenset, parts))
 
 
 # -- whole-graph views for tests and experiments (Lemma 3.1) ----------------
@@ -164,13 +169,13 @@ def partition_properties(graph, id_values: Sequence[int],
         else:
             delta_i[p] = max(delta_i[p], deg_same[v])
     # Property (ii): available colors in each B_i.
+    c_parts = color_parts(hashes, palette_size, k)
     min_slack = None
     for v in range(graph.n):
         p = parts[v]
         if p == L_PART:
             continue
-        palette = range(min(palette_size, graph.degree(v) + 1))
-        avail = sum(1 for c in palette if color_part(hashes, c, k) == p)
+        avail = sum(1 for c in c_parts[p] if c <= graph.degree(v))
         slack = avail - (delta_i[p] + 1)
         if min_slack is None or slack < min_slack:
             min_slack = slack

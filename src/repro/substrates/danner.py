@@ -15,6 +15,10 @@ Our construction (documented as a substitution in DESIGN.md §1.3):
    messages).  One KEEP notification per kept edge makes membership
    known at both endpoints.  Whp every heavy node has ~log n landmark
    neighbors, and the kept-edge count is Õ(n^{1+delta} + m/n^delta).
+   Because the landmark bit is a pure function of the ID value, the
+   stage's nodes share one memo of it: each ID is hashed once per stage
+   rather than once per heavy neighbor, and every node still reads
+   exactly the bit it would compute itself.
 2. *Connectivity repair* — the kept subgraph H0 can miss bridges (no
    local sampling can find a bridge between two hubs), so we elect
    per-component leaders by flooding H0, count nodes by convergecast,
@@ -28,12 +32,13 @@ sets, a leader, and a BFS-ish tree for broadcast/upcast.
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.congest.ids import NodeId, OpaqueId
+from repro.congest.ids import NodeId, OpaqueId, id_value
 from repro.congest.node import ColumnarStage, Context, NodeAlgorithm
 from repro.errors import ConvergenceError
 from repro.substrates.boruvka import ForestState, run_boruvka
@@ -57,10 +62,10 @@ class DannerLocalStage(ColumnarStage, NodeAlgorithm):
 
     passive_when_idle = True
 
-    def __init__(self, tau: int, probability: float, seed):
+    def __init__(self, tau: int, landmark: Callable[[int], bool]):
         self.tau = tau
-        self.probability = probability
-        self.seed = seed
+        #: ID value -> landmark bit, one memo shared by the stage's nodes.
+        self.landmark = landmark
 
     def setup(self, ctx: Context) -> None:
         self.active: set[NodeId] = set()
@@ -70,10 +75,8 @@ class DannerLocalStage(ColumnarStage, NodeAlgorithm):
             if ctx.degree <= self.tau:
                 kept = list(ctx.neighbor_ids)
             else:
-                kept = [
-                    u for u in ctx.neighbor_ids
-                    if is_landmark(u.value, self.seed, self.probability)
-                ]
+                landmark = self.landmark
+                kept = [u for u in ctx.neighbor_ids if landmark(u.value)]
                 if not kept:
                     # Whp-impossible fallback: keep everything rather than
                     # risk isolating this node in H0.
@@ -100,8 +103,7 @@ class DannerLocalStage(ColumnarStage, NodeAlgorithm):
             return None
         first = algorithms[0]
         if any(
-            (a.tau, a.probability, a.seed)
-            != (first.tau, first.probability, first.seed)
+            (a.tau, a.landmark) != (first.tau, first.landmark)
             for a in algorithms
         ):
             return None
@@ -114,9 +116,8 @@ class DannerLocalStage(ColumnarStage, NodeAlgorithm):
 class _DannerLocalKernel:
     """One vectorized KEEP wave.
 
-    The landmark hash is a pure function of the target's ID, so the
-    kernel evaluates it once per *vertex* instead of once per directed
-    edge (the scalar stage re-hashes each neighbor at every observer).
+    The landmark bit comes from the stage's shared memo, once per
+    *vertex*, and the keep test runs as array ops over the edges.
     Message multiset and outputs are unchanged: one no-field KEEP per
     kept edge, active sets = kept ∪ keepers.
     """
@@ -129,13 +130,7 @@ class _DannerLocalKernel:
         self.kept_ids: list = []
         n = net._n
         landmark = np_.fromiter(
-            (
-                is_landmark(
-                    net.assignment.value_of(v), alg.seed, alg.probability
-                )
-                for v in range(n)
-            ),
-            dtype=bool, count=n,
+            map(alg.landmark, net.topology.values), dtype=bool, count=n,
         )
         deg = graph.indptr[1:] - graph.indptr[:-1]
         small = deg <= alg.tau
@@ -219,7 +214,15 @@ class DannerResult:
         return sorted(edges)
 
     def edge_count(self, net) -> int:
-        return len(self.edge_list(net))
+        """``len(edge_list(net))``, counted as int pair keys: each
+        directed entry resolves through its owner's port map."""
+        n = net.graph.n
+        ports = net.topology.ports
+        keys = set()
+        for v, nbrs in enumerate(self.active):
+            for u in map(ports[v].__getitem__, map(id_value, nbrs)):
+                keys.add(u * n + v if u < v else v * n + u)
+        return len(keys)
 
     def tree_inputs(self) -> list[dict]:
         return [
@@ -265,8 +268,10 @@ def build_danner(
     n = net.graph.n
     tau = max(1, math.ceil(n ** delta))
     probability = min(1.0, landmark_constant * math.log(max(n, 2)) / tau)
+    landmark = functools.cache(
+        lambda value: is_landmark(value, seed, probability))
     local = net.run(
-        lambda: DannerLocalStage(tau, probability, seed),
+        lambda: DannerLocalStage(tau, landmark),
         name=f"{name_prefix}-local",
     )
     active: list[set[NodeId]] = [set(s) for s in local.outputs]

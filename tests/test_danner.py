@@ -7,8 +7,18 @@ import pytest
 from repro.congest.network import SyncNetwork
 from repro.graphs.analysis import diameter, is_connected
 from repro.graphs.core import Graph
-from repro.graphs.generators import barbell_graph, connected_gnp_graph
-from repro.substrates.danner import build_danner, is_landmark, share_random_bits
+from repro.graphs.generators import (
+    barbell_graph,
+    complete_graph,
+    connected_gnp_graph,
+)
+from repro.substrates.danner import (
+    DannerLocalStage,
+    DannerResult,
+    build_danner,
+    is_landmark,
+    share_random_bits,
+)
 
 from tests.conftest import connected_families
 
@@ -133,3 +143,34 @@ def test_danner_message_budget_scales_sublinearly_in_m():
         costs[tag] = net.stats.messages / g.m
     # per-edge cost should drop sharply when the graph densifies
     assert costs["dense"] < 0.7 * costs["sparse"]
+
+
+@pytest.mark.parametrize("graph", [
+    connected_gnp_graph(80, 0.4, seed=20),
+    Graph(30, [(0, v) for v in range(1, 30)]),      # star: a heavy hub
+    complete_graph(30),
+], ids=["gnp", "star", "complete"])
+def test_danner_edge_count_matches_edge_list(graph):
+    net = SyncNetwork(graph, seed=21)
+    d = build_danner(net, delta=0.5, seed=22)
+    assert 0 < d.edge_count(net) <= graph.m
+    assert d.edge_count(net) == len(d.edge_list(net))
+
+
+def test_danner_edge_count_exact_on_asymmetric_active_sets():
+    """Dropped KEEPs leave an edge in one endpoint's active set only;
+    the count must still give each such edge exactly one key."""
+    g = connected_gnp_graph(80, 0.4, seed=23)
+    net = SyncNetwork(g, seed=24, faults="drop:0.2")
+    local = net.run(lambda: DannerLocalStage(
+        9, lambda value: is_landmark(value, 25, 0.5)))
+    d = DannerResult(
+        active=list(local.outputs), leader_id=net.id_of(0), leader_vertex=0,
+        parents=[None] * g.n, children=[frozenset()] * g.n, repair_phases=0,
+    )
+    asymmetric = sum(
+        net.id_of(v) not in d.active[net.vertex_of(u)]
+        for v in range(g.n) for u in d.active[v]
+    )
+    assert net.stats.dropped_messages > 0 and asymmetric > 0
+    assert d.edge_count(net) == len(d.edge_list(net))

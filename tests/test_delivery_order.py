@@ -15,7 +15,9 @@ and the adaptive adversary.
 Comparing the engine with itself cannot see a change both paths share,
 so Algorithm 3's KT-2 transcripts (rounds and event schedulers) and one
 KT-3 lower-bound run are also pinned to values recorded before KT-rho
-knowledge was computed on demand.
+knowledge was computed on demand, and Algorithm 1's KT-1 transcripts
+(rounds, columnar and event schedulers) to values recorded before its
+driver evaluated the level hashes once per ID instead of once per edge.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.congest.async_network import AsyncNetwork
 from repro.congest.ids import id_value
 from repro.congest.network import SyncNetwork
 from repro.congest.node import NodeAlgorithm
+from repro.congest.runtime import make_scheduler
 from repro.congest.trace import decode_value
 from repro.errors import ReproError
 from repro.graphs.core import Graph
@@ -253,6 +256,54 @@ def test_kt2_algorithm3_transcript_is_pinned(engine, seed):
     run_algorithm3(net, seed=seed)
     assert (transcript_digest(log), net.stats.messages) == \
         KT2_TRANSCRIPTS[engine, seed]
+
+
+#: Algorithm 1 (kt1-delta-plus-one) on gnp n=120 p=0.6, graph and run
+#: seeded alike: (transcript digest, messages, deferred_total).  Every
+#: case runs at least one partition level with deferrals, so the
+#: driver's remnant, part and palette sets — extras included — all
+#: reach the transcript.  Columnar digests differ from the scalar ones
+#: because kernel stages bypass ``on_round``; counts agree.
+KT1_TRANSCRIPTS = {
+    ("rounds", 0): ("590e7a1edc057972a3791b19beb2ee9f"
+                    "970c2175accf013c2c476e97bea3480b", 21140, 7),
+    ("rounds", 1): ("ad4db2af0c3dcfeacc5b06c4f833540f"
+                    "774d9f00bc9acfc913f06852518411b7", 22163, 2),
+    ("rounds", 2): ("ce57d93fbf9beb3f4cabfa7b20619bc2"
+                    "11cde44f0c60f9278d4ba98858f854e9", 21689, 9),
+    ("columnar", 0): ("0af075510c970f68bbc2b727c2943655"
+                      "15e0c36d26916430e0985a9eee442314", 21140, 7),
+    ("columnar", 1): ("acc458c1f21ebc0198f473c898fe6614"
+                      "a6839f953b0ec41436b668c01fefd53d", 22163, 2),
+    ("columnar", 2): ("2c259052bf3cfb1dca975ee91425cdb8"
+                      "7da0aa787963afd41fa9d864755992ac", 21689, 9),
+    ("event", 0): ("4bba8749e95551bf19441d21a357924d"
+                   "df35b067b840935a47296bfb91dfc8df", 23338, 7),
+    ("event", 1): ("76cfce60db319c8b9707f1bcf77ba306"
+                   "511b4b300b5a962d2d55591b7ccf3a0f", 28095, 2),
+    ("event", 2): ("ef0f89758715872e4fc67777b75d486d"
+                   "ec04d13b7f945c942e949f1f3e6b0b7c", 25208, 9),
+}
+
+
+@pytest.mark.parametrize("engine, seed", sorted(KT1_TRANSCRIPTS))
+def test_kt1_algorithm1_transcript_is_pinned(engine, seed):
+    graph = family_graph("gnp", 120, p=0.6, seed=seed)
+    if engine == "event":
+        # Synchronizer budgets from a synchronous run, as api does.
+        shadow = SyncNetwork(graph, seed=seed)
+        run_algorithm1(shadow, seed=seed)
+        net = AsyncNetwork(graph, seed=seed, round_budgets=[
+            (s.name, s.rounds) for s in shadow.stats.stages
+        ])
+    else:
+        net = SyncNetwork(graph, seed=seed, scheduler=make_scheduler(engine))
+    log = record_inboxes(net)
+    result = run_algorithm1(net, seed=seed)
+    assert any(not lv.base_case for lv in result.levels)
+    assert result.deferred_total > 0
+    assert (transcript_digest(log), net.stats.messages,
+            result.deferred_total) == KT1_TRANSCRIPTS[engine, seed]
 
 
 def test_kt3_cycle_experiment_counts_are_pinned():

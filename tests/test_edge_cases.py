@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro import api
+from repro.coloring.algorithm1 import run_algorithm1
 from repro.congest.network import SyncNetwork
+from repro.errors import ReproError
 from repro.graphs.analysis import subgraph_diameter
 from repro.graphs.core import Graph
 from repro.graphs.generators import complete_graph, cycle_graph
@@ -100,6 +103,19 @@ def test_triangle_mis_unique_winner():
     r = run_algorithm3(SyncNetwork(g, rho=2, seed=12), seed=13)
     check_mis(g, r.in_mis)
     assert sum(r.in_mis) == 1
+
+
+@pytest.mark.parametrize("max_levels", [0, -1])
+def test_algorithm1_rejects_max_levels_below_one(max_levels):
+    """With no level to run, Algorithm 1 used to return all-None colors."""
+    g = complete_graph(6)
+    net = SyncNetwork(g, seed=1)
+    with pytest.raises(ReproError, match="max_levels"):
+        run_algorithm1(net, seed=1, max_levels=max_levels)
+    assert net.stats.messages == 0
+    with pytest.raises(ReproError, match="max_levels"):
+        api.color_graph(g, method="kt1-delta-plus-one", seed=1,
+                        max_levels=max_levels)
 
 
 def test_engine_rejects_rho_zero():

@@ -86,14 +86,26 @@ def test_parts_roughly_balanced():
 def test_palette_partition_covers():
     hashes = derive(seed=8)
     k = 5
-    palette = frozenset(range(50))
-    parts = [P.palette_in_part(hashes, palette, i, k) for i in range(k)]
+    parts = P.color_parts(hashes, 50, k)
+    assert len(parts) == k
     # disjoint cover
     union = set()
     for p in parts:
         assert not (union & p)
         union |= p
-    assert union == set(palette)
+    assert union == set(range(50))
+
+
+@pytest.mark.parametrize("seed, num_colors, k", [(3, 1, 1), (4, 37, 6),
+                                                 (9, 200, 14)])
+def test_color_parts_agree_with_color_part(seed, num_colors, k):
+    hashes = derive(seed=seed)
+    parts = P.color_parts(hashes, num_colors, k)
+    assert len(parts) == k
+    assert sum(map(len, parts)) == num_colors
+    for c in range(num_colors):
+        owners = [i for i, part in enumerate(parts) if c in part]
+        assert owners == [P.color_part(hashes, c, k)], c
 
 
 def test_lemma_3_1_properties_on_regular_graph():
