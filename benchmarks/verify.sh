@@ -23,7 +23,12 @@ echo "== tier-1 (fast slice: -m 'not slow') =="
 # ::test_kt1_algorithm1_transcript_is_pinned holds Algorithm 1's KT-1
 # transcripts (rounds, columnar and event schedulers, partition levels
 # with deferrals) to digests recorded before its driver evaluated the
-# level hashes once per ID instead of once per edge.
+# level hashes once per ID instead of once per edge.  The graph pins
+# tests/test_generators.py::test_family_graphs_are_pinned (sha256 of
+# each graph's n, adjacency and edges for regular, expander, powerlaw,
+# planted and dense gnp; recorded before the generators' rng draws were
+# inlined) and tests/test_graph_core.py::test_graph_pickle_is_pinned
+# hold graph construction bit-identical in families no BENCH cell covers.
 python -m pytest -x -q -m "not slow"
 
 echo "== benchmark harness tests (perfbench/) =="

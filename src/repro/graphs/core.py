@@ -3,10 +3,21 @@
 Designed for the simulator's hot paths: neighbor lists are tuples of ints,
 edges are canonical ``(min, max)`` pairs, and everything is precomputed at
 construction time.
+
+Construction canonicalises each edge ``{u, v}`` to the int key
+``min * n + max`` in a set of ints, so duplicates and reversed pairs
+collapse without building a tuple per input edge.  The keys are sorted
+once, and ``divmod(key, n)`` turns them back into the sorted ``(min, max)``
+edge tuple.  The adjacency lists are then filled by walking that sorted
+edge tuple: every edge ``(u, x)`` with ``u < x`` precedes every edge
+``(x, w)``, and both runs are in increasing order, so vertex ``x`` receives
+its smaller neighbors in order, then its larger ones in order.  Each list
+comes out sorted, with no per-vertex sort.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from repro.errors import ReproError
@@ -20,22 +31,22 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise ReproError("vertex count must be non-negative")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        canonical: set[tuple[int, int]] = set()
+        keys: set[int] = set()
+        add = keys.add
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ReproError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ReproError(f"self-loop at vertex {u} not allowed")
-            canonical.add((u, v) if u < v else (v, u))
+            add(u * n + v if u < v else v * n + u)
+        canonical = tuple(map(divmod, sorted(keys), repeat(n)))
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in canonical:
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u].append(v)
+            adj[v].append(u)
         self.n = n
-        self._adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(neighbors)) for neighbors in adj
-        )
-        self._edges: tuple[tuple[int, int], ...] = tuple(sorted(canonical))
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
+        self._edges: tuple[tuple[int, int], ...] = canonical
 
     # -- basic accessors ----------------------------------------------------
 
@@ -123,9 +134,11 @@ class Graph:
         removed: Iterable[tuple[int, int]] = (),
     ) -> "Graph":
         """A copy with the given edges added/removed (for edge crossings)."""
+        n = self.n
         removed_set = {((u, v) if u < v else (v, u)) for u, v in removed}
         for e in removed_set:
-            if e not in set(self._edges):
+            u, v = e
+            if not (0 <= u < n and 0 <= v < n and self.has_edge(u, v)):
                 raise ReproError(f"cannot remove absent edge {e}")
         edges = [e for e in self._edges if e not in removed_set]
         edges.extend(added)

@@ -27,6 +27,28 @@ def _rng_from(seed) -> random.Random:
     return random.Random(seed)
 
 
+def _shuffle(rng: random.Random, items: list) -> None:
+    """``rng.shuffle(items)`` with its ``_randbelow`` inlined.
+
+    The same Fisher-Yates from the top and the same rejection draws
+    (``j = getrandbits(k)`` for k = (i+1).bit_length(), redrawn while
+    ``j > i``) as :meth:`random.Random.shuffle`, so it gives the same
+    permutation and leaves ``rng`` in the same state — without a Python
+    call per element.
+    """
+    getrandbits = rng.getrandbits
+    i = len(items) - 1
+    while i > 0:
+        k = (i + 1).bit_length()
+        # every i down to 2**(k-1) - 1 draws k bits
+        for i in range(i, (1 << (k - 1)) - 2, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            items[i], items[j] = items[j], items[i]
+        i -= 1
+
+
 def gnp_random_graph(n: int, p: float, seed=0) -> Graph:
     """Erdos-Renyi G(n, p) via geometric edge skipping (O(n + m) time)."""
     if not 0.0 <= p <= 1.0:
@@ -37,18 +59,19 @@ def gnp_random_graph(n: int, p: float, seed=0) -> Graph:
         return Graph(n, edges)
     if p == 1.0:
         return complete_graph(n)
-    import math
+    from math import log
 
-    log_q = math.log(1.0 - p)
+    log_q = log(1.0 - p)
+    draw = rng.random
+    append = edges.append
     v, w = 1, -1
     while v < n:
-        r = rng.random()
-        w = w + 1 + int(math.log(1.0 - r) / log_q)
+        w = w + 1 + int(log(1.0 - draw()) / log_q)
         while w >= v and v < n:
             w -= v
             v += 1
         if v < n:
-            edges.append((v, w))
+            append((v, w))
     return Graph(n, edges)
 
 
@@ -77,24 +100,31 @@ def random_regular_graph(n: int, d: int, seed=0, max_tries: int = 60) -> Graph:
     Tries the configuration model first; for dense degrees (where simple
     outcomes are exponentially rare) falls back to a circulant graph
     randomized by double edge swaps, which is guaranteed simple and
-    d-regular.
+    d-regular.  At dense degrees (d ~ n/4 in the exponent sweeps) all
+    ``max_tries`` configuration-model attempts are doomed, yet they stay:
+    the circulant fallback draws from the rng stream they leave behind,
+    and the committed ``regular`` BENCH cells pin those graphs.
     """
+    if d < 0:
+        raise ReproError(f"degree d={d} must be non-negative")
     if (n * d) % 2 != 0:
         raise ReproError("n * d must be even for a d-regular graph")
     if d >= n:
         raise ReproError("degree must be below n")
     rng = _rng_from(seed)
+    pool = [v for v in range(n) for _ in range(d)]
     for _ in range(max_tries):
-        stubs = [v for v in range(n) for _ in range(d)]
-        rng.shuffle(stubs)
+        stubs = pool.copy()
+        _shuffle(rng, stubs)
         edges = set()
         ok = True
         for i in range(0, len(stubs), 2):
             u, v = stubs[i], stubs[i + 1]
-            if u == v or (min(u, v), max(u, v)) in edges:
+            edge = (u, v) if u < v else (v, u)
+            if u == v or edge in edges:
                 ok = False
                 break
-            edges.add((min(u, v), max(u, v)))
+            edges.add(edge)
         if ok:
             return Graph(n, edges)
     return _circulant_with_swaps(n, d, rng)
@@ -106,24 +136,36 @@ def _circulant_with_swaps(n: int, d: int, rng: random.Random) -> Graph:
     for offset in range(1, d // 2 + 1):
         for v in range(n):
             u = (v + offset) % n
-            edges.add((min(u, v), max(u, v)))
+            edges.add((u, v) if u < v else (v, u))
     if d % 2 == 1:
         # odd degree needs even n: add the antipodal perfect matching
         for v in range(n // 2):
             u = v + n // 2
             edges.add((v, u))
     edge_list = list(edges)
+    count = len(edge_list)
+    # i and j are rng.randrange(count) with _randbelow inlined: the same
+    # getrandbits(k) rejection draws, so the same stream is consumed.
+    k = count.bit_length()
+    getrandbits = rng.getrandbits
     # Randomize with double edge swaps: {a,b},{c,d} -> {a,c},{b,d}.
-    for _ in range(10 * len(edge_list)):
-        i, j = rng.randrange(len(edge_list)), rng.randrange(len(edge_list))
+    for _ in range(10 * count):
+        i = getrandbits(k)
+        while i >= count:
+            i = getrandbits(k)
+        j = getrandbits(k)
+        while j >= count:
+            j = getrandbits(k)
         if i == j:
             continue
         a, b = edge_list[i]
         c, e = edge_list[j]
-        if len({a, b, c, e}) < 4:
+        # a != b and c != e already: the four endpoints are distinct
+        # exactly when neither of a, b is c or e
+        if a == c or a == e or b == c or b == e:
             continue
-        new1 = (min(a, c), max(a, c))
-        new2 = (min(b, e), max(b, e))
+        new1 = (a, c) if a < c else (c, a)
+        new2 = (b, e) if b < e else (e, b)
         if new1 in edges or new2 in edges:
             continue
         edges.discard(edge_list[i])
@@ -287,7 +329,7 @@ def random_regular_lift(n: int, d: int = 4, seed=0) -> Graph:
     for u in range(base):
         for v in range(u + 1, base):
             perm = list(range(lift))
-            rng.shuffle(perm)
+            _shuffle(rng, perm)
             edges.extend(
                 (u * lift + i, v * lift + perm[i]) for i in range(lift)
             )
