@@ -18,7 +18,7 @@ Three chapters, nothing faked (select with ``--only``):
 
 Afterwards the merged store must be **bit-identical per key** to a
 serial in-process ``run_cell`` pass (modulo the volatile ``wall_s`` /
-``attempts`` fields), contain **zero lost records**, and ``w1`` must
+``graph_s`` / ``attempts`` fields), contain **zero lost records**, and ``w1`` must
 have demonstrably reconnected.
 
 **tenants** — the multi-tenant farm (``repro farm serve``) under the
@@ -88,9 +88,9 @@ SPEC_ARGS = ["--families", "gnp", "--sizes", "90", "120",
 SPEC = SweepSpec(families=("gnp",), sizes=(90, 120), seeds=(0, 1, 2, 3),
                  methods=("kt1-eps-delta",))
 #: Record fields that legitimately differ between a farm run and a
-#: serial one: how long it took (total and per stage) and how many
-#: supervised attempts.
-VOLATILE = ("wall_s", "stage_wall", "attempts")
+#: serial one: how long it took (total, graph build and per stage) and
+#: how many supervised attempts.
+VOLATILE = ("wall_s", "graph_s", "stage_wall", "attempts")
 
 #: The serve chapter's slow query: ~5s of solver work — a wide window
 #: to land signals in, still CI-sized.

@@ -29,6 +29,9 @@ echo "== tier-1 (fast slice: -m 'not slow') =="
 # planted and dense gnp; recorded before the generators' rng draws were
 # inlined) and tests/test_graph_core.py::test_graph_pickle_is_pinned
 # hold graph construction bit-identical in families no BENCH cell covers.
+# tests/test_experiments.py::test_serial_sweep_builds_each_graph_once
+# holds the graph-major cell plan to one graph build per (family, n,
+# density, seed) in a serial sweep; the sweep smoke below reruns it.
 python -m pytest -x -q -m "not slow"
 
 echo "== benchmark harness tests (perfbench/) =="
@@ -44,6 +47,10 @@ python -m repro sweep --families gnp --sizes 30 --seeds 0 1 \
 rm -f "$SMOKE_OUT"
 python -m pytest -x -q \
     tests/test_distributed.py::test_two_worker_distributed_sweep_matches_serial
+# Sibling cells share one graph build (run_cell keeps the previous
+# cell's graph): 12 graphs, 48 cells, 12 builds.
+python -m pytest -x -q \
+    tests/test_experiments.py::test_serial_sweep_builds_each_graph_once
 
 echo "== farm smoke (two tenants, batched workers, journal round-trip) =="
 # The persistent-farm contract: two named sweeps served to two real

@@ -1,7 +1,8 @@
 """Cell execution and the multiprocessing worker pool.
 
-``run_cell`` is the unit of work: build the cell's graph, run its method
-under the requested engine, and return a flat JSON-serializable record.
+``run_cell`` is the unit of work: build the cell's graph (or reuse the
+previous cell's, when it names the same one), run its method under the
+requested engine, and return a flat JSON-serializable record.
 ``run_sweep`` drives a whole :class:`~repro.experiments.spec.SweepSpec`
 through a ``multiprocessing`` pool (or serially for ``workers <= 1``),
 appending each record to a :class:`~repro.experiments.store.ResultStore`
@@ -32,8 +33,36 @@ from repro import api
 from repro.errors import ReproError
 from repro.experiments.spec import Cell, SweepSpec
 from repro.experiments.store import ResultStore
+from repro.graphs.core import Graph
 from repro.graphs.generators import family_built_n, family_graph
 from repro.supervise import Outcome, Supervisor, Task, spawn_child
+
+#: The previous cell's graph, as ``((family, n, density, seed), graph)``
+#: -- the full argument list of ``family_graph``.  A graph-major plan
+#: (:meth:`SweepSpec.cells`) runs a graph's sibling cells back to back,
+#: so one slot is enough for a process to build each graph once per run
+#: of siblings.  Sharing is sound because a ``Graph`` is immutable.
+_last_graph: Optional[tuple[tuple, Graph]] = None
+
+
+def _cell_graph(cell: Cell) -> tuple[Graph, float]:
+    """The cell's input graph and the seconds spent building it (0.0
+    when the previous cell already built it)."""
+    global _last_graph
+    key = (cell.family, cell.n, cell.density, cell.seed)
+    if _last_graph is not None and _last_graph[0] == key:
+        return _last_graph[1], 0.0
+    # Emptied before the build, filled only after it succeeds: a build
+    # that raises leaves no entry, and the old graph is not kept alive
+    # while the new one is built.
+    _last_graph = None
+    t0 = time.perf_counter()
+    # Looked up on the module at call time, so a wrapped
+    # ``runner.family_graph`` sees every real build.
+    graph = family_graph(cell.family, cell.n, p=cell.density,
+                         seed=cell.seed)
+    _last_graph = (key, graph)
+    return graph, time.perf_counter() - t0
 
 
 def _method_extras(cell: Cell, result) -> dict:
@@ -66,8 +95,12 @@ def run_cell(cell: Cell) -> dict:
     The record is flat and JSON-serializable: identity fields (key,
     family, n, seed, method, engine, latency — ``None`` for sync cells),
     the graph's m, the accounting (messages, words, rounds, utilized —
-    ``None`` in stats-lite mode), validity, ``status="ok"``, wall-clock
-    seconds, and method-specific extras (see :func:`_method_extras`).
+    ``None`` in stats-lite mode), validity, ``status="ok"``, timings,
+    and method-specific extras (see :func:`_method_extras`).
+    ``wall_s`` covers the whole cell from before the graph lookup;
+    ``graph_s`` is the part of it spent building the graph, 0.0 when
+    the cell reused the previous cell's graph (same ``(family, n,
+    density, seed)``, see :func:`_cell_graph`).
     Async cells additionally carry the shadow synchronous baseline and
     the cost-of-asynchrony columns (``sync_messages``, ``sync_rounds``,
     ``overhead_messages``, ``overhead_rounds``,
@@ -83,8 +116,7 @@ def run_cell(cell: Cell) -> dict:
             f"not {cell.method!r}"
         )
     t0 = time.perf_counter()
-    graph = family_graph(cell.family, cell.n, p=cell.density,
-                         seed=cell.seed)
+    graph, graph_s = _cell_graph(cell)
     asynchronous = cell.engine == "async"
     # The columnar engine is the sync semantics on the numpy scheduler:
     # identical counts (parity contract), different wall clock.
@@ -165,6 +197,7 @@ def run_cell(cell: Cell) -> dict:
         "survivor_valid": report.survivor_valid,
         "status": "ok",
         "wall_s": round(time.perf_counter() - t0, 6),
+        "graph_s": round(graph_s, 6),
         # Diagnostic only (never part of count identity): where the
         # engine spent its time, per protocol stage.
         "stage_wall": {name: round(w, 6)

@@ -199,20 +199,27 @@ class SweepSpec:
         for engine in self.engine_axis:
             if engine not in ENGINES:
                 raise ReproError(f"unknown engine {engine!r}")
-        if len(set(self.engine_axis)) != len(self.engine_axis):
-            raise ReproError("duplicate engine in engines axis")
         for latency in self.latencies:
             if latency not in LATENCY_MODELS:
                 raise ReproError(
                     f"unknown latency model {latency!r}; "
                     f"known: {', '.join(LATENCY_MODELS)}"
                 )
-        if len(set(self.latencies)) != len(self.latencies):
-            raise ReproError("duplicate latency in latencies axis")
         for fault in self.faults:
             make_fault_model(fault)     # raises ReproError on a bad spec
-        if len(set(self.faults)) != len(self.faults):
-            raise ReproError("duplicate fault spec in faults axis")
+        # A repeated value would expand to two cells under one key: two
+        # records for one key in a store, and a farm queue that leases
+        # both but can complete only one, so it never finishes.
+        for what, name, axis in (
+                ("family", "families", self.families),
+                ("size", "sizes", self.sizes),
+                ("seed", "seeds", self.seeds),
+                ("method", "methods", self.methods),
+                ("engine", "engines", self.engine_axis),
+                ("latency", "latencies", self.latencies),
+                ("fault spec", "faults", self.faults)):
+            if len(set(axis)) != len(axis):
+                raise ReproError(f"duplicate {what} in {name} axis")
         if (not self.sizes or not self.seeds or not self.families
                 or not self.methods or not self.latencies
                 or not self.faults):
@@ -281,14 +288,22 @@ class SweepSpec:
         return pairs
 
     def cells(self) -> Iterator[Cell]:
-        """Expand the matrix in deterministic order."""
+        """Expand the matrix in deterministic, graph-major order.
+
+        family -> n -> seed -> method -> (engine, latency) -> fault: the
+        cells that share one input graph, one ``(family, n, density,
+        seed)``, are contiguous, so a process that runs them in order
+        builds each graph once (``runner.run_cell`` keeps the previous
+        cell's graph).  Neither the cell keys nor :meth:`fingerprint`
+        depend on this order.
+        """
         pairs = self._engine_latency_pairs()
         for family in self.families:
             for n in self.sizes:
-                for method in self.methods:
-                    for engine, latency in pairs:
-                        for fault in self.faults:
-                            for seed in self.seeds:
+                for seed in self.seeds:
+                    for method in self.methods:
+                        for engine, latency in pairs:
+                            for fault in self.faults:
                                 yield Cell(
                                     family=family,
                                     n=n,
@@ -315,7 +330,9 @@ class SweepSpec:
     def fingerprint(self) -> str:
         """Stable identity of this spec's cell plan.
 
-        The digest of every cell key in expansion order.  The
+        The digest of the sorted set of cell keys, so it does not depend
+        on expansion order: axis values listed in another order, or a
+        change to :meth:`cells`' nesting, name the same sweep.  The
         coordinator stamps it on its queue journal so that
         ``--resume-journal`` refuses a journal written for a *different*
         sweep — replaying another matrix's requeue counts and done keys
@@ -325,8 +342,8 @@ class SweepSpec:
         patience is the same sweep.
         """
         digest = hashlib.sha256()
-        for cell in self.cells():
-            digest.update(cell.key().encode("utf-8"))
+        for key in sorted(cell.key() for cell in self.cells()):
+            digest.update(key.encode("utf-8"))
             digest.update(b"\n")
         return digest.hexdigest()[:16]
 

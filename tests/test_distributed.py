@@ -337,10 +337,10 @@ def test_two_worker_distributed_sweep_matches_serial(tmp_path):
     merged = {r["key"]: r for r in store.load()}
     assert set(merged) == set(serial)
     assert len(fresh) == len(serial)
-    # Identical modulo provenance: wall-clock (total and per stage)
-    # and the farm's attempts stamp (the serial pool path doesn't
+    # Identical modulo provenance: wall-clock (total, graph build and
+    # per stage) and the farm's attempts stamp (the serial pool path doesn't
     # produce one).
-    volatile = ("wall_s", "stage_wall", "attempts")
+    volatile = ("wall_s", "graph_s", "stage_wall", "attempts")
     for key, want in serial.items():
         got = {k: v for k, v in merged[key].items() if k not in volatile}
         assert got == {k: v for k, v in want.items()

@@ -788,3 +788,159 @@ def test_cli_sweep_rejects_bad_fault_spec(tmp_path):
         cli.main(["sweep", "--families", "gnp", "--sizes", "36",
                   "--faults", "drop:lots", "--dry-run",
                   "--out", str(tmp_path / "x.jsonl")])
+
+
+# -- graph-major plan and graph reuse -----------------------------------------
+
+
+#: Record fields that time a run; everything else is fixed by the seed.
+TIMING = ("wall_s", "graph_s", "stage_wall")
+
+
+def _graph_key(cell):
+    return (cell.family, cell.n, cell.density, cell.seed)
+
+
+def test_spec_plan_is_graph_major():
+    spec = SweepSpec(families=("gnp", "regular"), sizes=(30, 40),
+                     seeds=(2, 0, 1), methods=("luby", "kt1-eps-delta"),
+                     engines=("sync", "async"),
+                     latencies=("uniform", "heavy_tail"),
+                     faults=("none", "drop:0.1"))
+    cells = list(spec.cells())
+    # Reference: the same matrix nested seed-innermost.
+    pairs = [("sync", "uniform"), ("async", "uniform"),
+             ("async", "heavy_tail")]
+    reference = [
+        Cell(family=family, n=n, seed=seed, method=method, engine=engine,
+             latency=latency, faults=fault)
+        for family in spec.families
+        for n in spec.sizes
+        for method in spec.methods
+        for engine, latency in pairs
+        for fault in spec.faults
+        for seed in spec.seeds
+    ]
+    assert spec.size == len(cells) == len(reference) == 2 * 2 * 3 * 2 * 3 * 2
+    assert sorted(c.key() for c in cells) == sorted(
+        c.key() for c in reference)
+    # Each graph's cells form one contiguous run, in axis order.
+    runs = [k for i, k in enumerate(map(_graph_key, cells))
+            if i == 0 or k != _graph_key(cells[i - 1])]
+    assert len(runs) == len(set(runs)) == 2 * 2 * 3
+    assert runs[:3] == [("gnp", 30, 0.2, seed) for seed in (2, 0, 1)]
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("families", ("gnp", "regular", "gnp")),
+    ("sizes", (30, 30)),
+    ("seeds", (0, 1, 0)),
+    ("methods", ("luby", "luby")),
+])
+def test_spec_rejects_duplicate_axis_values(axis, values):
+    base = {"sizes": (30,), "methods": ("luby",)}
+    with pytest.raises(ReproError, match=f"duplicate .* in {axis} axis"):
+        SweepSpec(**{**base, axis: values})
+    # The wire path a farm ``submit`` takes (JSON lists) is checked too.
+    data = {**SweepSpec(**base).to_dict(), axis: list(values)}
+    with pytest.raises(ReproError, match=f"duplicate .* in {axis} axis"):
+        SweepSpec.from_dict(data)
+
+
+def test_fingerprint_ignores_axis_order():
+    spec = SweepSpec(sizes=(30, 40), seeds=(0, 1, 2),
+                     methods=("luby", "rank-greedy"))
+    assert spec.fingerprint() == SweepSpec(
+        sizes=(40, 30), seeds=(2, 0, 1),
+        methods=("rank-greedy", "luby")).fingerprint()
+    assert spec.fingerprint() != SweepSpec(
+        sizes=(30, 40), seeds=(0, 1, 2), methods=("luby", "rank-greedy"),
+        density=0.3).fingerprint()
+
+
+@pytest.fixture
+def graph_builds(monkeypatch):
+    """Every real graph build ``run_cell`` makes, from an empty slot."""
+    from repro.experiments import runner
+
+    builds = []
+    real = runner.family_graph
+
+    def counting(family, n, p=0.2, seed=0):
+        builds.append((family, n, p, seed))
+        return real(family, n, p=p, seed=seed)
+
+    monkeypatch.setattr(runner, "family_graph", counting)
+    monkeypatch.setattr(runner, "_last_graph", None)
+    return builds
+
+
+def test_run_cell_reuses_the_previous_cells_graph(graph_builds):
+    cold = run_cell(Cell("gnp", 30, 0, "luby", engine="columnar"))
+    assert len(graph_builds) == 1 and cold["graph_s"] > 0
+    run_cell(Cell("gnp", 30, 0, "kt1-delta-plus-one"))
+    hit = run_cell(Cell("gnp", 30, 0, "luby", engine="columnar"))
+    assert len(graph_builds) == 1 and hit["graph_s"] == 0.0
+    assert hit["wall_s"] > 0
+    for rec in (cold, hit):
+        for field in TIMING:
+            del rec[field]
+    assert hit == cold
+
+
+@pytest.mark.parametrize("change", [
+    {"family": "regular"}, {"n": 32}, {"density": 0.3}, {"seed": 1},
+])
+def test_run_cell_rebuilds_for_another_graph(graph_builds, change):
+    base = dict(family="gnp", n=30, seed=0, method="luby")
+    run_cell(Cell(**base))
+    rec = run_cell(Cell(**{**base, **change}))
+    assert len(graph_builds) == 2 and rec["graph_s"] > 0
+    run_cell(Cell(**base))
+    assert len(graph_builds) == 3
+
+
+def test_failed_build_leaves_the_slot_usable(graph_builds):
+    run_cell(Cell("gnp", 30, 0, "luby"))
+    with pytest.raises(ReproError, match="degree"):
+        run_cell(Cell("regular", 0, 0, "luby"))       # no 0-vertex graph
+    with pytest.raises(ReproError, match="degree"):
+        run_cell(Cell("regular", 0, 0, "luby"))       # nothing was kept
+    rec = run_cell(Cell("gnp", 30, 0, "rank-greedy"))
+    assert rec["valid"] and rec["graph_s"] > 0
+    assert len(graph_builds) == 4
+    run_cell(Cell("gnp", 30, 0, "luby"))
+    assert len(graph_builds) == 4
+
+
+def test_shared_graph_survives_every_method_and_engine(graph_builds):
+    import hashlib
+    import pickle
+
+    from repro.experiments import runner
+    from repro.experiments.spec import ALL_METHODS
+
+    def digest(g):
+        return hashlib.sha256(
+            pickle.dumps((g.n, g._adj, g._edges))).hexdigest()
+
+    run_cell(Cell("gnp", 30, 4, "luby"))
+    graph = runner._last_graph[1]
+    before = digest(graph)
+    for method in ALL_METHODS:
+        for engine in ("sync", "columnar", "async"):
+            rec = run_cell(Cell("gnp", 30, 4, method, engine=engine))
+            assert rec["valid"], rec["key"]
+    assert len(graph_builds) == 1 and runner._last_graph[1] is graph
+    assert digest(graph) == before
+
+
+def test_serial_sweep_builds_each_graph_once(graph_builds):
+    spec = SweepSpec(families=("gnp", "regular"), sizes=(24, 30),
+                     seeds=(0, 1, 2), methods=("luby", "rank-greedy"),
+                     engines=("sync", "columnar"))
+    records = run_sweep(spec, store=None, workers=0)
+    assert len(records) == spec.size == 48
+    assert all(r["valid"] for r in records)
+    assert len(graph_builds) == len(set(graph_builds)) == 2 * 2 * 3
+    assert sum(r["graph_s"] > 0 for r in records) == 12

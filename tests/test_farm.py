@@ -560,7 +560,7 @@ def test_farm_journal_multi_tenant_round_trip(tmp_path):
     coord2.wait(timeout=10)
     coord2.stop()
 
-    volatile = ("wall_s", "stage_wall", "attempts")
+    volatile = ("wall_s", "graph_s", "stage_wall", "attempts")
     for name, want in serial.items():
         got = ResultStore(
             os.path.join(store_dir, f"{name}.jsonl")).latest_per_key()
@@ -731,7 +731,7 @@ def test_two_sweeps_two_workers_batched_matches_serial(tmp_path):
     coord.wait(timeout=10)
     coord.stop()
     assert [p.returncode for p in procs] == [0, 0], outs
-    volatile = ("wall_s", "stage_wall", "attempts")
+    volatile = ("wall_s", "graph_s", "stage_wall", "attempts")
     for name, want in serial.items():
         got = ResultStore(
             os.path.join(store_dir, f"{name}.jsonl")).latest_per_key()
