@@ -32,7 +32,22 @@ echo "== tier-1 (fast slice: -m 'not slow') =="
 # tests/test_experiments.py::test_serial_sweep_builds_each_graph_once
 # holds the graph-major cell plan to one graph build per (family, n,
 # density, seed) in a serial sweep; the sweep smoke below reruns it.
+# The collector guards: api._run_engines pauses the cyclic garbage
+# collector for a whole engine run, which is safe only while a run
+# leaves O(n) cyclic garbage, not O(messages):
+# tests/test_api.py::test_engine_run_leaves_only_per_node_cyclic_garbage
+# holds that for Algorithm 1 (rounds, columnar, event) and
+# baseline-trial.  Warm children freeze the heap they inherit:
+# tests/test_supervise.py::test_child_freezes_its_inherited_heap,
+# ::test_child_still_frees_a_tasks_cyclic_garbage and
+# ::test_parent_heap_is_never_frozen.  Both run again right after the
+# fast slice, by name.
 python -m pytest -x -q -m "not slow"
+python -m pytest -x -q \
+    tests/test_api.py::test_engine_run_leaves_only_per_node_cyclic_garbage \
+    tests/test_supervise.py::test_child_freezes_its_inherited_heap \
+    tests/test_supervise.py::test_child_still_frees_a_tasks_cyclic_garbage \
+    tests/test_supervise.py::test_parent_heap_is_never_frozen
 
 echo "== benchmark harness tests (perfbench/) =="
 # perfbench/tracing.py wraps supervisor, farm and serving functions by

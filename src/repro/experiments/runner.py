@@ -12,10 +12,11 @@ Timeouts: a spec with ``timeout_s`` runs its cells in warm, reusable
 child processes (:mod:`repro.supervise`, at most ``workers`` at once).
 A child is replaced only when it is killed, crashes, misses a deadline
 or has grown past ``supervise.MAX_WARM_GROWTH_MB``, and runs one cyclic
-GC after each cell.  A cell still running at its deadline has its
-child killed — the other in-flight cells are unaffected — is retried
-up to ``retries`` times, and is finally recorded with
-``status="timeout"`` (``valid=False``).
+GC after each cell; the heap a child inherits at fork is frozen, so that
+GC walks only the child's own objects.  A cell still running at its
+deadline has its child killed — the other in-flight cells are
+unaffected — is retried up to ``retries`` times, and is finally
+recorded with ``status="timeout"`` (``valid=False``).
 Aggregation (:mod:`repro.experiments.stats`) excludes non-``ok`` records
 from exponent fits, and :meth:`ResultStore.completed_keys` omits them
 from the resume set so a re-run attempts them again.

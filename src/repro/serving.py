@@ -21,7 +21,9 @@ problem.  The serving spine:
   growing an unbounded backlog.
 * **Solver supervision.**  Solvers run in warm, reusable child
   processes (:mod:`repro.supervise`, the same supervisor the sweep farm
-  uses), one query at a time each, with one cyclic GC after each query.
+  uses), one query at a time each, with one cyclic GC after each query
+  (the heap a child inherits at fork is frozen, so that GC walks only
+  the child's own objects).
   A child is replaced only when it is killed, crashes, misses a
   deadline or has grown past ``supervise.MAX_WARM_GROWTH_MB``; a
   crashing or SIGKILL'd child costs one retry and then a

@@ -2,8 +2,10 @@
 
 Children are **warm**: one runs a task, sends back the task function's
 return value, runs one cyclic GC and waits for the next task, so numpy
-and the engine are imported once per child.  A child is replaced only
-when killed at a deadline, cancelled, or dead, or when its peak RSS has
+and the engine are imported once per child.  A child freezes the heap
+it inherited at fork (``gc.freeze``), so that collection walks only the
+objects the child made itself.  A child is replaced only when killed
+at a deadline, cancelled, or dead, or when its peak RSS has
 grown by more than :data:`MAX_WARM_GROWTH_MB` since it was forked (the
 heap a large task reaches stays with the process); children are forked
 lazily.  The loop sleeps on the reply pipes and process sentinels; a
@@ -45,8 +47,12 @@ def _child_main(conn, parent_end) -> None:
     """A warm child: run ``(fn, args)`` tasks until the supervisor goes.
 
     Each reply is ``(fn's return value, keep)``; ``keep`` is False when
-    the child is about to exit because it has grown too large.
+    the child is about to exit because it has grown too large.  The
+    heap inherited from the parent is frozen first, so the collection
+    after each task walks only the child's own objects and still frees
+    the task's cyclic garbage.
     """
+    gc.freeze()
     parent_end.close()      # else a dead supervisor never reads as EOF
     # Forked from a server that drains on SIGTERM/SIGINT: a stray
     # SIGTERM kills the child, and Ctrl-C is left to its supervisor.

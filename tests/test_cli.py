@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+from scripted_children import HANG, ScriptedChild, spawn_script
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -132,7 +134,12 @@ def test_profile_unknown_method():
         main(["profile", "--method", "nope", "--n", "30"])
 
 
-def test_sweep_timeout_flag(tmp_path, capsys):
+def test_sweep_timeout_flag(tmp_path, capsys, monkeypatch):
+    from repro.experiments import runner
+
+    # The cell's child never answers, so it is over budget on any box.
+    monkeypatch.setattr(runner, "_spawn_cell_process",
+                        spawn_script(ScriptedChild(HANG)))
     out = tmp_path / "t.jsonl"
     rc = main(["sweep", "--families", "gnp", "--sizes", "400", "--seeds",
                "0", "--methods", "kt1-delta-plus-one", "--p", "0.3",

@@ -410,12 +410,29 @@ def test_spec_timeout_fields_propagate_and_validate():
         SweepSpec(sizes=(30,), methods=("luby",), retries=-1)
 
 
-def test_timeout_records_status_and_spares_the_pool():
+def test_timeout_records_status_and_spares_the_pool(monkeypatch):
     """A cell over budget is killed and recorded with status=timeout;
     sibling cells in the same farm still complete."""
+    from repro import supervise
+    from repro.experiments import runner
+
+    # The n=24 cell (first in the plan) runs for real in a real child;
+    # the n=420 cell and its retry get children that never answer.  The
+    # real child may not stay warm, so the retry cannot land on it.
+    monkeypatch.setattr(supervise, "MAX_WARM_GROWTH_MB", -1)
+    hung = spawn_script(ScriptedChild(HANG), ScriptedChild(HANG))
+    real = []
+
+    def spawn():
+        if real:
+            return hung()
+        real.append(spawn_child())
+        return real[0]
+
+    monkeypatch.setattr(runner, "_spawn_cell_process", spawn)
     spec = SweepSpec(
         families=("gnp",),
-        sizes=(24, 420),           # the n=420 cell cannot finish in time
+        sizes=(24, 420),
         seeds=(0,),
         methods=("kt1-delta-plus-one",),
         density=0.3,
@@ -423,6 +440,7 @@ def test_timeout_records_status_and_spares_the_pool():
         retries=1,
     )
     records = run_sweep(spec, store=None, workers=2)
+    assert hung.count == 2 and not real[0][0].is_alive()
     by_n = {r["n"]: r for r in records}
     assert len(records) == 2
     assert by_n[24]["status"] == "ok" and by_n[24]["valid"]

@@ -9,11 +9,20 @@ and retry) run on scripted children in ``test_chaos.py``,
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import time
+import weakref
 
 from repro.supervise import MAX_WARM_GROWTH_MB, Supervisor
+
+#: In a child: a weak reference to the cycle :func:`_leave_cycle` left.
+_watched = None
+
+
+class _Cycle:
+    pass
 
 
 def _grow_then_pid(mb: int) -> int:
@@ -21,6 +30,19 @@ def _grow_then_pid(mb: int) -> int:
     blob = b"x" * (mb << 20)
     del blob
     return os.getpid()
+
+
+def _leave_cycle() -> int:
+    """Leave a self-referencing object behind, unreachable but watched."""
+    global _watched
+    cycle = _Cycle()
+    cycle.me = cycle
+    _watched = weakref.ref(cycle)
+    return os.getpid()
+
+
+def _cycle_freed() -> tuple:
+    return os.getpid(), _watched is not None and _watched() is None
 
 
 def test_tasks_reuse_one_child():
@@ -80,3 +102,34 @@ def test_close_stops_idle_children():
     supervisor.close()
     assert not proc.is_alive()
     assert supervisor.busy_pids() == []
+
+
+def test_child_freezes_its_inherited_heap():
+    supervisor = Supervisor()
+    try:
+        frozen = supervisor.call(gc.get_freeze_count, ())
+    finally:
+        supervisor.close()
+    assert frozen.kind == "ok" and frozen.reply > 0
+
+
+def test_child_still_frees_a_tasks_cyclic_garbage():
+    """The collection after each task walks the child's own objects,
+    so a cycle the last task left is gone before the next task."""
+    supervisor = Supervisor()
+    try:
+        pid = supervisor.call(_leave_cycle, ()).reply
+        after = supervisor.call(_cycle_freed, ()).reply
+    finally:
+        supervisor.close()
+    assert after == (pid, True)
+
+
+def test_parent_heap_is_never_frozen():
+    before = gc.get_freeze_count()
+    supervisor = Supervisor()
+    try:
+        assert supervisor.call(os.getpid, ()).kind == "ok"
+    finally:
+        supervisor.close()
+    assert gc.get_freeze_count() == before
