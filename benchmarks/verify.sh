@@ -40,7 +40,16 @@ echo "== tier-1 (fast slice: -m 'not slow') =="
 # baseline-trial.  Warm children freeze the heap they inherit:
 # tests/test_supervise.py::test_child_freezes_its_inherited_heap,
 # ::test_child_still_frees_a_tasks_cyclic_garbage and
-# ::test_parent_heap_is_never_frozen.  Both run again right after the
+# ::test_parent_heap_is_never_frozen.  The node-program equivalence
+# guards: tests/test_phase_predicates.py holds the Johansson and Luby
+# set-algebra phase predicates equal to their per-neighbor all()/any()
+# forms (asymmetric active sets, early next-phase arrivals, survivor
+# iteration order); tests/test_topology_order.py holds Topology's
+# O(n log n + m) neighbor order equal to a per-vertex sort and the KT-2
+# ordered accessors equal to neighborhood_of, refusals included; and
+# tests/test_fanout_structure.py holds Algorithm 3's relays to their
+# definition and NotifyStage, ParallelGreedyMIS and InformTwoHop to one
+# outbox entry per fan-out.  All of these run again right after the
 # fast slice, by name.
 python -m pytest -x -q -m "not slow"
 python -m pytest -x -q \
@@ -48,6 +57,10 @@ python -m pytest -x -q \
     tests/test_supervise.py::test_child_freezes_its_inherited_heap \
     tests/test_supervise.py::test_child_still_frees_a_tasks_cyclic_garbage \
     tests/test_supervise.py::test_parent_heap_is_never_frozen
+python -m pytest -x -q \
+    tests/test_phase_predicates.py \
+    tests/test_topology_order.py \
+    tests/test_fanout_structure.py
 
 echo "== benchmark harness tests (perfbench/) =="
 # perfbench/tracing.py wraps supervisor, farm and serving functions by

@@ -63,19 +63,19 @@ class NotifyStage(ColumnarStage, NodeAlgorithm):
     def on_round(self, ctx: Context, inbox) -> None:
         if ctx.round == 0:
             if self.role == "colored":
-                for u in self.targets:
-                    ctx.send(u, "color", self.color)
+                ctx.broadcast(self.targets, "color", self.color)
             elif self.role == "deferred":
-                for u in ctx.neighbor_ids:
-                    ctx.send(u, "deferred")
+                ctx.broadcast(ctx.neighbor_ids, "deferred")
+        deferrers = len(self.extras)
         for msg in inbox:
             if msg.tag == "color":
                 (c,) = msg.fields
                 self.struck.append(c)
             elif msg.tag == "deferred":
                 self.extras.append(msg.sender_id)
-                if self.role == "colored":
-                    ctx.send(msg.sender_id, "color", self.color)
+        if self.role == "colored" and len(self.extras) > deferrers:
+            # One reply fan-out to this round's deferrers, in inbox order.
+            ctx.broadcast(self.extras[deferrers:], "color", self.color)
         self._publish(ctx)
 
     # -- columnar engine (docs/columnar.md) ----------------------------------

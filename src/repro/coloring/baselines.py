@@ -31,7 +31,7 @@ class FullExchangeTrialColoring(JohanssonListColoring):
 
     def setup(self, ctx: Context) -> None:
         ctx.input = {
-            "active": frozenset(ctx.neighbor_ids),
+            "active": None,     # the whole neighborhood
             "palette": frozenset(range(ctx.degree + 1)),
             "participate": True,
         }
@@ -64,8 +64,7 @@ class RankGreedyColoring(NodeAlgorithm):
         while c in self.taken:
             c += 1
         self.color = c
-        for u in ctx.neighbor_ids:
-            ctx.send(u, "colored", c)
+        ctx.broadcast(ctx.neighbor_ids, "colored", c)
         ctx.done({"color": c})
 
     def on_round(self, ctx: Context, inbox) -> None:

@@ -52,9 +52,14 @@ class JohanssonListColoring(ColumnarStage, NodeAlgorithm):
         self.participate = state.get("participate", True)
         self.palette: set[int] = set(state.get("palette", ()))
         active = state.get("active")
+        # Built in ``neighbor_ids`` order either way: the set's iteration
+        # order is the order of every broadcast below.
         if active is None:
-            active = frozenset(ctx.neighbor_ids)
-        self.undecided = {u for u in ctx.neighbor_ids if u in active}
+            self.undecided = set(ctx.neighbor_ids)
+        elif active:
+            self.undecided = {u for u in ctx.neighbor_ids if u in active}
+        else:
+            self.undecided = set()
         self.phase = 0
         self.trial: Optional[int] = None
         self.resolved = True        # no resolve owed for a not-yet-begun phase
@@ -103,17 +108,23 @@ class JohanssonListColoring(ColumnarStage, NodeAlgorithm):
         """Send this phase's resolve once every expected trial arrived.
 
         A deferring neighbor sends a resolve instead of a trial; either
-        counts toward completeness.
+        counts toward completeness.  The receive dicts may also hold
+        senders this node does not count as undecided, so the tests are
+        set algebra against ``undecided`` (C-level, on stored hashes),
+        never a length comparison alone.
         """
         if self.resolved or self.trial is None:
             return False
         p = self.phase
         trials = self.trials_seen.get(p, {})
         resolves = self.resolves_seen.get(p, {})
-        if not all(u in trials or u in resolves for u in self.undecided):
+        undecided = self.undecided
+        if (len(trials) + len(resolves) < len(undecided)
+                or undecided.difference(trials).difference(resolves)):
             return False
+        trial = self.trial
         conflict = any(
-            trials.get(u) == self.trial for u in self.undecided
+            c == trial and u in undecided for u, c in trials.items()
         )
         self.resolved = True
         if conflict:
@@ -130,15 +141,15 @@ class JohanssonListColoring(ColumnarStage, NodeAlgorithm):
             return False
         p = self.phase
         resolves = self.resolves_seen.get(p, {})
-        if not all(u in resolves for u in self.undecided):
+        undecided = self.undecided
+        if len(resolves) < len(undecided) or undecided.difference(resolves):
             return False
-        for u in list(self.undecided):
-            kind, value = resolves[u]
-            if kind == "colored":
-                self.palette.discard(value)
-                self.undecided.discard(u)
-            elif kind == "deferred":
-                self.undecided.discard(u)
+        # In-place discards keep the survivors' iteration order.
+        for u, (kind, value) in resolves.items():
+            if kind != "failed" and u in undecided:
+                undecided.discard(u)
+                if kind == "colored":
+                    self.palette.discard(value)
         self.trials_seen.pop(p, None)
         self.resolves_seen.pop(p, None)
         self.phase = p + 1

@@ -164,8 +164,9 @@ class IdAssignment:
     """A bijection between vertices 0..n-1 and distinct ID values.
 
     The paper's ID spaces are polynomial in n; :meth:`random` draws from
-    ``[0, n**3)`` by default.  Lower-bound experiments construct explicit
-    assignments (Section 2.2's phi, psi_{e,e'} and the swap variants).
+    ``[0, max(n**2, 64))`` by default.  Lower-bound experiments construct
+    explicit assignments (Section 2.2's phi, psi_{e,e'} and the swap
+    variants).
     """
 
     def __init__(self, values: Sequence[int]):

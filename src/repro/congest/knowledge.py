@@ -12,7 +12,9 @@ leans on (ii) to build local 2-hop BFS trees without communication.
 
 What is computed when.  One :class:`Topology` per network is built up
 front with what every send needs: each vertex's ID object, port map
-(neighbor ID value -> vertex) and neighbor IDs sorted by value.  The
+(neighbor ID value -> vertex) and neighbor IDs sorted by value (also
+readable, under KT-2 and up, through
+:meth:`KTKnowledge.ordered_neighborhood_of`).  The
 rest is built on first query and cached: a vertex's neighbor-ID set,
 shared by every node that may read it; a node's ID layers by distance;
 under rho >= 3, its (rho - 1)-ball.  Laziness changes when a set is
@@ -53,9 +55,15 @@ class Topology:
         #: dict lookup both validates a send's recipient and resolves it.
         self.ports = [dict(zip(map(value_of, nbrs(v)), nbrs(v)))
                       for v in range(n)]
-        ids = id_of.__getitem__
-        self.neighbor_ids = [tuple(map(ids, sorted(nbrs(v), key=value_of)))
-                             for v in range(n)]
+        # Neighbor IDs in ascending ID order, in O(n log n + m): visiting
+        # the vertices in ID order and appending each to its neighbors'
+        # lists leaves every list sorted, with no per-vertex sort.
+        lists: list[list[NodeId]] = [[] for _ in range(n)]
+        for u in sorted(range(n), key=value_of):
+            uid = id_of[u]
+            for w in nbrs(u):
+                lists[w].append(uid)
+        self.neighbor_ids = list(map(tuple, lists))
         self._neighborhoods: list[Optional[frozenset[NodeId]]] = [None] * n
 
     def neighborhood(self, u: int) -> frozenset[NodeId]:
@@ -169,19 +177,48 @@ class KTKnowledge:
     def knows_neighborhood_of(self, node_id: NodeId) -> bool:
         return self._ball_vertex(node_id) is not None
 
-    def neighborhood_of(self, node_id: NodeId) -> frozenset[NodeId]:
-        """The full neighbor-ID set of a node at distance <= rho - 1.
-
-        Under KT-1 this is only available for the node itself; under KT-2
-        it is available for every 1-hop neighbor, etc.
-        """
+    def _known_vertex(self, node_id: NodeId) -> int:
+        """The vertex whose neighborhood ``node_id`` names, if this node
+        may read it; raises :class:`ModelViolationError` otherwise."""
         w = self._ball_vertex(node_id)
         if w is None:
             raise ModelViolationError(
                 f"KT-{self.rho} knowledge does not include the neighborhood "
                 f"of {node_id!r}"
             )
-        return self._table.neighborhood(w)
+        return w
+
+    def neighborhood_of(self, node_id: NodeId) -> frozenset[NodeId]:
+        """The full neighbor-ID set of a node at distance <= rho - 1.
+
+        Under KT-1 this is only available for the node itself; under KT-2
+        it is available for every 1-hop neighbor, etc.
+        """
+        return self._table.neighborhood(self._known_vertex(node_id))
+
+    def ordered_neighborhood_of(self, node_id: NodeId) -> tuple[NodeId, ...]:
+        """:meth:`neighborhood_of`'s set as a tuple in ascending ID order
+        (the order ``neighbor_ids`` has), with the same model checks.
+
+        A node may compare IDs, so the order adds no knowledge; it lets a
+        comparison-based protocol find the members below some ID with one
+        ``bisect`` instead of a comparison per member.
+        """
+        return self._table.neighbor_ids[self._known_vertex(node_id)]
+
+    def neighbor_neighborhoods(self) -> list[frozenset[NodeId]]:
+        """Every neighbor's :meth:`neighborhood_of` set, in
+        ``neighbor_ids`` order.  Under KT-2 and up every neighbor lies in
+        the (rho - 1)-ball, so one model check covers them all; under
+        KT-1 it raises as ``neighborhood_of`` does for the first
+        neighbor."""
+        ids = self.neighbor_ids
+        if self.rho < 2 and ids:
+            self._known_vertex(ids[0])      # raises: not in the 0-ball
+        table = self._table
+        ports = table.ports[self._vertex]
+        hood = table.neighborhood
+        return [hood(ports[x._value]) for x in ids]
 
     @property
     def degree(self) -> int:

@@ -27,6 +27,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,34 +54,38 @@ class InformTwoHop(NodeAlgorithm):
     def _publish(self, ctx: Context) -> None:
         ctx.done({"two_hop_joiners": frozenset(self.two_hop)})
 
-    def _relay_targets(self, ctx: Context, joiner):
-        """The 2-hop neighbors of ``joiner`` that I must relay to.
+    def _relay_targets(self, ctx: Context, joiner, neighborhoods) -> list:
+        """The 2-hop neighbors of ``joiner`` that I must relay to, in
+        ``neighbor_ids`` order (``neighborhoods`` holds each neighbor's
+        neighbor-ID set in that order, looked up once per node).
 
         I relay to x iff x is my neighbor, x is not in N[joiner], and I am
         the minimum-ID common neighbor of joiner and x — all decidable
-        from KT-2 knowledge by ID comparisons alone.
+        from KT-2 knowledge by ID comparisons alone.  I am always a common
+        neighbor of joiner and x, so I am the minimum iff no member of
+        N(joiner) below me also neighbors x.  Those beaters are the prefix
+        of joiner's ID-ordered neighbor tuple below my ID, found with one
+        ``bisect_left`` (log-degree ID comparisons, so the
+        comparison-based discipline holds); each target then costs one
+        membership test and one ``isdisjoint`` against the beaters.
         """
-        n_joiner = ctx.knowledge.neighborhood_of(joiner)
-        me = ctx.my_id
-        # I am always a common neighbor of joiner and x, so I am the
-        # minimum iff no common neighbor beats me.  The common neighbors
-        # smaller than me are exactly the members of N(joiner) smaller
-        # than me that also neighbor x — computing that candidate set
-        # once per joiner replaces a set-intersection + min() scan per
-        # target with a single isdisjoint check (still nothing but ID
-        # comparisons, so the comparison-based discipline holds).
-        beaters = frozenset(y for y in n_joiner if y < me)
-        for x in ctx.neighbor_ids:
-            if x == joiner or x in n_joiner:
-                continue
-            if beaters.isdisjoint(ctx.knowledge.neighborhood_of(x)):
-                yield x
+        knowledge = ctx.knowledge
+        n_joiner = knowledge.neighborhood_of(joiner)
+        ordered = knowledge.ordered_neighborhood_of(joiner)
+        beaters = frozenset(ordered[:bisect_left(ordered, ctx.my_id)])
+        return [
+            x for x, n_x in zip(ctx.neighbor_ids, neighborhoods)
+            if beaters.isdisjoint(n_x) and x not in n_joiner
+            and x != joiner
+        ]
 
     def on_round(self, ctx: Context, inbox) -> None:
-        if ctx.round == 0:
+        if ctx.round == 0 and self.joined_neighbors:
+            neighborhoods = ctx.knowledge.neighbor_neighborhoods()
             for joiner in self.joined_neighbors:
-                for x in self._relay_targets(ctx, joiner):
-                    ctx.send(x, "relay", joiner)
+                targets = self._relay_targets(ctx, joiner, neighborhoods)
+                if targets:
+                    ctx.broadcast(targets, "relay", joiner)
         for msg in inbox:
             (joiner,) = msg.fields
             self.two_hop.add(joiner)
@@ -178,7 +183,7 @@ def run_algorithm3(
             # u is dominated iff some neighbor of u joined; v knows N(u)
             # (KT-2) and every joiner within two hops of itself.
             n_u = net.knowledge[v].neighborhood_of(u)
-            if n_u & joiners_2hop:
+            if not n_u.isdisjoint(joiners_2hop):
                 continue
             active.add(u)
         participate.append(True)

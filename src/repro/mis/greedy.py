@@ -111,15 +111,13 @@ class ParallelGreedyMIS(NodeAlgorithm):
         me = self._my_key(ctx)
         if all(me < (self.s_ranks[u], u) for u in self.s_undecided):
             self.joined = True
-            for u in ctx.neighbor_ids:
-                ctx.send(u, "joined")
+            ctx.broadcast(ctx.neighbor_ids, "joined")
             self._publish(ctx)
 
     def on_round(self, ctx: Context, inbox) -> None:
         if ctx.round == 0:
             if self.in_s:
-                for u in ctx.neighbor_ids:
-                    ctx.send(u, "rank", self.rank)
+                ctx.broadcast(ctx.neighbor_ids, "rank", self.rank)
             self._publish(ctx)
             if not ctx.neighbor_ids:
                 self.ready = True
@@ -135,9 +133,7 @@ class ParallelGreedyMIS(NodeAlgorithm):
                 self.s_undecided.discard(msg.sender_id)
                 if self.in_s and not self.joined and not self.out:
                     self.out = True
-                    for u in self.s_undecided:
-                        ctx.send(u, "retired")
-                self._publish(ctx)
+                    ctx.broadcast(self.s_undecided, "retired")
             elif msg.tag == "retired":
                 self.s_undecided.discard(msg.sender_id)
         if ctx.round >= self.ready_round:

@@ -38,9 +38,14 @@ class LubyMIS(ColumnarStage, NodeAlgorithm):
         state = ctx.input or {}
         self.participate = state.get("participate", True)
         active = state.get("active")
+        # Built in ``neighbor_ids`` order either way: the set's iteration
+        # order is the order of every broadcast below.
         if active is None:
-            active = frozenset(ctx.neighbor_ids)
-        self.undecided = {u for u in ctx.neighbor_ids if u in active}
+            self.undecided = set(ctx.neighbor_ids)
+        elif active:
+            self.undecided = {u for u in ctx.neighbor_ids if u in active}
+        else:
+            self.undecided = set()
         self.phase = 0
         self.priority: Optional[int] = None
         self.state: Optional[str] = None      # None / "joined" / "out"
@@ -66,15 +71,27 @@ class LubyMIS(ColumnarStage, NodeAlgorithm):
         self.sent_join = False
         self.sent_fate = False
 
+    # The receive dicts may hold senders this node does not count as
+    # undecided (asymmetric active sets), so each completeness test is a
+    # length check plus set algebra against ``undecided`` (C-level, on
+    # stored hashes), and each scan walks a dict and tests membership in
+    # ``undecided`` only for the entries that could decide it.
+
     def _try_join(self, ctx: Context) -> bool:
         if self.sent_join:
             return False
         p = self.phase
         prios = self.prios.get(p, {})
-        if not all(u in prios for u in self.undecided):
+        undecided = self.undecided
+        if len(prios) < len(undecided) or undecided.difference(prios):
             return False
-        me = (self.priority, ctx.my_id)
-        wins = all(me > (prios[u], u) for u in self.undecided)
+        mine = self.priority
+        me = (mine, ctx.my_id)
+        # A lower priority loses to me whatever its ID.
+        wins = not any(
+            pr >= mine and not me > (pr, u) and u in undecided
+            for u, pr in prios.items()
+        )
         self.sent_join = True
         self.joined_now = wins
         ctx.broadcast(self.undecided, "join", p, wins)
@@ -85,9 +102,10 @@ class LubyMIS(ColumnarStage, NodeAlgorithm):
             return False
         p = self.phase
         joins = self.joins.get(p, {})
-        if not all(u in joins for u in self.undecided):
+        undecided = self.undecided
+        if len(joins) < len(undecided) or undecided.difference(joins):
             return False
-        retired = any(joins[u] for u in self.undecided)
+        retired = any(j and u in undecided for u, j in joins.items())
         self.sent_fate = True
         if self.joined_now:
             self.state = "joined"
@@ -103,9 +121,11 @@ class LubyMIS(ColumnarStage, NodeAlgorithm):
             return False
         p = self.phase
         fates = self.fates.get(p, {})
-        if not all(u in fates for u in self.undecided):
+        undecided = self.undecided
+        if len(fates) < len(undecided) or undecided.difference(fates):
             return False
-        self.undecided = {u for u in self.undecided if not fates[u]}
+        # A same-order rebuild, as every earlier phase made it.
+        self.undecided = {u for u in undecided if not fates[u]}
         for store in (self.prios, self.joins, self.fates):
             store.pop(p, None)
         self.phase = p + 1
