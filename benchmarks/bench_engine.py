@@ -71,12 +71,12 @@ SPECS = (REFERENCE_SPEC, DENSE_SPEC, ASYNC_SPEC)
 
 
 def _dense_pass(scheduler: str | None) -> list[dict]:
-    """One serial dense-column pass in a fresh worker process.
+    """One serial dense-column pass, in-process.
 
-    ``workers=1`` gives a brand-new pool process per pass: serial cell
-    execution (no sibling contention inflating numpy's memory-bandwidth
-    appetite) and no allocator warm-up bias from a previous pass in the
-    same interpreter — the two disciplines get identical conditions.
+    ``workers=1`` runs the cells one after another in this interpreter:
+    no sibling contention inflating numpy's memory-bandwidth appetite.
+    Both disciplines run here, rounds first, so the columnar pass sees
+    an interpreter already warmed by the rounds pass.
     """
     if scheduler:
         os.environ["REPRO_SCHEDULER"] = scheduler

@@ -92,9 +92,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--scheduler", default=None, choices=("rounds", "columnar"),
         help="run the fresh sweep under this synchronous scheduler "
-             "(via REPRO_SCHEDULER, inherited by pool workers); counts "
-             "must still match the committed baseline bit-for-bit — "
-             "that identity is the columnar parity contract",
+             "(via REPRO_SCHEDULER, inherited by the supervised worker "
+             "children); counts must still match the committed "
+             "baseline bit-for-bit — that identity is the columnar "
+             "parity contract",
     )
     args = parser.parse_args(argv)
 

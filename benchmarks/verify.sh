@@ -21,9 +21,16 @@ echo "== tier-1 (fast slice: -m 'not slow') =="
 # schedulers) to sha256 digests recorded before KT-rho knowledge became
 # lazy, ::test_kt3_cycle_experiment_counts_are_pinned covers KT-3, and
 # ::test_kt1_algorithm1_transcript_is_pinned holds Algorithm 1's KT-1
-# transcripts (rounds, columnar and event schedulers, partition levels
-# with deferrals) to digests recorded before its driver evaluated the
-# level hashes once per ID instead of once per edge.  The graph pins
+# transcripts (rounds and event schedulers, partition levels with
+# deferrals) to digests recorded before its driver evaluated the level
+# hashes once per ID instead of once per edge;
+# ::test_kt1_columnar_transcript_is_rounds_minus_kernel_stages holds the
+# columnar transcript to the pinned rounds one minus exactly the stages
+# a columnar kernel runs (alg1-base-*, alg1-color-*, alg1-danner-local).
+# The kernel ledger pin
+# tests/test_columnar_parity.py::test_kernel_ledger_is_pinned holds the
+# set of classes with their own columnar kernel to the stages whose win
+# is measured in docs/columnar.md's ledger table.  The graph pins
 # tests/test_generators.py::test_family_graphs_are_pinned (sha256 of
 # each graph's n, adjacency and edges for regular, expander, powerlaw,
 # planted and dense gnp; recorded before the generators' rng draws were
@@ -57,6 +64,9 @@ python -m pytest -x -q \
     tests/test_supervise.py::test_child_freezes_its_inherited_heap \
     tests/test_supervise.py::test_child_still_frees_a_tasks_cyclic_garbage \
     tests/test_supervise.py::test_parent_heap_is_never_frozen
+python -m pytest -x -q \
+    tests/test_delivery_order.py::test_kt1_columnar_transcript_is_rounds_minus_kernel_stages \
+    tests/test_columnar_parity.py::test_kernel_ledger_is_pinned
 python -m pytest -x -q \
     tests/test_phase_predicates.py \
     tests/test_topology_order.py \
@@ -208,6 +218,8 @@ python benchmarks/bench_serve.py --quick --out "$SERVE_OUT"
 rm -f "$SERVE_OUT"
 
 echo "== fixed-seed count regression vs BENCH_engine.json =="
+# --workers N runs the cells in N supervised warm children (the same
+# path as every multi-worker local sweep, see docs/distributed.md).
 python benchmarks/check_regression.py --workers "${WORKERS:-4}"
 
 echo "== columnar engine: same counts, numpy scheduler =="

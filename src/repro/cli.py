@@ -1038,11 +1038,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "sweep",
         help="run an experiment matrix (family x n x seed x method) "
-             "under a multiprocessing pool; JSON-lines output, resumable",
+             "in supervised worker processes; JSON-lines output, "
+             "resumable",
     )
     _sweep_axis_args(p)
     p.add_argument("--workers", type=int, default=0,
-                   help="worker processes (0/1 = serial)")
+                   help="worker processes (0/1 = serial in-process, "
+                        "where a raising cell aborts the sweep; more = "
+                        "supervised children, where it is an error "
+                        "record)")
     p.add_argument("--out", default="results.jsonl",
                    help="JSON-lines result store (appended; completed "
                         "cells are skipped on re-run)")

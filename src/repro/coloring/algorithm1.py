@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.congest.node import ColumnarStage, Context, NodeAlgorithm
+from repro.congest.node import Context, NodeAlgorithm
 from repro.coloring import partition as P
 from repro.coloring.johansson import JohanssonListColoring
 from repro.errors import ProtocolError, ReproError
@@ -37,7 +37,7 @@ from repro.substrates.danner import build_danner, share_random_bits
 from repro.substrates.flooding import TreeAggregate
 
 
-class NotifyStage(ColumnarStage, NodeAlgorithm):
+class NotifyStage(NodeAlgorithm):
     """Inter-level palette maintenance.
 
     Nodes colored at the level just finished send their color once to
@@ -77,260 +77,6 @@ class NotifyStage(ColumnarStage, NodeAlgorithm):
             # One reply fan-out to this round's deferrers, in inbox order.
             ctx.broadcast(self.extras[deferrers:], "color", self.color)
         self._publish(ctx)
-
-    # -- columnar engine (docs/columnar.md) ----------------------------------
-
-    @classmethod
-    def build_columnar_kernel(cls, net, algorithms, contexts):
-        from repro.congest.columnar import full_graph, get_numpy
-
-        np_ = get_numpy()
-        if np_ is None:
-            return None
-        n = net._n
-        graph = full_graph(np_, net)
-        if graph is None:
-            return None
-        if any(
-            a.role == "colored"
-            and (type(a.color) is not int or a.color < 0)
-            for a in algorithms
-        ):
-            return None  # replies embed the color; keep exotic payloads scalar
-        colored = [
-            (v, a) for v, a in enumerate(algorithms)
-            if a.role == "colored" and a.targets
-        ]
-        deferred = [
-            v for v, a in enumerate(algorithms) if a.role == "deferred"
-        ]
-
-        # Color wave: one envelope per (colored node, target), in the
-        # scalar submission order (ascending sender, then target-tuple
-        # position).
-        counts_c = np_.fromiter(
-            (len(a.targets) for _, a in colored),
-            dtype=np_.int64, count=len(colored),
-        )
-        kc = int(counts_c.sum())
-        src_c = np_.repeat(
-            np_.fromiter((v for v, _ in colored), dtype=np_.int64,
-                         count=len(colored)),
-            counts_c,
-        )
-        colors_c = np_.repeat(
-            np_.fromiter((a.color for _, a in colored), dtype=np_.int64,
-                         count=len(colored)),
-            counts_c,
-        )
-        vertex_of = net.assignment.vertex_of_value
-        dst_c = np_.fromiter(
-            (vertex_of(u._value) for _, a in colored
-             for u in a.targets),
-            dtype=np_.int64, count=kc,
-        )
-        ekeys = graph.esrc * n + graph.edst
-        keys_c = src_c * n + dst_c
-        eids_c = np_.searchsorted(ekeys, keys_c)
-        if kc and bool((ekeys[np_.minimum(eids_c, len(ekeys) - 1)]
-                        != keys_c).any()):
-            return None  # a non-neighbor target: scalar path raises
-        within_c = np_.arange(kc, dtype=np_.int64) - np_.repeat(
-            np_.cumsum(counts_c) - counts_c, counts_c
-        )
-
-        # Defer wave: every out-edge of each deferred node, in the
-        # scalar fan-out order (``neighbor_ids`` ascends by ID value).
-        values = np_.asarray(net.topology.values, dtype=np_.int64)
-        emit_perm = np_.lexsort((values[graph.edst], graph.esrc))
-        da = np_.asarray(deferred, dtype=np_.int64)
-        from repro.congest.columnar import block_positions
-
-        pos_d, _owners = block_positions(np_, graph.indptr, da)
-        eids_d = emit_perm[pos_d]
-        kd = len(eids_d)
-        counts_d = graph.indptr[da + 1] - graph.indptr[da]
-        within_d = np_.arange(kd, dtype=np_.int64) - np_.repeat(
-            np_.cumsum(counts_d) - counts_d, counts_d
-        )
-
-        # Global submission sequence over both waves: the scalar round-0
-        # loop visits senders in ascending vertex order, so the rank of
-        # (sender, within-sender position) is the inbox interleave key.
-        sub_keys = np_.concatenate(
-            (src_c * n + within_c, graph.esrc[eids_d] * n + within_d)
-        )
-        seq = np_.empty(kc + kd, dtype=np_.int64)
-        seq[np_.argsort(sub_keys)] = np_.arange(kc + kd, dtype=np_.int64)
-        return _NotifyKernel(
-            np_, net, graph, algorithms, contexts, ekeys,
-            eids_c, colors_c, seq[:kc], eids_d, seq[kc:],
-        )
-
-
-class _NotifyKernel:
-    """Vectorized palette notification, defer wave included.
-
-    Per-receiver strike/extras order must match the scalar inbox order.
-    Round-0 emissions go out as two homogeneous batches (colors,
-    defer announcements), so each envelope carries its rank in the
-    scalar submission order and deliveries re-interleave by that key.
-    Receivers of color-only mail take a sliced fast path; the (rare,
-    small) defer wave — interleaved appends, plus colored nodes
-    answering announcements in touched order — runs a faithful scalar
-    loop over just those arrivals.
-    """
-
-    def __init__(self, np_, net, graph, algorithms, contexts,
-                 ekeys, eids_c, colors_c, seq_c, eids_d, seq_d):
-        self.np = np_
-        self.net = net
-        self.graph = graph
-        self.algorithms = algorithms
-        self.contexts = contexts
-        self.ekeys = ekeys
-        self.eids_c = eids_c
-        self.colors_c = colors_c
-        self.seq_c = seq_c
-        self.eids_d = eids_d
-        self.seq_d = seq_d
-        self.word_bits = net.word_bits
-        n = net._n
-        #: phase-1 (reply) envelopes order after all round-0 ones.
-        self.reply_base = len(seq_c) + len(seq_d)
-        self.struck: list = [None] * n
-        self.extras: list = [None] * n
-
-    def _publish(self, v):
-        struck = self.struck[v]
-        extras = self.extras[v]
-        self.contexts[v].done({
-            "struck": () if struck is None else tuple(struck),
-            "extras": () if extras is None else tuple(extras),
-        })
-
-    def begin(self):
-        from repro.congest.columnar import SendBatch, int_words
-
-        np_ = self.np
-        for v in range(self.net._n):
-            self._publish(v)
-        out = []
-        if len(self.eids_c):
-            out.append(SendBatch(
-                "color", 0, self.eids_c, self.colors_c,
-                int_words(np_, self.colors_c, self.word_bits),
-            ))
-        if len(self.eids_d):
-            out.append(SendBatch(
-                "deferred", 0, self.eids_d,
-                np_.zeros(len(self.eids_d), dtype=np_.int64),
-                np_.ones(len(self.eids_d), dtype=np_.int64),
-            ))
-        return out
-
-    def deliver(self, arrivals):
-        from repro.congest.columnar import SendBatch, int_words
-
-        np_ = self.np
-        graph = self.graph
-        edst = graph.edst
-        esrc = graph.esrc
-        parts = []
-        reply_pos = 0
-        for batch, sub in arrivals:
-            eids = batch.eids if sub is None else batch.eids[sub]
-            k = len(eids)
-            if batch.tag == "deferred":
-                key = self.seq_d if sub is None else self.seq_d[sub]
-                vals = np_.zeros(k, dtype=np_.int64)
-                kind = np_.ones(k, dtype=np_.int64)
-            else:
-                vals = batch.values if sub is None else batch.values[sub]
-                if batch.phase == 0:
-                    key = self.seq_c if sub is None else self.seq_c[sub]
-                else:
-                    key = (self.reply_base + reply_pos
-                           + np_.arange(k, dtype=np_.int64))
-                    reply_pos += k
-                kind = np_.zeros(k, dtype=np_.int64)
-            parts.append((edst[eids], esrc[eids], vals, key, kind))
-        recv = np_.concatenate([p[0] for p in parts])
-        send = np_.concatenate([p[1] for p in parts])
-        vals = np_.concatenate([p[2] for p in parts])
-        key = np_.concatenate([p[3] for p in parts])
-        kind = np_.concatenate([p[4] for p in parts])
-        order = np_.lexsort((key, recv))
-        rs = recv[order]
-        k = len(rs)
-        starts = np_.flatnonzero(
-            np_.concatenate(([True], rs[1:] != rs[:-1]))
-        )
-        group_recv = rs[starts].tolist()
-        bounds = starts.tolist()
-        bounds.append(k)
-        has_defer = np_.maximum.reduceat(kind[order], starts) > 0
-        vals_sorted = vals[order].tolist()
-        struck = self.struck
-        if not bool(has_defer.any()):
-            # Fast path: colors only, already in per-receiver inbox
-            # order after the (receiver, sequence) sort.
-            for i, v in enumerate(group_recv):
-                got = struck[v]
-                if got is None:
-                    got = struck[v] = []
-                got.extend(vals_sorted[bounds[i]:bounds[i + 1]])
-                self._publish(v)
-            return []
-        # Defer wave: replay the scalar loop over the affected arrivals.
-        # Touched (activation) order = ascending first-arrival key.
-        gmin = np_.minimum.reduceat(key[order], starts)
-        send_sorted = send[order].tolist()
-        kind_sorted = kind[order].tolist()
-        algorithms = self.algorithms
-        extras = self.extras
-        ids = self.net._ids
-        reply_src: list[int] = []
-        reply_dst: list[int] = []
-        reply_colors: list[int] = []
-        for i in np_.argsort(gmin, kind="stable").tolist():
-            v = group_recv[i]
-            lo, hi = bounds[i], bounds[i + 1]
-            if not has_defer[i]:
-                got = struck[v]
-                if got is None:
-                    got = struck[v] = []
-                got.extend(vals_sorted[lo:hi])
-                self._publish(v)
-                continue
-            alg = algorithms[v]
-            answering = alg.role == "colored"
-            for j in range(lo, hi):
-                if kind_sorted[j]:
-                    got = extras[v]
-                    if got is None:
-                        got = extras[v] = []
-                    got.append(ids[send_sorted[j]])
-                    if answering:
-                        reply_src.append(v)
-                        reply_dst.append(send_sorted[j])
-                        reply_colors.append(alg.color)
-                else:
-                    got = struck[v]
-                    if got is None:
-                        got = struck[v] = []
-                    got.append(vals_sorted[j])
-            self._publish(v)
-        if not reply_src:
-            return []
-        sa = np_.asarray(reply_src, dtype=np_.int64)
-        da = np_.asarray(reply_dst, dtype=np_.int64)
-        colors = np_.asarray(reply_colors, dtype=np_.int64)
-        eids = np_.searchsorted(self.ekeys, sa * self.graph.n + da)
-        return [SendBatch(
-            "color", 1, eids, colors,
-            int_words(np_, colors, self.word_bits),
-        )]
 
 
 @dataclass

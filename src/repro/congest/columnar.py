@@ -29,7 +29,8 @@ kernel needs:
   "all their out-edge slots" plus an owner index, without Python loops.
 
 Kernels themselves live next to their algorithms (``mis/luby.py``,
-``coloring/johansson.py``); see ``docs/columnar.md`` for the contract.
+``coloring/johansson.py``, ``substrates/danner.py``); see
+``docs/columnar.md`` for the contract.
 """
 
 from __future__ import annotations
@@ -160,25 +161,6 @@ class ActiveGraph:
         np_.cumsum(degrees, out=indptr[1:])
         alive = np_.ones(total, dtype=bool)
         return cls(n, esrc, edst, erev, indptr, alive, degrees.copy())
-
-
-def full_graph(np_, net):
-    """The full-adjacency :class:`ActiveGraph` of ``net``, cached.
-
-    Several kernels (danner sparsification, color notification) run over
-    the whole graph; the edge table is identical for every such stage of
-    a network's lifetime, so it is built once and memoized on the
-    network.  Users of the shared table must treat ``alive``/``needed``
-    as read-only — kernels that retire edges (Luby, Johansson) run on
-    active *subgraphs* and build their own tables.
-    """
-    cached = getattr(net, "_columnar_full_graph", None)
-    if cached is None:
-        # Graph adjacency is stored as sorted tuples — exactly the
-        # shape ActiveGraph.build wants, no copying needed.
-        cached = ActiveGraph.build(np_, net._n, net.graph._adj)
-        net._columnar_full_graph = cached
-    return cached
 
 
 def block_positions(np_, indptr, nodes):

@@ -192,17 +192,3 @@ class FunctionAlgorithm(NodeAlgorithm):
 
     def on_round(self, ctx: Context, inbox: list[Msg]) -> None:
         self._fn(ctx, inbox)
-
-
-class SilentAlgorithm(NodeAlgorithm):
-    """A node that computes its output locally and never communicates.
-
-    The lower-bound experiments use silent (and near-silent) algorithms to
-    exhibit the indistinguishability dichotomy of Section 2.
-    """
-
-    def __init__(self, compute):
-        self._compute = compute
-
-    def on_round(self, ctx: Context, inbox: list[Msg]) -> None:
-        ctx.done(self._compute(ctx))

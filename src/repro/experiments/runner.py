@@ -1,19 +1,20 @@
-"""Cell execution and the multiprocessing worker pool.
+"""Cell execution, serially or in supervised warm children.
 
 ``run_cell`` is the unit of work: build the cell's graph (or reuse the
 previous cell's, when it names the same one), run its method under the
 requested engine, and return a flat JSON-serializable record.
 ``run_sweep`` drives a whole :class:`~repro.experiments.spec.SweepSpec`
-through a ``multiprocessing`` pool (or serially for ``workers <= 1``),
+serially in-process (``workers <= 1``) or in supervised children,
 appending each record to a :class:`~repro.experiments.store.ResultStore`
 as it completes and skipping cells the store already holds.
 
-Timeouts: a spec with ``timeout_s`` runs its cells in warm, reusable
-child processes (:mod:`repro.supervise`, at most ``workers`` at once).
-A child is replaced only when it is killed, crashes, misses a deadline
-or has grown past ``supervise.MAX_WARM_GROWTH_MB``, and runs one cyclic
-GC after each cell; the heap a child inherits at fork is frozen, so that
-GC walks only the child's own objects.  A cell still running at its
+Supervised cells: a sweep with ``workers > 1`` or a ``timeout_s`` runs
+its cells in warm, reusable child processes (:mod:`repro.supervise`, at
+most ``workers`` at once).  A child is replaced only when it is killed,
+crashes, misses a deadline or has grown past
+``supervise.MAX_WARM_GROWTH_MB``, and runs one cyclic GC after each
+cell; the heap a child inherits at fork is frozen, so that GC walks only
+the child's own objects.  A cell still running at its
 deadline has its child killed — the other in-flight cells are
 unaffected — is retried up to ``retries`` times, and is finally
 recorded with ``status="timeout"`` (``valid=False``).
@@ -25,7 +26,6 @@ from the resume set so a re-run attempts them again.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import threading
 import time
 from typing import Callable, Optional
@@ -269,7 +269,8 @@ def _run_cells_with_timeout(
     cancel: Optional[threading.Event] = None,
     supervisor: Optional[Supervisor] = None,
 ) -> None:
-    """Run cells in warm supervised children with per-cell deadlines.
+    """Run cells in warm supervised children with per-cell deadlines
+    (``inf`` for a cell without a ``timeout_s``).
 
     At most ``workers`` cells run at once (the ``slots`` of
     ``supervisor`` when one is passed; otherwise a supervisor is made
@@ -323,13 +324,14 @@ def run_sweep(
 ) -> list[dict]:
     """Run every cell of ``spec`` not already present in ``store``.
 
-    ``workers <= 1`` runs serially in-process; otherwise a
-    ``multiprocessing.Pool`` of that many workers executes cells
-    concurrently (cells are independent fixed-seed runs, so completion
-    order does not affect the stored results beyond line order).
-    Specs with a ``timeout_s`` instead run under the supervised process
-    farm (:func:`_run_cells_with_timeout`), which can kill and retry
-    individual cells without poisoning the rest of the sweep.
+    ``workers <= 1`` runs serially in-process, and a cell that raises
+    (outside a fault model) aborts the sweep.  ``workers > 1``, or any
+    cell with a ``timeout_s``, runs the cells in supervised warm
+    children (:func:`_run_cells_with_timeout`, deadline ``inf`` without
+    a ``timeout_s``): every record then carries ``attempts``, and a
+    cell that raises becomes a ``status="error"`` record while the rest
+    of the sweep goes on.  Cells are independent fixed-seed runs, so
+    completion order changes only the stored line order.
     Returns the newly produced records; previously stored cells are
     skipped, which is what makes an interrupted sweep resumable.
     """
@@ -345,16 +347,9 @@ def run_sweep(
         if progress is not None:
             progress(rec, len(fresh), total)
 
-    if any(c.timeout_s is not None for c in cells):
+    if workers > 1 or any(c.timeout_s is not None for c in cells):
         _run_cells_with_timeout(cells, workers, _record)
         return fresh
-
-    if workers <= 1 or total <= 1:
-        for cell in cells:
-            _record(run_cell(cell))
-        return fresh
-
-    with multiprocessing.Pool(processes=min(workers, total)) as pool:
-        for rec in pool.imap_unordered(run_cell, cells):
-            _record(rec)
+    for cell in cells:
+        _record(run_cell(cell))
     return fresh

@@ -45,18 +45,7 @@ def greedy_by_rank(graph: Graph, members: Sequence[int],
     induced subgraph G[members].
     """
     order = sorted(members, key=lambda v: keys[v])
-    return sequential_greedy_mis_over(graph, order)
-
-
-def sequential_greedy_mis_over(graph: Graph, order: Sequence[int]) -> set[int]:
-    chosen: set[int] = set()
-    blocked: set[int] = set()
-    for v in order:
-        if v not in blocked:
-            chosen.add(v)
-            blocked.add(v)
-            blocked.update(graph.neighbors(v))
-    return chosen
+    return sequential_greedy_mis(graph, order)
 
 
 class ParallelGreedyMIS(NodeAlgorithm):
@@ -139,7 +128,10 @@ class ParallelGreedyMIS(NodeAlgorithm):
         if ctx.round >= self.ready_round:
             self.ready = True
         self._try_join(ctx)
-        self._publish(ctx)
+        if inbox:
+            # An empty inbox changes no output field; a join publishes
+            # in _try_join.
+            self._publish(ctx)
 
 
 def run_parallel_greedy(net, in_s: Sequence[bool], ranks: Sequence[int],

@@ -43,10 +43,9 @@ from repro.congest.node import ColumnarStage, Context, NodeAlgorithm
 from repro.errors import ConvergenceError
 from repro.substrates.boruvka import ForestState, run_boruvka
 from repro.substrates.flooding import (
-    AdoptParents,
-    FloodLeaderElect,
     ShareRandomBits,
     TreeAggregate,
+    elect_leader_and_tree,
 )
 from repro.util.bitstrings import BitString
 
@@ -91,7 +90,7 @@ class DannerLocalStage(ColumnarStage, NodeAlgorithm):
 
     @classmethod
     def build_columnar_kernel(cls, net, algorithms, contexts):
-        from repro.congest.columnar import full_graph, get_numpy
+        from repro.congest.columnar import ActiveGraph, get_numpy
 
         np_ = get_numpy()
         if np_ is None:
@@ -107,7 +106,9 @@ class DannerLocalStage(ColumnarStage, NodeAlgorithm):
             for a in algorithms
         ):
             return None
-        graph = full_graph(np_, net)
+        # Graph adjacency is stored as sorted tuples: exactly the shape
+        # ActiveGraph.build wants.
+        graph = ActiveGraph.build(np_, n, net.graph._adj)
         if graph is None:
             return None
         return _DannerLocalKernel(np_, net, graph, first, contexts)
@@ -231,27 +232,6 @@ class DannerResult:
         ]
 
 
-def _elect_and_count(net, active, name):
-    flood = net.run(FloodLeaderElect, inputs=active, name=f"{name}-flood")
-    parents = [o["parent"] for o in flood.outputs]
-    leaders = [o["leader"] for o in flood.outputs]
-    adopt = net.run(
-        AdoptParents,
-        inputs=[{"parent": p} for p in parents],
-        name=f"{name}-adopt",
-    )
-    children = [o["children"] for o in adopt.outputs]
-    count = net.run(
-        TreeAggregate,
-        inputs=[
-            {"parent": parents[v], "children": children[v], "value": 1}
-            for v in range(net.graph.n)
-        ],
-        name=f"{name}-count",
-    )
-    return leaders, parents, children, count.outputs
-
-
 def build_danner(
     net,
     delta: float = 0.5,
@@ -278,13 +258,21 @@ def build_danner(
 
     repair_phases = 0
     for attempt in range(max_repairs):
-        leaders, parents, children, counts = _elect_and_count(
-            net, [frozenset(s) for s in active], f"{name_prefix}-elect{attempt}"
+        name = f"{name_prefix}-elect{attempt}"
+        leader_id, parents, children = elect_leader_and_tree(
+            net, [frozenset(s) for s in active], name
         )
+        counts = net.run(
+            TreeAggregate,
+            inputs=[
+                {"parent": parents[v], "children": children[v], "value": 1}
+                for v in range(n)
+            ],
+            name=f"{name}-count",
+        ).outputs
         # The leader's component count reaches every node of its component;
-        # a full count means H is spanning-connected.
+        # a full count means H is spanning-connected (one leader).
         if all(c == n for c in counts):
-            leader_id = leaders[0]
             return DannerResult(
                 active=[frozenset(s) for s in active],
                 leader_id=leader_id,

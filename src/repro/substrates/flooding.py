@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.congest.ids import NodeId
-from repro.congest.node import ColumnarStage, Context, NodeAlgorithm
+from repro.congest.node import Context, NodeAlgorithm
 from repro.errors import ProtocolError
 from repro.util.bitstrings import BitString, random_bitstring
 
@@ -29,7 +29,7 @@ def _active_neighbors(ctx: Context, active) -> tuple[NodeId, ...]:
     return tuple(u for u in ctx.neighbor_ids if u in active)
 
 
-class FloodLeaderElect(ColumnarStage, NodeAlgorithm):
+class FloodLeaderElect(NodeAlgorithm):
     """Flood the maximum ID over the active edges.
 
     Input: ``frozenset`` of active neighbor IDs (or None for all edges).
@@ -69,145 +69,6 @@ class FloodLeaderElect(ColumnarStage, NodeAlgorithm):
         if improved:
             ctx.broadcast(self.active, "lead", self.best)
         self._publish(ctx)
-
-    # -- columnar engine (docs/columnar.md) ----------------------------------
-
-    @classmethod
-    def build_columnar_kernel(cls, net, algorithms, contexts):
-        from repro.congest.columnar import ActiveGraph, get_numpy
-
-        np_ = get_numpy()
-        if np_ is None:
-            return None
-        if net.collect_utilization:
-            # "lead" payloads embed NodeIds, whose Definition 2.3
-            # utilization bookkeeping lives on the scalar send path;
-            # full-stats runs keep the reference execution.
-            return None
-        n = net._n
-        vertex_of = net.vertex_of
-        adjacency = [
-            sorted(vertex_of(u) for u in alg.active) for alg in algorithms
-        ]
-        graph = ActiveGraph.build(np_, n, adjacency)
-        if graph is None:
-            return None
-        return _FloodKernel(np_, net, graph, contexts)
-
-
-class _FloodKernel:
-    """Vectorized max-ID flooding with scalar-exact tie resolution.
-
-    The only order-sensitive output is the parent pointer: the scalar
-    stage adopts the sender of the *first* inbox message carrying the
-    round's winning candidate, and inboxes are filled in emission order
-    (activation order of the previous round; at round 0, ascending
-    vertex).  The kernel therefore (a) emits each node's fan-out in the
-    scalar broadcast order (active neighbors by ID value), (b) keeps
-    every delivery batch in emission order, and (c) re-emits improvers
-    in first-arrival ("touched") order — reproducing the scalar parent
-    forest exactly, not just the leader.
-    """
-
-    def __init__(self, np_, net, graph, contexts):
-        self.np = np_
-        self.net = net
-        self.graph = graph
-        self.contexts = contexts
-        n = self.n = net._n
-        self.ids = net._ids
-        values = np_.asarray(net.topology.values, dtype=np_.int64)
-        self.values = values
-        # Each node's out-edges in scalar fan-out order: the ``active``
-        # tuple ascends by ID value, not by vertex index.
-        self.emit_perm = np_.lexsort((values[graph.edst], graph.esrc))
-        self.best = values.copy()
-
-    def _emit(self, nodes):
-        from repro.congest.columnar import SendBatch, block_positions
-
-        np_ = self.np
-        pos, owners = block_positions(np_, self.graph.indptr, nodes)
-        if not len(pos):
-            return []
-        return [SendBatch(
-            "lead", 0,
-            self.emit_perm[pos],
-            self.best[nodes][owners],
-            np_.ones(len(pos), dtype=np_.int64),  # a NodeId is one word
-        )]
-
-    def begin(self):
-        np_ = self.np
-        graph = self.graph
-        n = self.n
-        ids = self.ids
-        contexts = self.contexts
-        for v in range(n):
-            contexts[v].done({"leader": ids[v], "parent": None})
-        from repro.congest.columnar import block_positions, masked_block_max
-
-        deg = graph.indptr[1:] - graph.indptr[:-1]
-        nbr_best = np_.full(n, -1, dtype=np_.int64)
-        nodes = np_.flatnonzero(deg > 0)
-        if len(nodes):
-            pos, owners = block_positions(np_, graph.indptr, nodes)
-            nbr_best[nodes] = masked_block_max(
-                np_, self.values[graph.edst], pos, owners,
-                graph.alive, len(nodes),
-            )
-        initiators = np_.flatnonzero(self.values > nbr_best)
-        return self._emit(initiators)
-
-    def deliver(self, arrivals):
-        np_ = self.np
-        esrc = self.graph.esrc
-        edst = self.graph.edst
-        eids = np_.concatenate([
-            b.eids if sub is None else b.eids[sub] for b, sub in arrivals
-        ])
-        vals = np_.concatenate([
-            b.values if sub is None else b.values[sub] for b, sub in arrivals
-        ])
-        senders = esrc[eids]
-        receivers = edst[eids]
-        k = len(eids)
-        order = np_.argsort(receivers, kind="stable")
-        rs = receivers[order]
-        vs = vals[order]
-        starts = np_.flatnonzero(
-            np_.concatenate(([True], rs[1:] != rs[:-1]))
-        )
-        group_recv = rs[starts]
-        gmax = np_.maximum.reduceat(vs, starts)
-        counts = np_.diff(np_.append(starts, k))
-        # First arrival position carrying the winning candidate; within a
-        # group the stable sort keeps original (arrival) positions
-        # ascending, so a masked min recovers "first".
-        ismax = vs == np_.repeat(gmax, counts)
-        firstmax = np_.minimum.reduceat(
-            np_.where(ismax, order, k), starts
-        )
-        improved = gmax > self.best[group_recv]
-        if not bool(improved.any()):
-            return []
-        upd = group_recv[improved]
-        self.best[upd] = gmax[improved]
-        parents = senders[firstmax[improved]]
-        ids = self.ids
-        contexts = self.contexts
-        vertex_of = self.net.assignment.vertex_of_value
-        for v, bval, pv in zip(
-            upd.tolist(), gmax[improved].tolist(), parents.tolist()
-        ):
-            contexts[v].done(
-                {"leader": ids[vertex_of(bval)], "parent": ids[pv]}
-            )
-        # Re-flood in scalar activation order: touched (first-arrival)
-        # order restricted to the improvers.
-        first_arrival = order[starts]
-        sel = np_.argsort(first_arrival[improved], kind="stable")
-        return self._emit(upd[sel])
 
 
 class AdoptParents(NodeAlgorithm):

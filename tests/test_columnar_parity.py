@@ -155,3 +155,33 @@ def test_stage_wall_sums_to_engine_time():
     # The breakdown accounts for the bulk of the engine's time on a
     # nontrivial cell — it is a profile, not a vestige.
     assert sum(sw.values()) > 0.0
+
+
+#: The classes that build their own columnar kernel.  Each has a row in
+#: the kernel ledger (docs/columnar.md) showing its stage wins against
+#: the scalar path; ``FullExchangeTrialColoring`` inherits Johansson's.
+KERNEL_CLASSES = {"LubyMIS", "JohanssonListColoring", "DannerLocalStage"}
+
+
+def test_kernel_ledger_is_pinned():
+    import importlib
+    import inspect
+    import pkgutil
+
+    import repro
+    from repro.congest.node import ColumnarStage
+
+    found = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith("__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for _name, cls in inspect.getmembers(module, inspect.isclass):
+            if (cls.__module__ == info.name and cls is not ColumnarStage
+                    and "build_columnar_kernel" in vars(cls)):
+                found.add(cls.__name__)
+    assert found == KERNEL_CLASSES, (
+        "columnar kernels changed: a kernel stays only with a measured "
+        "win, so add or remove its row in the kernel ledger table of "
+        "docs/columnar.md together with KERNEL_CLASSES"
+    )

@@ -16,13 +16,16 @@ Comparing the engine with itself cannot see a change both paths share,
 so Algorithm 3's KT-2 transcripts (rounds and event schedulers) and one
 KT-3 lower-bound run are also pinned to values recorded before KT-rho
 knowledge was computed on demand, and Algorithm 1's KT-1 transcripts
-(rounds, columnar and event schedulers) to values recorded before its
-driver evaluated the level hashes once per ID instead of once per edge.
+(rounds and event schedulers) to values recorded before its driver
+evaluated the level hashes once per ID instead of once per edge.  The
+columnar KT-1 transcript is pinned as a relation: the rounds transcript
+minus exactly the stages a columnar kernel runs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 
 import pytest
 
@@ -262,8 +265,7 @@ def test_kt2_algorithm3_transcript_is_pinned(engine, seed):
 #: seeded alike: (transcript digest, messages, deferred_total).  Every
 #: case runs at least one partition level with deferrals, so the
 #: driver's remnant, part and palette sets — extras included — all
-#: reach the transcript.  Columnar digests differ from the scalar ones
-#: because kernel stages bypass ``on_round``; counts agree.
+#: reach the transcript.
 KT1_TRANSCRIPTS = {
     ("rounds", 0): ("590e7a1edc057972a3791b19beb2ee9f"
                     "970c2175accf013c2c476e97bea3480b", 21140, 7),
@@ -271,12 +273,6 @@ KT1_TRANSCRIPTS = {
                     "774d9f00bc9acfc913f06852518411b7", 22163, 2),
     ("rounds", 2): ("ce57d93fbf9beb3f4cabfa7b20619bc2"
                     "11cde44f0c60f9278d4ba98858f854e9", 21689, 9),
-    ("columnar", 0): ("0af075510c970f68bbc2b727c2943655"
-                      "15e0c36d26916430e0985a9eee442314", 21140, 7),
-    ("columnar", 1): ("acc458c1f21ebc0198f473c898fe6614"
-                      "a6839f953b0ec41436b668c01fefd53d", 22163, 2),
-    ("columnar", 2): ("2c259052bf3cfb1dca975ee91425cdb8"
-                      "7da0aa787963afd41fa9d864755992ac", 21689, 9),
     ("event", 0): ("4bba8749e95551bf19441d21a357924d"
                    "df35b067b840935a47296bfb91dfc8df", 23338, 7),
     ("event", 1): ("76cfce60db319c8b9707f1bcf77ba306"
@@ -285,9 +281,17 @@ KT1_TRANSCRIPTS = {
                    "ec04d13b7f945c942e949f1f3e6b0b7c", 25208, 9),
 }
 
+#: The same runs on the columnar scheduler: (messages, deferred_total).
+#: Its transcript is pinned as a relation to the rounds transcript
+#: instead (see the test below), since kernel stages never reach
+#: ``on_round``.
+KT1_COLUMNAR_COUNTS = {0: (21140, 7), 1: (22163, 2), 2: (21689, 9)}
 
-@pytest.mark.parametrize("engine, seed", sorted(KT1_TRANSCRIPTS))
-def test_kt1_algorithm1_transcript_is_pinned(engine, seed):
+#: The Algorithm 1 stages a columnar kernel runs, digits normalised.
+KT1_KERNEL_STAGES = {"alg1-base-*", "alg1-color-*", "alg1-danner-local"}
+
+
+def _run_kt1(engine, seed):
     graph = family_graph("gnp", 120, p=0.6, seed=seed)
     if engine == "event":
         # Synchronizer budgets from a synchronous run, as api does.
@@ -302,8 +306,33 @@ def test_kt1_algorithm1_transcript_is_pinned(engine, seed):
     result = run_algorithm1(net, seed=seed)
     assert any(not lv.base_case for lv in result.levels)
     assert result.deferred_total > 0
+    return log, net, result
+
+
+@pytest.mark.parametrize("engine, seed", sorted(KT1_TRANSCRIPTS))
+def test_kt1_algorithm1_transcript_is_pinned(engine, seed):
+    log, net, result = _run_kt1(engine, seed)
     assert (transcript_digest(log), net.stats.messages,
             result.deferred_total) == KT1_TRANSCRIPTS[engine, seed]
+
+
+@pytest.mark.parametrize("seed", sorted(KT1_COLUMNAR_COUNTS))
+def test_kt1_columnar_transcript_is_rounds_minus_kernel_stages(seed):
+    """A columnar kernel stage never reaches ``on_round``, so the
+    columnar log is the (pinned) rounds log with exactly the kernel
+    stages taken out, and every other stage's inboxes unchanged."""
+    rounds_log, _net, _result = _run_kt1("rounds", seed)
+    assert transcript_digest(rounds_log) == KT1_TRANSCRIPTS["rounds", seed][0]
+    log, net, result = _run_kt1("columnar", seed)
+    assert (net.stats.messages, result.deferred_total) == \
+        KT1_COLUMNAR_COUNTS[seed]
+    stages = lambda log: {st for es in log.values() for st, _r, _i in es}
+    kept = stages(log)
+    filtered = {v: [e for e in es if e[0] in kept]
+                for v, es in rounds_log.items()}
+    assert log == {v: es for v, es in filtered.items() if es}
+    missing = {re.sub(r"-\d+", "-*", st) for st in stages(rounds_log) - kept}
+    assert missing == KT1_KERNEL_STAGES
 
 
 def test_kt3_cycle_experiment_counts_are_pinned():

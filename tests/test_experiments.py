@@ -126,8 +126,9 @@ def test_stats_lite_counts_match_full_accounting():
     assert mis_lite["rounds"] == mis_full["rounds"]
 
 
-def test_sweep_parallel_pool_matches_serial(tmp_path):
-    """>= 2 families x >= 2 seeds under the pool == the serial run."""
+def test_sweep_supervised_workers_match_serial(tmp_path):
+    """>= 2 families x >= 2 seeds in supervised children == the serial
+    run; every supervised record carries ``attempts``."""
     spec = SweepSpec(
         families=("gnp", "regular"),
         sizes=(40,),
@@ -135,15 +136,46 @@ def test_sweep_parallel_pool_matches_serial(tmp_path):
         methods=("luby",),
     )
     serial = run_sweep(spec, store=None, workers=0)
-    store = ResultStore(str(tmp_path / "pool.jsonl"))
+    store = ResultStore(str(tmp_path / "workers.jsonl"))
     with store:
         parallel = run_sweep(spec, store=store, workers=2)
     assert len(serial) == len(parallel) == spec.size
     by_key = lambda recs: {r["key"]: r["messages"] for r in recs}
     assert by_key(serial) == by_key(parallel)
+    assert {r["attempts"] for r in parallel} == {1}
     # Round-trip through the JSON-lines store preserves the records.
     stored = {r["key"]: r["messages"] for r in store.load()}
     assert stored == by_key(serial)
+
+
+def test_sweep_workers_record_a_raising_cell_as_error(monkeypatch):
+    """Under ``workers > 1`` a fault-free cell that raises becomes an
+    error record; its siblings still run and succeed."""
+    from repro.experiments import runner
+
+    spec = SweepSpec(families=("gnp",), sizes=(30,), seeds=(0, 1, 2),
+                     methods=("luby",))
+    keys = [c.key() for c in spec.cells()]
+    bad = keys[1]
+    real_run_cell = runner.run_cell
+
+    def run_cell(cell):
+        if cell.key() == bad:
+            raise ReproError("boom")
+        return real_run_cell(cell)
+
+    # Patched before the children fork, so they inherit it.
+    monkeypatch.setattr(runner, "run_cell", run_cell)
+    records = run_sweep(spec, store=None, workers=2)
+    by_key = {r["key"]: r for r in records}
+    assert len(records) == 3 and set(by_key) == set(keys)
+    assert by_key[bad]["status"] == "error"
+    assert "boom" in by_key[bad]["error"]
+    assert by_key[bad]["attempts"] == 1
+    assert all(r["status"] == "ok" and r["valid"]
+               for key, r in by_key.items() if key != bad)
+    with pytest.raises(ReproError, match="boom"):
+        run_sweep(spec, store=None, workers=1)
 
 
 def test_sweep_resume_skips_completed(tmp_path):

@@ -7,7 +7,8 @@ N(w) \\ N[u] and w is the minimum-ID common neighbor of u and x, so every
 count ``_submit`` calls (one outbox entry each): ``NotifyStage``,
 ``ParallelGreedyMIS`` and ``InformTwoHop`` send each same-payload
 fan-out as one ``ctx.broadcast``, so a return to per-target send loops
-fails them while every count stays the same.
+fails them while every count stays the same.  ``ParallelGreedyMIS``
+also rebuilds its output only when a round changed it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.congest.ids import id_value
 from repro.congest.network import SyncNetwork
 from repro.graphs.generators import gnp_random_graph
 from repro.mis.algorithm3 import InformTwoHop
-from repro.mis.greedy import run_parallel_greedy
+from repro.mis.greedy import ParallelGreedyMIS, run_parallel_greedy
 
 
 def count_submits(net) -> Counter:
@@ -125,6 +126,39 @@ def test_greedy_sends_one_fanout_per_announcement():
     })
     assert calls["retired"] > 0
     assert stage.stats.messages > sum(calls.values())
+
+
+def test_greedy_publishes_only_on_change():
+    """``ParallelGreedyMIS`` is not passive, so every node runs every
+    round; it rebuilds its output only in round 0, on a non-empty inbox
+    and on a join, and the outputs match the plain stage's."""
+    graph = gnp_random_graph(60, 0.3, seed=5)
+    rng = random.Random(5)
+    in_s = [rng.random() < 0.3 for _ in range(graph.n)]
+    ranks = rng.sample(range(10_000), graph.n)
+    plain = run_parallel_greedy(SyncNetwork(graph, seed=5), in_s, ranks,
+                                rank_space=10_000)
+    seen = Counter()
+
+    class Counting(ParallelGreedyMIS):
+        def _publish(self, ctx):
+            seen["publish"] += 1
+            super()._publish(ctx)
+
+        def on_round(self, ctx, inbox):
+            seen["activations"] += 1
+            seen["busy"] += ctx.round > 0 and bool(inbox)
+            super().on_round(ctx, inbox)
+
+    net = SyncNetwork(graph, seed=5)
+    stage = net.run(Counting, inputs=[
+        {"in_s": in_s[v], "rank": ranks[v], "rank_space": 10_000}
+        for v in range(graph.n)
+    ])
+    assert stage.outputs == plain.outputs
+    joins = sum(o["joined"] for o in stage.outputs)
+    assert seen["publish"] == graph.n + seen["busy"] + joins
+    assert seen["publish"] < seen["activations"]
 
 
 def test_notify_sends_one_fanout_per_wave():
