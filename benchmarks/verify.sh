@@ -56,8 +56,20 @@ echo "== tier-1 (fast slice: -m 'not slow') =="
 # ordered accessors equal to neighborhood_of, refusals included; and
 # tests/test_fanout_structure.py holds Algorithm 3's relays to their
 # definition and NotifyStage, ParallelGreedyMIS and InformTwoHop to one
-# outbox entry per fan-out.  All of these run again right after the
-# fast slice, by name.
+# outbox entry per fan-out.  The idle-work guards:
+# tests/test_idle_work.py holds Algorithm 1's tree relays to no send
+# without receivers (one _submit per node with children and chunk in a
+# shared-bits stage, TreeAggregate echoes only from nodes with
+# children), the BitString payload memo to analyze_payload's answer
+# (and never answering for an int, str or tuple key), and
+# DannerLocalStage, NotifyStage and FloodLeaderElect to one output
+# build per change with outputs equal to the rebuild-per-activation
+# definition on all three schedulers, and a traced run decoding the
+# live danner set like the kernel's frozenset; tests/test_latency_fanout.py
+# holds the event scheduler's one-call fan-out delays to per-receiver
+# link_delay draws (uniform, fixed, adversary_latency; a uniform
+# subclass that changes a draw uses the loop).  All of these run again
+# right after the fast slice, by name.
 python -m pytest -x -q -m "not slow"
 python -m pytest -x -q \
     tests/test_api.py::test_engine_run_leaves_only_per_node_cyclic_garbage \
@@ -71,6 +83,9 @@ python -m pytest -x -q \
     tests/test_phase_predicates.py \
     tests/test_topology_order.py \
     tests/test_fanout_structure.py
+python -m pytest -x -q \
+    tests/test_idle_work.py \
+    tests/test_latency_fanout.py
 
 echo "== benchmark harness tests (perfbench/) =="
 # perfbench/tracing.py wraps supervisor, farm and serving functions by

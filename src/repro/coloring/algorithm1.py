@@ -26,6 +26,7 @@ into the remnant, keeping the algorithm always-correct.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,7 +44,9 @@ class NotifyStage(NodeAlgorithm):
     Nodes colored at the level just finished send their color once to
     every remnant neighbor; nodes that deferred announce themselves to all
     neighbors (a rare event), and colored-this-level nodes answer such
-    announcements with their color so no strike is missed.
+    announcements with their color so no strike is missed.  The output,
+    ``{"struck": [...], "extras": [...]}``, is published once: its two
+    lists grow in place as colors and deferral notices arrive.
     """
 
     passive_when_idle = True
@@ -55,10 +58,6 @@ class NotifyStage(NodeAlgorithm):
         self.targets = state.get("targets", ())
         self.struck: list[int] = []
         self.extras: list = []
-
-    def _publish(self, ctx: Context) -> None:
-        ctx.done({"struck": tuple(self.struck),
-                  "extras": tuple(self.extras)})
 
     def on_round(self, ctx: Context, inbox) -> None:
         if ctx.round == 0:
@@ -76,7 +75,8 @@ class NotifyStage(NodeAlgorithm):
         if self.role == "colored" and len(self.extras) > deferrers:
             # One reply fan-out to this round's deferrers, in inbox order.
             ctx.broadcast(self.extras[deferrers:], "color", self.color)
-        self._publish(ctx)
+        if not ctx.finished:
+            ctx.done({"struck": self.struck, "extras": self.extras})
 
 
 @dataclass
@@ -107,6 +107,10 @@ class Algorithm1Result:
     @property
     def num_levels(self) -> int:
         return len(self.levels)
+
+
+#: Sort key putting IDs in value order (the notify wave's target order).
+_by_value = operator.attrgetter("_value")
 
 
 def _tuple_combine(a, b):
@@ -343,10 +347,10 @@ def run_algorithm1(
                 deferred_now += 1
                 deferred_total += 1
                 role = "deferred"
-            notify_inputs.append(
-                {"role": role, "color": color, "targets": tuple(sorted(
-                    targets, key=lambda x: x._value))}  # noqa: SLF001
-            )
+            notify_inputs.append({
+                "role": role, "color": color,
+                "targets": tuple(sorted(targets, key=_by_value)),
+            })
         notify = net.run(
             NotifyStage,
             inputs=notify_inputs,

@@ -66,6 +66,7 @@ from repro.errors import (
     UnknownNeighborError,
 )
 from repro.graphs.core import Graph
+from repro.util.bitstrings import BitString
 
 
 @dataclass
@@ -141,8 +142,9 @@ class SyncNetwork:
         #: :meth:`_flush_outbox`: one (sender, receivers, tag, fields,
         #: words, ids) entry per fan-out, receivers in order.
         self._outbox: list[tuple] = []
-        #: LRU-ish memo of analyze_payload results for small ID-free
-        #: payloads, keyed by the fields tuple (structural identity).
+        #: LRU-ish memo of analyze_payload results for ID-free payloads
+        #: (:attr:`_MEMO_FIELD_TYPES`), keyed by the fields tuple
+        #: (structural identity).
         self._payload_cache: dict[tuple, tuple[int, tuple]] = {}
         #: Delivery discipline (see :mod:`repro.congest.runtime`).  The
         #: default is the synchronous round scheduler; subclasses and
@@ -298,14 +300,16 @@ class SyncNetwork:
         )
 
     #: Exact field types the payload memo may key on.  Restricting to
-    #: these small ID-free scalars keeps the memo sound: tuple equality
+    #: these ID-free immutables keeps the memo sound: tuple equality
     #: must not cross types (1 == 1.0 == Decimal(1), so an equal-but-
     #: unencodable value could otherwise hit a cached entry and bypass
     #: analyze_payload's validation), and NodeId-bearing results must
     #: not outlive comparisons against later ID objects with the same
     #: value.  bool/int crossings (True == 1) are safe: both encode to
-    #: the same word count.
-    _MEMO_FIELD_TYPES = frozenset((int, bool, str, type(None)))
+    #: the same word count.  A BitString is equal only to another
+    #: BitString and caches its hash, so a chunk relayed down a tree is
+    #: analyzed once, not at every hop.
+    _MEMO_FIELD_TYPES = frozenset((int, bool, str, type(None), BitString))
 
     def _analyze(self, fields: tuple) -> tuple[int, tuple]:
         """:func:`analyze_payload` behind a small structural-identity memo.

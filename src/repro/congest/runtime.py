@@ -115,14 +115,28 @@ class LatencyModel:
         The default replicates the scheduler's historical draw loop
         exactly — first packet plus ``charged - 1`` more, in order — so
         every distribution-only model consumes the identical rng stream
-        and fixed-seed arrival schedules are unchanged.  The scheduler
-        calls it once per receiver, in order, with the send's shared
-        envelope; models that need to know who is sending override this.
+        and fixed-seed arrival schedules are unchanged.  The base
+        :meth:`fanout_delays` calls it once per receiver, in order, with
+        the send's shared envelope; models that need to know who is
+        sending override this.
         """
         delay = self.packet_delay(rng)
         for _ in range(charged - 1):
             delay += self.packet_delay(rng)
         return delay
+
+    def fanout_delays(self, env: "Envelope", charged: int, k: int,
+                      rng: random.Random) -> list[float]:
+        """The link delays of a fan-out's ``k`` copies, in receiver order.
+
+        The scheduler makes this one call per send.  The default calls
+        :meth:`link_delay` once per copy, so a model that overrides
+        ``link_delay`` (the latency adversary's per-copy bookkeeping)
+        keeps its behaviour.  ``uniform`` overrides it with the same
+        draws, in the same order, summed the same way.
+        """
+        link_delay = self.link_delay
+        return [link_delay(env, charged, rng) for _ in range(k)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return f"{type(self).__name__}()"
@@ -163,6 +177,32 @@ class UniformLatency(LatencyModel):
 
     def packet_delay(self, rng: random.Random) -> float:
         return rng.uniform(self.low, self.high)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # A subclass that changes a draw without its own fan-out call
+        # draws through the per-copy loop, not the inline copy below.
+        own = vars(cls)
+        if "fanout_delays" not in own and (
+                "packet_delay" in own or "link_delay" in own):
+            cls.fanout_delays = LatencyModel.fanout_delays
+
+    def fanout_delays(self, env: "Envelope", charged: int, k: int,
+                      rng: random.Random) -> list[float]:
+        # rng.uniform(a, b) is a + (b - a) * rng.random(): the same
+        # draws, inline.
+        low = self.low
+        span = self.high - low
+        draw = rng.random
+        if charged == 1:
+            return [low + span * draw() for _ in range(k)]
+        delays = []
+        for _ in range(k):
+            delay = low + span * draw()
+            for _ in range(charged - 1):
+                delay += low + span * draw()
+            delays.append(delay)
+        return delays
 
 
 class ExponentialLatency(LatencyModel):
@@ -1115,19 +1155,18 @@ class EventScheduler(Scheduler):
                         charged: int) -> None:
         now = self._now
         link_clock = self._link_clock
-        link_delay = self.latency.link_delay
-        rng = self._rng
         queue = self._queue
         push = heapq.heappush
         seq = self._seq
         base = env.sender * self.net._n
-        for receiver in receivers:
-            # Delays are drawn per receiver in order: the rng stream is
-            # that of a loop of single sends.
+        # One call draws every copy's delay, per receiver in order: the
+        # rng stream is that of a loop of single sends.
+        delays = self.latency.fanout_delays(env, charged, len(receivers),
+                                            self._rng)
+        for receiver, delay in zip(receivers, delays):
             link = base + receiver
-            clock = link_clock.get(link, 0.0)
-            arrival = (clock if clock > now else now) + link_delay(
-                env, charged, rng)
+            clock = link_clock[link]
+            arrival = (clock if clock > now else now) + delay
             link_clock[link] = arrival
             seq += 1
             push(queue, (arrival, seq, receiver, env))
@@ -1139,8 +1178,9 @@ class EventScheduler(Scheduler):
         n = net._n
         self._queue: list = []
         self._seq = 0
-        # Per-directed-link FIFO clock, flat-indexed sender*n + receiver.
-        self._link_clock: dict[int, float] = {}
+        # Per-directed-link FIFO clock, keyed sender*n + receiver; a
+        # link that has carried nothing reads as time zero.
+        self._link_clock: defaultdict[int, float] = defaultdict(float)
         self._now = 0.0
         net._current_round = 0
         activations = [0] * n

@@ -47,7 +47,7 @@ def decode_value(value: Any, vertex_of: Callable[[int], int]) -> Any:
         return tuple(decode_value(v, vertex_of) for v in value)
     if isinstance(value, list):
         return tuple(decode_value(v, vertex_of) for v in value)
-    if isinstance(value, frozenset):
+    if isinstance(value, (set, frozenset)):
         return frozenset(decode_value(v, vertex_of) for v in value)
     return value
 

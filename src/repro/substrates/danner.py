@@ -57,7 +57,12 @@ def is_landmark(id_value: int, seed, probability: float) -> bool:
 
 
 class DannerLocalStage(ColumnarStage, NodeAlgorithm):
-    """Local sparsification + one KEEP notification per kept edge."""
+    """Local sparsification + one KEEP notification per kept edge.
+
+    Output: the node's H-neighbor set, published once as a live set that
+    every arriving KEEP grows (a consumer that needs it frozen copies it
+    once, as :func:`build_danner` does).
+    """
 
     passive_when_idle = True
 
@@ -84,7 +89,8 @@ class DannerLocalStage(ColumnarStage, NodeAlgorithm):
             ctx.broadcast(kept, "keep")
         for msg in inbox:
             self.active.add(msg.sender_id)
-        ctx.done(frozenset(self.active))
+        if not ctx.finished:
+            ctx.done(self.active)
 
     # -- columnar engine (docs/columnar.md) ----------------------------------
 
@@ -215,8 +221,17 @@ class DannerResult:
         return sorted(edges)
 
     def edge_count(self, net) -> int:
-        """``len(edge_list(net))``, counted as int pair keys: each
-        directed entry resolves through its owner's port map."""
+        """``len(edge_list(net))``.
+
+        On a fault-free network H is symmetric by construction (a KEEP
+        makes both endpoints hold the edge, and Borůvka repair adds both
+        directions), so every edge is two directed entries.  A faulted
+        run can lose a KEEP and leave an edge at one endpoint only; then
+        the edges are counted as int pair keys, each directed entry
+        resolved through its owner's port map.
+        """
+        if net.faults is None:
+            return sum(map(len, self.active)) // 2
         n = net.graph.n
         ports = net.topology.ports
         keys = set()

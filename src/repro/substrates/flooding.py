@@ -10,7 +10,9 @@ and O(diam(H)) rounds rather than Ω(m).
 
 All stages follow the same convention: every node calls ``ctx.done`` in
 round 0 with a provisional output and keeps updating it as messages
-arrive; the engine ends the stage at global quiescence.
+arrive; the engine ends the stage at global quiescence.  A tree relay
+with no children makes no send, so a tree stage's interpreter work is
+proportional to the messages it moves, not to the number of nodes.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ class FloodLeaderElect(NodeAlgorithm):
     Output: ``{"leader": id, "parent": id-or-None}`` where parent pointers
     form a tree toward the leader (the neighbor that first delivered the
     winning candidate).  Expected message cost O(|active| log n) — each
-    node re-floods only when its best candidate improves.
+    node re-floods only when its best candidate improves, and rebuilds
+    its output only then (and at its first activation).
     """
 
     passive_when_idle = True
@@ -68,7 +71,8 @@ class FloodLeaderElect(NodeAlgorithm):
                 improved = True
         if improved:
             ctx.broadcast(self.active, "lead", self.best)
-        self._publish(ctx)
+        if improved or not ctx.finished:
+            self._publish(ctx)
 
 
 class AdoptParents(NodeAlgorithm):
@@ -120,7 +124,8 @@ class TreeBroadcast(NodeAlgorithm):
             ctx.broadcast(self.children, "bcast", self.payload)
         for msg in inbox:
             (self.payload,) = msg.fields
-            ctx.broadcast(self.children, "bcast", self.payload)
+            if self.children:
+                ctx.broadcast(self.children, "bcast", self.payload)
         ctx.done(self.payload)
 
 
@@ -153,7 +158,10 @@ class ChunkedTreeBroadcast(NodeAlgorithm):
 
     def _stream(self, ctx: Context, payload: BitString) -> None:
         size = self.chunk_bits
-        pieces = [payload[i:i + size] for i in range(0, len(payload), size)]
+        # An empty payload still streams one (empty, one-word) "bce"
+        # chunk: without it no relay learns that the broadcast is over.
+        pieces = [payload[i:i + size]
+                  for i in range(0, len(payload), size)] or [payload]
         for i, piece in enumerate(pieces):
             tag = "bce" if i == len(pieces) - 1 else "bc"
             ctx.broadcast(self.children, tag, piece)
@@ -166,11 +174,13 @@ class ChunkedTreeBroadcast(NodeAlgorithm):
             self._stream(ctx, self.payload)
             ctx.done(self.payload)
             return
+        children = self.children
         for msg in inbox:
             (piece,) = msg.fields
             self.received.append(piece)
             tag = msg.tag
-            ctx.broadcast(self.children, tag, piece)
+            if children:
+                ctx.broadcast(children, tag, piece)
             if tag == "bce":
                 # One-pass reassembly; incremental concat per arriving
                 # chunk would be quadratic in the payload length.
@@ -220,7 +230,8 @@ class TreeAggregate(NodeAlgorithm):
     def _complete_subtree(self, ctx: Context) -> None:
         if self.parent is None:
             self.total = self.acc
-            ctx.broadcast(self.children, "echo", self.total)
+            if self.children:
+                ctx.broadcast(self.children, "echo", self.total)
         else:
             ctx.send(self.parent, "agg", self.acc)
 
@@ -234,7 +245,8 @@ class TreeAggregate(NodeAlgorithm):
                     self._complete_subtree(ctx)
             elif msg.tag == "echo":
                 (self.total,) = msg.fields
-                ctx.broadcast(self.children, "echo", self.total)
+                if self.children:
+                    ctx.broadcast(self.children, "echo", self.total)
         if ctx.round == 0 and self.waiting == 0:
             self._complete_subtree(ctx)
         self._publish(ctx)

@@ -15,9 +15,12 @@ work.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 _VALID_BITS = frozenset((0, 1))
+_bits_of = attrgetter("bits")
 
 
 class BitString:
@@ -87,12 +90,11 @@ class BitString:
 
     @staticmethod
     def concat_all(pieces: Sequence["BitString"]) -> "BitString":
-        """Concatenate many pieces in one pass (the broadcast-reassembly
-        path; pairwise ``concat`` in a loop is quadratic)."""
-        bits: list[int] = []
-        for piece in pieces:
-            bits.extend(piece.bits)
-        return BitString._wrap(tuple(bits))
+        """Concatenate many pieces in one C-level pass (the
+        broadcast-reassembly path; pairwise ``concat`` in a loop is
+        quadratic)."""
+        return BitString._wrap(
+            tuple(chain.from_iterable(map(_bits_of, pieces))))
 
 
 def random_bitstring(rng, length: int) -> BitString:

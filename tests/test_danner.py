@@ -11,6 +11,8 @@ from repro.graphs.generators import (
     barbell_graph,
     complete_graph,
     connected_gnp_graph,
+    power_law_graph,
+    random_regular_graph,
 )
 from repro.substrates.danner import (
     DannerLocalStage,
@@ -174,3 +176,33 @@ def test_danner_edge_count_exact_on_asymmetric_active_sets():
     )
     assert net.stats.dropped_messages > 0 and asymmetric > 0
     assert d.edge_count(net) == len(d.edge_list(net))
+
+
+def _bridged_cliques(k: int) -> Graph:
+    """Two k-cliques joined by one edge between heavy nodes: the local
+    stage drops the bridge unless an endpoint is a landmark."""
+    clique = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    return Graph(2 * k, clique + [(k + i, k + j) for i, j in clique]
+                 + [(0, k)])
+
+
+@pytest.mark.parametrize("graph,seed,repairs", [
+    (connected_gnp_graph(90, 0.35, seed=26), 30, 0),
+    (random_regular_graph(80, 30, seed=27), 30, 0),
+    (power_law_graph(90, attachment=4, seed=28), 30, 0),
+    (barbell_graph(20, 4), 30, 0),
+    (_bridged_cliques(30), 2, 4),
+], ids=["gnp", "regular", "powerlaw", "barbell", "bridged-repair"])
+def test_fault_free_danner_is_symmetric(graph, seed, repairs):
+    """Without faults a KEEP reaches both endpoints and Boruvka repair
+    adds both directions, so H is symmetric and the O(n) count (half the
+    directed entries) is exact."""
+    net = SyncNetwork(graph, seed=seed)
+    d = build_danner(net, delta=0.5, seed=seed)
+    assert d.repair_phases == repairs
+    ids = net.topology.id_of
+    for v, nbrs in enumerate(d.active):
+        for u in nbrs:
+            assert ids[v] in d.active[net.vertex_of(u)]
+    assert d.edge_count(net) == len(d.edge_list(net))
+    assert d.edge_count(net) == sum(map(len, d.active)) // 2

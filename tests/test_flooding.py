@@ -190,3 +190,28 @@ def test_share_random_bits_agreement(gnp_small):
     res = net.run(lambda: ShareRandomBits(256), inputs=inputs)
     assert all(o == res.outputs[0] for o in res.outputs)
     assert len(res.outputs[0]) == 256
+
+
+@pytest.mark.parametrize("stage", ["share-bits", "chunked"])
+def test_empty_payload_reaches_every_node(stage):
+    """A zero-length string still ends with every node holding it: the
+    root streams one empty "bce" chunk, one 1-word message per tree
+    edge."""
+    from repro.graphs.generators import connected_gnp_graph
+    from repro.substrates.danner import build_danner
+
+    graph = connected_gnp_graph(30, 0.3, seed=14)
+    net = SyncNetwork(graph, seed=14)
+    danner = build_danner(net, seed=14)
+    inputs = danner.tree_inputs()
+    if stage == "share-bits":
+        factory = lambda: ShareRandomBits(0)  # noqa: E731
+    else:
+        inputs[danner.leader_vertex]["payload"] = BitString(())
+        factory = ChunkedTreeBroadcast
+    before = (net.stats.messages, net.stats.words)
+    res = net.run(factory, inputs=inputs)
+    assert res.outputs == [BitString(())] * graph.n
+    edges = graph.n - 1
+    assert (net.stats.messages, net.stats.words) == (
+        before[0] + edges, before[1] + edges)
