@@ -26,7 +26,7 @@ echo "== tier-1 (fast slice: -m 'not slow') =="
 # hashes once per ID instead of once per edge;
 # ::test_kt1_columnar_transcript_is_rounds_minus_kernel_stages holds the
 # columnar transcript to the pinned rounds one minus exactly the stages
-# a columnar kernel runs (alg1-base-*, alg1-color-*, alg1-danner-local).
+# a columnar kernel runs (alg1-base-*, alg1-color-*).
 # The kernel ledger pin
 # tests/test_columnar_parity.py::test_kernel_ledger_is_pinned holds the
 # set of classes with their own columnar kernel to the stages whose win
@@ -65,7 +65,7 @@ echo "== tier-1 (fast slice: -m 'not slow') =="
 # DannerLocalStage, NotifyStage and FloodLeaderElect to one output
 # build per change with outputs equal to the rebuild-per-activation
 # definition on all three schedulers, and a traced run decoding the
-# live danner set like the kernel's frozenset; tests/test_latency_fanout.py
+# live danner set like an untraced run's; tests/test_latency_fanout.py
 # holds the event scheduler's one-call fan-out delays to per-receiver
 # link_delay draws (uniform, fixed, adversary_latency; a uniform
 # subclass that changes a draw uses the loop).  All of these run again

@@ -45,11 +45,6 @@ class NodeId:
         # the async engine's delay stream) differ between processes.
         self._hash = hash(self._value * 0x9E3779B97F4A7C15 + 1)
 
-    @property
-    def value(self) -> int:
-        """The raw integer (non-comparison-based access)."""
-        return self._value
-
     # -- comparisons (always allowed) ---------------------------------------
 
     def _other(self, other) -> int:
@@ -100,6 +95,13 @@ class NodeId:
 
     def __index__(self):
         raise TypeError("use .value to read a NodeId deliberately")
+
+
+#: ``NodeId.value``, the raw integer (non-comparison-based access), is the
+#: ``_value`` slot itself rather than a property, so reading it runs no
+#: Python frame; node programs read it once per neighbor.
+#: :class:`OpaqueId` shadows it with a property that raises.
+NodeId.value = NodeId._value
 
 
 class OpaqueId(NodeId):

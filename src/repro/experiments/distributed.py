@@ -470,23 +470,20 @@ class SweepState:
     coordinator's global counters are sums over these.
     """
 
-    def __init__(self, name: str, spec: Optional[SweepSpec],
-                 cells: Optional[Iterable[Cell]],
+    def __init__(self, name: str, spec: SweepSpec,
                  store: Optional[ResultStore], owns_store: bool,
                  priority: int, lease_s: float, max_requeues: int):
         self.name = name
         self.spec = spec
-        self.fingerprint = spec.fingerprint() if spec is not None else None
+        self.fingerprint = spec.fingerprint()
         self.store = store
         #: Farm-opened stores are closed by the coordinator at stop();
         #: caller-supplied ones stay the caller's to close.
         self.owns_store = owns_store
         self.priority = priority
         self.cancelled = False
-        if cells is None:
-            cells = spec.cells()
         done = store.completed_keys() if store is not None else set()
-        todo = [c for c in cells if c.key() not in done]
+        todo = [c for c in spec.cells() if c.key() not in done]
         self.total = len(todo)
         self.queue = WorkQueue(todo, lease_s=lease_s,
                                max_requeues=max_requeues)
@@ -622,7 +619,6 @@ class Coordinator:
         self,
         spec: Optional[SweepSpec] = None,
         store: Optional[ResultStore] = None,
-        cells: Optional[Iterable[Cell]] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         lease_s: float = DEFAULT_LEASE_S,
@@ -636,8 +632,8 @@ class Coordinator:
         name: str = DEFAULT_SWEEP,
         priority: int = DEFAULT_PRIORITY,
     ):
-        if spec is None and cells is None and not persistent:
-            raise DistributedError("Coordinator needs a spec or cells")
+        if spec is None and not persistent:
+            raise DistributedError("Coordinator needs a spec")
         self.lease_s = lease_s
         self.max_requeues = max_requeues
         self.fresh: list[dict] = []
@@ -667,9 +663,8 @@ class Coordinator:
         self._draining = threading.Event()
         self._server: Optional[Server] = None
         self._host, self._port = host, port
-        if spec is not None or cells is not None:
-            self.add_sweep(name, spec=spec, cells=cells, store=store,
-                           priority=priority)
+        if spec is not None:
+            self.add_sweep(name, spec=spec, store=store, priority=priority)
         self._journal = journal
         if journal is not None and resume_journal:
             payload = journal.load()
@@ -682,8 +677,7 @@ class Coordinator:
     def add_sweep(
         self,
         name: str,
-        spec: Optional[SweepSpec] = None,
-        cells: Optional[Iterable[Cell]] = None,
+        spec: SweepSpec,
         store: Optional[ResultStore] = None,
         priority: int = DEFAULT_PRIORITY,
         owns_store: bool = False,
@@ -702,18 +696,14 @@ class Coordinator:
             raise DistributedError(
                 f"invalid sweep name {name!r} "
                 f"(want /{_SWEEP_NAME_PATTERN}/)")
-        if spec is None and cells is None:
-            raise DistributedError(f"sweep {name!r} needs a spec or cells")
-        fingerprint = spec.fingerprint() if spec is not None else None
+        fingerprint = spec.fingerprint()
         with self._submit_lock:
             if self._draining.is_set():
                 raise DistributedError(
                     "coordinator is draining; not accepting new sweeps")
             existing = self._sweeps.get(name)
             if existing is not None and not existing.cancelled:
-                if (fingerprint is not None
-                        and existing.fingerprint is not None
-                        and fingerprint != existing.fingerprint):
+                if fingerprint != existing.fingerprint:
                     raise DistributedError(
                         f"sweep {name!r} is already being served for a "
                         f"different spec (fingerprint "
@@ -729,8 +719,8 @@ class Coordinator:
                 store = ResultStore(
                     os.path.join(self._store_dir, f"{name}.jsonl"))
                 owns_store = True
-            state = SweepState(name, spec, cells, store, owns_store,
-                               priority, self.lease_s, self.max_requeues)
+            state = SweepState(name, spec, store, owns_store, priority,
+                               self.lease_s, self.max_requeues)
             self._sweeps[name] = state
             if not state.queue.finished():
                 self._finished.clear()
@@ -793,8 +783,7 @@ class Coordinator:
                     name, spec=SweepSpec.from_dict(spec_dict),
                     priority=int(entry.get("priority", DEFAULT_PRIORITY)))
             theirs = entry.get("fingerprint")
-            if (theirs is not None and state.fingerprint is not None
-                    and theirs != state.fingerprint):
+            if theirs is not None and theirs != state.fingerprint:
                 raise DistributedError(
                     f"queue journal {self._journal.path} was written for "
                     f"a different sweep (fingerprint {theirs} != "
@@ -1226,7 +1215,7 @@ class Coordinator:
         sweeps = {}
         for s in states:
             sweeps[s.name] = {
-                "spec": s.spec.to_dict() if s.spec is not None else None,
+                "spec": s.spec.to_dict(),
                 "fingerprint": s.fingerprint,
                 "priority": s.priority,
                 "cancelled": s.cancelled,

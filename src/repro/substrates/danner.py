@@ -18,7 +18,9 @@ Our construction (documented as a substitution in DESIGN.md §1.3):
    Because the landmark bit is a pure function of the ID value, the
    stage's nodes share one memo of it: each ID is hashed once per stage
    rather than once per heavy neighbor, and every node still reads
-   exactly the bit it would compute itself.
+   exactly the bit it would compute itself.  The stage has no columnar
+   kernel: with ``NodeId.value`` a slot read, the scalar program is as
+   fast (the ledger in docs/columnar.md).
 2. *Connectivity repair* — the kept subgraph H0 can miss bridges (no
    local sampling can find a bridge between two hubs), so we elect
    per-component leaders by flooding H0, count nodes by convergecast,
@@ -38,8 +40,8 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.congest.ids import NodeId, OpaqueId, id_value
-from repro.congest.node import ColumnarStage, Context, NodeAlgorithm
+from repro.congest.ids import NodeId, id_value
+from repro.congest.node import Context, NodeAlgorithm
 from repro.errors import ConvergenceError
 from repro.substrates.boruvka import ForestState, run_boruvka
 from repro.substrates.flooding import (
@@ -56,7 +58,7 @@ def is_landmark(id_value: int, seed, probability: float) -> bool:
     return h < probability * (1 << 32)
 
 
-class DannerLocalStage(ColumnarStage, NodeAlgorithm):
+class DannerLocalStage(NodeAlgorithm):
     """Local sparsification + one KEEP notification per kept edge.
 
     Output: the node's H-neighbor set, published once as a live set that
@@ -91,114 +93,6 @@ class DannerLocalStage(ColumnarStage, NodeAlgorithm):
             self.active.add(msg.sender_id)
         if not ctx.finished:
             ctx.done(self.active)
-
-    # -- columnar engine (docs/columnar.md) ----------------------------------
-
-    @classmethod
-    def build_columnar_kernel(cls, net, algorithms, contexts):
-        from repro.congest.columnar import ActiveGraph, get_numpy
-
-        np_ = get_numpy()
-        if np_ is None:
-            return None
-        n = net._n
-        if n and isinstance(net._ids[0], OpaqueId):
-            # The scalar stage evaluates ``u.value``, which a
-            # comparison-based network must reject — keep that path.
-            return None
-        first = algorithms[0]
-        if any(
-            (a.tau, a.landmark) != (first.tau, first.landmark)
-            for a in algorithms
-        ):
-            return None
-        # Graph adjacency is stored as sorted tuples: exactly the shape
-        # ActiveGraph.build wants.
-        graph = ActiveGraph.build(np_, n, net.graph._adj)
-        if graph is None:
-            return None
-        return _DannerLocalKernel(np_, net, graph, first, contexts)
-
-
-class _DannerLocalKernel:
-    """One vectorized KEEP wave.
-
-    The landmark bit comes from the stage's shared memo, once per
-    *vertex*, and the keep test runs as array ops over the edges.
-    Message multiset and outputs are unchanged: one no-field KEEP per
-    kept edge, active sets = kept ∪ keepers.
-    """
-
-    def __init__(self, np_, net, graph, alg, contexts):
-        self.np = np_
-        self.net = net
-        self.graph = graph
-        self.contexts = contexts
-        self.kept_ids: list = []
-        n = net._n
-        landmark = np_.fromiter(
-            map(alg.landmark, net.topology.values), dtype=bool, count=n,
-        )
-        deg = graph.indptr[1:] - graph.indptr[:-1]
-        small = deg <= alg.tau
-        keep = small[graph.esrc] | landmark[graph.edst]
-        # Whp-impossible fallback (mirrors the scalar stage): a heavy
-        # node with no landmark neighbor keeps everything.
-        kept_deg = np_.bincount(graph.esrc[keep], minlength=n)
-        keep |= ((~small) & (kept_deg == 0))[graph.esrc]
-        self.keep_eids = np_.flatnonzero(keep)
-
-    def begin(self):
-        from repro.congest.columnar import SendBatch
-
-        np_ = self.np
-        net = self.net
-        graph = self.graph
-        contexts = self.contexts
-        ids = net._ids
-        eids = self.keep_eids
-        n = net._n
-        # Round-0 provisional outputs: the kept sets themselves.
-        bounds = np_.searchsorted(graph.esrc[eids], np_.arange(n + 1))
-        dst = graph.edst[eids].tolist()
-        kept_ids = self.kept_ids
-        for v in range(n):
-            lo, hi = bounds[v], bounds[v + 1]
-            kept = frozenset(ids[u] for u in dst[lo:hi])
-            kept_ids.append(kept)
-            contexts[v].done(kept)
-        if not len(eids):
-            return []
-        return [SendBatch(
-            "keep", 0, eids,
-            np_.zeros(len(eids), dtype=np_.int64),
-            np_.ones(len(eids), dtype=np_.int64),  # empty payload: 1 word
-        )]
-
-    def deliver(self, arrivals):
-        np_ = self.np
-        esrc = self.graph.esrc
-        edst = self.graph.edst
-        ids = self.net._ids
-        contexts = self.contexts
-        kept_ids = self.kept_ids
-        eids = np_.concatenate([
-            b.eids if sub is None else b.eids[sub] for b, sub in arrivals
-        ])
-        order = np_.argsort(edst[eids], kind="stable")
-        rs = edst[eids][order]
-        senders = esrc[eids][order].tolist()
-        bounds = np_.flatnonzero(
-            np_.concatenate(([True], rs[1:] != rs[:-1]))
-        ).tolist()
-        bounds.append(len(senders))
-        receivers = rs[bounds[:-1]].tolist()
-        for i, v in enumerate(receivers):
-            lo, hi = bounds[i], bounds[i + 1]
-            contexts[v].done(
-                kept_ids[v] | frozenset(ids[s] for s in senders[lo:hi])
-            )
-        return []
 
 
 @dataclass

@@ -160,7 +160,7 @@ def test_stage_wall_sums_to_engine_time():
 #: The classes that build their own columnar kernel.  Each has a row in
 #: the kernel ledger (docs/columnar.md) showing its stage wins against
 #: the scalar path; ``FullExchangeTrialColoring`` inherits Johansson's.
-KERNEL_CLASSES = {"LubyMIS", "JohanssonListColoring", "DannerLocalStage"}
+KERNEL_CLASSES = {"LubyMIS", "JohanssonListColoring"}
 
 
 def test_kernel_ledger_is_pinned():

@@ -4,7 +4,10 @@ import math
 
 import pytest
 
+from repro.congest.async_network import AsyncNetwork
 from repro.congest.network import SyncNetwork
+from repro.congest.runtime import make_scheduler
+from repro.errors import ComparisonDisciplineError
 from repro.graphs.analysis import diameter, is_connected
 from repro.graphs.core import Graph
 from repro.graphs.generators import (
@@ -176,6 +179,30 @@ def test_danner_edge_count_exact_on_asymmetric_active_sets():
     )
     assert net.stats.dropped_messages > 0 and asymmetric > 0
     assert d.edge_count(net) == len(d.edge_list(net))
+
+
+def _comparison_based_net(engine, graph, seed):
+    if engine == "event":
+        return AsyncNetwork(graph, seed=seed, comparison_based=True)
+    if engine == "columnar":
+        pytest.importorskip("numpy")
+    return SyncNetwork(graph, seed=seed, comparison_based=True,
+                       scheduler=make_scheduler(engine))
+
+
+@pytest.mark.parametrize("engine", ["rounds", "columnar", "event"])
+def test_heavy_node_landmark_filter_refuses_opaque_ids(engine):
+    """The landmark bit hashes a neighbor's ID value, so a heavy node on
+    a comparison-based network must raise rather than read it; a light
+    node keeps every edge without reading any ID."""
+    graph = connected_gnp_graph(40, 0.5, seed=29)
+    landmark = lambda value: is_landmark(value, 30, 0.5)  # noqa: E731
+    net = _comparison_based_net(engine, graph, 29)
+    with pytest.raises(ComparisonDisciplineError):
+        net.run(lambda: DannerLocalStage(3, landmark))
+    net = _comparison_based_net(engine, graph, 29)
+    local = net.run(lambda: DannerLocalStage(graph.n, landmark))
+    assert sum(map(len, local.outputs)) == 2 * graph.m
 
 
 def _bridged_cliques(k: int) -> Graph:

@@ -288,7 +288,7 @@ KT1_TRANSCRIPTS = {
 KT1_COLUMNAR_COUNTS = {0: (21140, 7), 1: (22163, 2), 2: (21689, 9)}
 
 #: The Algorithm 1 stages a columnar kernel runs, digits normalised.
-KT1_KERNEL_STAGES = {"alg1-base-*", "alg1-color-*", "alg1-danner-local"}
+KT1_KERNEL_STAGES = {"alg1-base-*", "alg1-color-*"}
 
 
 def _run_kt1(engine, seed):

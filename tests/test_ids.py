@@ -1,5 +1,7 @@
 """Tests for NodeId / OpaqueId and the comparison-based discipline."""
 
+from operator import attrgetter
+
 import pytest
 
 from repro.congest.ids import IdAssignment, NodeId, OpaqueId, id_value
@@ -15,6 +17,14 @@ def test_nodeid_comparisons():
 
 def test_nodeid_value_access():
     assert NodeId(42).value == 42
+
+
+def test_value_is_the_slot_but_stays_opaque():
+    """``value`` reads the ``_value`` slot with no Python frame; an
+    OpaqueId still refuses it, from bytecode and from C alike."""
+    assert NodeId.__dict__["value"] is NodeId.__dict__["_value"]
+    with pytest.raises(ComparisonDisciplineError):
+        list(map(attrgetter("value"), [OpaqueId(3)]))
 
 
 def test_nodeid_rejects_arithmetic():
