@@ -90,7 +90,11 @@ python -m pytest -x -q \
 echo "== benchmark harness tests (perfbench/) =="
 # perfbench/tracing.py wraps supervisor, farm and serving functions by
 # module attribute; a rename in src/ breaks the traced benchmark run,
-# and these tests (a traced run included) catch it.
+# and these tests (a traced run included) catch it.  It wraps class
+# methods through owner.__dict__, so Coordinator.lease_cells/submit,
+# QueryServer.handle_query/__init__ and QueueJournal.write/write_farm
+# must stay defined on their own classes: moving one into a base class
+# (wire.Service, say) breaks the traced run too.
 python -m pytest -q perfbench/tests
 
 echo "== distributed sweep smoke (plan + two-worker end-to-end) =="

@@ -28,9 +28,8 @@ kernel needs:
 * :func:`block_positions` — the gather that turns "these nodes" into
   "all their out-edge slots" plus an owner index, without Python loops.
 
-Kernels themselves live next to their algorithms (``mis/luby.py``,
-``coloring/johansson.py``, ``substrates/danner.py``); see
-``docs/columnar.md`` for the contract.
+Kernels themselves live next to their algorithms (``mis/luby.py`` and
+``coloring/johansson.py``); see ``docs/columnar.md`` for the contract.
 """
 
 from __future__ import annotations

@@ -126,7 +126,7 @@ from repro.supervise import Supervisor
 from repro.wire import (
     DEFAULT_REQUEST_TIMEOUT_S,
     Client,
-    Server,
+    Service,
     handshake,
     recv_msg as _recv_msg,
     send_msg as _send_msg,
@@ -581,7 +581,7 @@ def _max_cells(msg: dict) -> int:
             f"lease with a malformed max_cells {msg.get('max_cells')!r}")
 
 
-class Coordinator:
+class Coordinator(Service):
     """Serve sweeps' cells to remote workers and merge their records.
 
     The counterpart of :func:`repro.experiments.run_sweep` for
@@ -615,6 +615,10 @@ class Coordinator:
     :meth:`wait` only returns after :meth:`drain`.
     """
 
+    drain_grace_s = DEFAULT_DRAIN_GRACE_S
+    #: tells a drained exit from a completed sweep (journal, CLI).
+    drained = Service.draining
+
     def __init__(
         self,
         spec: Optional[SweepSpec] = None,
@@ -634,10 +638,10 @@ class Coordinator:
     ):
         if spec is None and not persistent:
             raise DistributedError("Coordinator needs a spec")
+        super().__init__(host, port)
         self.lease_s = lease_s
         self.max_requeues = max_requeues
         self.fresh: list[dict] = []
-        self.drained = False
         self._persistent = persistent
         self._store_dir = store_dir
         # Attached below, *after* the initial sweep registers: add_sweep
@@ -659,10 +663,6 @@ class Coordinator:
         self._submit_lock = threading.Lock()
         self._sweeps: dict[str, SweepState] = {}
         self._lease_seq = 0
-        self._finished = threading.Event()
-        self._draining = threading.Event()
-        self._server: Optional[Server] = None
-        self._host, self._port = host, port
         if spec is not None:
             self.add_sweep(name, spec=spec, store=store, priority=priority)
         self._journal = journal
@@ -803,12 +803,9 @@ class Coordinator:
         # A healthy worker is never silent longer than a lease (it
         # heartbeats at lease/3 while running); a socket quiet for two
         # leases is a dead peer and its cells must go back in the queue.
-        self._server = Server((self._host, self._port), PROTOCOL,
-                              PROTOCOL_VERSION, self._session,
-                              idle_s=max(10.0, 2 * self.lease_s),
-                              error=DistributedError,
-                              welcome={"lease_s": self.lease_s})
-        self.address = self._server.start()
+        self._listen(PROTOCOL, PROTOCOL_VERSION,
+                     max(10.0, 2 * self.lease_s), DistributedError,
+                     welcome={"lease_s": self.lease_s})
         threading.Thread(target=self._reap_loop, daemon=True).start()
         if self._journal is not None:
             threading.Thread(target=self._journal_loop, daemon=True).start()
@@ -817,7 +814,7 @@ class Coordinator:
     def wait(self, timeout: Optional[float] = None,
              linger_s: float = 0.0) -> list[dict]:
         """Block until every cell is recorded (or the coordinator is
-        drained); returns the fresh records.
+        drained or stopped); returns the fresh records.
 
         ``linger_s`` keeps the coordinator up briefly after the last
         record so workers parked in the idle loop can come back for
@@ -832,43 +829,17 @@ class Coordinator:
             )
         if linger_s > 0:
             time.sleep(linger_s)
-        self._flush_durable()
+        self._settle()
         self.stop()
         return self.fresh
 
-    # -- graceful drain ----------------------------------------------------
+    # A drain stops leasing (leases are answered ``shutdown``), waits
+    # for in-flight cells, fsyncs the stores and journal; wait returns.
 
-    @property
-    def draining(self) -> bool:
-        return self._draining.is_set()
+    def _busy(self) -> bool:
+        return any(s.queue.has_leases() for s in self._states())
 
-    def drain(self, grace_s: float = DEFAULT_DRAIN_GRACE_S) -> None:
-        """Stop leasing and wind the coordinator down within ``grace_s``.
-
-        Signal-handler safe (returns immediately; a watcher thread does
-        the waiting): lease requests are answered ``shutdown`` from now
-        on, in-flight cells get up to ``grace_s`` to land their results,
-        then every store and the journal are fsync'd and :meth:`wait`
-        returns whatever completed.  ``drained`` distinguishes this exit
-        from a completed sweep.
-        """
-        if self._draining.is_set():
-            return
-        self.drained = True
-        self._draining.set()
-        threading.Thread(target=self._drain_watch, args=(grace_s,),
-                         daemon=True).start()
-
-    def _drain_watch(self, grace_s: float) -> None:
-        deadline = time.monotonic() + grace_s
-        while (time.monotonic() < deadline
-                and not self._finished.is_set()
-                and any(s.queue.has_leases() for s in self._states())):
-            time.sleep(0.05)
-        self._flush_durable()
-        self._finished.set()
-
-    def _flush_durable(self) -> None:
+    def _settle(self) -> None:
         """Push every tenant store to disk and journal the final state."""
         for state in self._states():
             if state.store is not None:
@@ -878,23 +849,13 @@ class Coordinator:
                     pass    # a closed store has nothing left to sync
         self._journal_write()
 
-    def stop(self) -> None:
-        if self._server is not None:
-            self._server.stop()
-            self._server = None
+    def _close(self) -> None:
         for state in self._states():
             if state.owns_store and state.store is not None:
                 try:
                     state.store.close()
                 except OSError:
                     pass
-
-    def __enter__(self) -> "Coordinator":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
     # -- one connected peer (a server thread each) -------------------------
 

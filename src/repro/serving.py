@@ -85,7 +85,7 @@ from repro.supervise import Supervisor, spawn_child
 from repro.wire import (
     DEFAULT_REQUEST_TIMEOUT_S,
     Client,
-    Server,
+    Service,
     handshake,
     recv_msg,
     send_msg,
@@ -106,6 +106,8 @@ DEFAULT_GRACE_S = 2.0
 DEFAULT_IDLE_S = 300.0
 #: Latency samples kept for the p50/p99 estimates in ``status``.
 _LATENCY_WINDOW = 2048
+_DRAINING_REPLY = {"type": "overloaded", "draining": True,
+                   "retry_after_s": None, "error": "server is draining"}
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +353,7 @@ class ServeStats:
         return ordered[idx]
 
 
-class QueryServer:
+class QueryServer(Service):
     """The long-running coloring/MIS query service.
 
     Usage (tests and embedders)::
@@ -379,15 +381,15 @@ class QueryServer:
             raise ServingError("serve needs at least one solver slot")
         if max_pending < 0:
             raise ServingError("max_pending must be >= 0")
+        super().__init__(host, port)
         self.solvers = solvers
         self.max_pending = max_pending
         self.cache_size = cache_size
         self.deadline_s = deadline_s
         self.grace_s = grace_s
+        self.drain_grace_s = deadline_s + grace_s
         self.idle_s = idle_s
         self._supervisor = Supervisor(spawn, solvers)
-        self._host, self._port = host, port
-        self._server: Optional[Server] = None
         self._lock = threading.Lock()
         self._slots = threading.Semaphore(solvers)
         #: admitted queries (waiting for a slot + running a solver).
@@ -395,67 +397,30 @@ class QueryServer:
         self._cache: OrderedDict[str, dict] = OrderedDict()
         self._mean_wall = 1.0      # EWMA of solve wall, drives retry hints
         self.stats = ServeStats()
-        self._draining = threading.Event()
-        self._finished = threading.Event()
         self._started_at = time.monotonic()
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> tuple[str, int]:
-        self._server = Server((self._host, self._port), PROTOCOL,
-                              PROTOCOL_VERSION, self._session,
-                              idle_s=self.idle_s, error=ReproError)
-        self.address = self._server.start()
+        self._listen(PROTOCOL, PROTOCOL_VERSION, self.idle_s, ReproError)
         self._started_at = time.monotonic()
         return self.address
-
-    @property
-    def draining(self) -> bool:
-        return self._draining.is_set()
-
-    def drain(self, grace_s: Optional[float] = None) -> None:
-        """Refuse new queries, answer in-flight ones, then stop.
-
-        Signal-handler safe: returns immediately, a watcher thread does
-        the waiting.  In-flight queries (admitted before the drain) get
-        up to ``grace_s`` beyond their own deadlines to land; then the
-        listener closes and :meth:`wait` returns.
-        """
-        if self._draining.is_set():
-            return
-        self._draining.set()
-        budget = (self.deadline_s + self.grace_s if grace_s is None
-                  else grace_s)
-        threading.Thread(target=self._drain_watch, args=(budget,),
-                         daemon=True).start()
-
-    def _drain_watch(self, grace_s: float) -> None:
-        deadline = time.monotonic() + grace_s
-        while time.monotonic() < deadline:
-            with self._lock:
-                if self._pending == 0:
-                    break
-            time.sleep(0.02)
-        self.stop()
-        self._finished.set()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until a drain completes; True if it did."""
         return self._finished.wait(timeout)
 
-    def stop(self) -> None:
-        if self._server is not None:
-            self._server.stop()
-            self._server = None
+    # A drain refuses new queries before any work, answers in-flight
+    # ones for up to their deadline plus grace, then stops.
+
+    def _busy(self) -> bool:
+        with self._lock:
+            return self._pending > 0
+
+    _settle = Service.stop
+
+    def _close(self) -> None:
         self._supervisor.close()
-        self._finished.set()
-
-    def __enter__(self) -> "QueryServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
     def _session(self, hello: dict, rfile, wfile, address) -> None:
         """Answer one handshaken client until it leaves.  A malformed
@@ -479,6 +444,8 @@ class QueryServer:
         t0 = time.monotonic()
         with self._lock:
             self.stats.queries += 1
+            if self._draining.is_set():
+                return dict(_DRAINING_REPLY)
         try:
             problem, method = _validate_query(msg)
             graph = _request_graph(msg)
@@ -505,11 +472,10 @@ class QueryServer:
                     "elapsed_s": round(time.monotonic() - t0, 6)}
 
         # Admission control: cache misses compete for the bounded queue.
+        # The drain is checked again here, atomically with admission.
         with self._lock:
             if self._draining.is_set():
-                return {"type": "overloaded", "draining": True,
-                        "retry_after_s": None,
-                        "error": "server is draining"}
+                return dict(_DRAINING_REPLY)
             if self._pending >= self.solvers + self.max_pending:
                 self.stats.shed += 1
                 return {"type": "overloaded", "draining": False,

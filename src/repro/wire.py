@@ -20,7 +20,8 @@ knows the format:
   *total* deadline (the timeout is re-armed to the time left before
   every ``recv``, so a peer trickling bytes cannot hold it past the
   deadline) and raises its owner's error type.  A :class:`Server` is
-  the threaded TCP shell both servers run.
+  the threaded TCP shell both servers run, and a :class:`Service` is
+  the lifecycle around it they share: listen, drain, stop.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: request and its reply).  Both servers answer every verb at once, so
 #: only a dead or wedged peer is slower.
 DEFAULT_REQUEST_TIMEOUT_S = 10.0
+#: How often a draining :class:`Service` re-checks its in-flight work.
+DRAIN_POLL_S = 0.02
 
 
 # -- framing ------------------------------------------------------------------
@@ -241,3 +244,69 @@ class Server(socketserver.ThreadingTCPServer):
     def stop(self) -> None:
         self.shutdown()
         self.server_close()
+
+
+class Service:
+    """A long-running server's lifecycle: listen, drain, stop.
+
+    A subclass sets ``drain_grace_s`` and defines ``start`` (calling
+    :meth:`_listen`), ``_session`` (its verb loop) and three hooks:
+    ``_busy()``, the work a drain waits for; ``_settle()``, run once
+    when a drain ends; ``_close()``, what :meth:`stop` releases besides
+    the listener.  ``_finished`` is set once a drain settled or
+    :meth:`stop` ran, which ends every ``_finished.wait`` loop.
+    """
+
+    drain_grace_s: float
+
+    def __init__(self, host: str, port: int):
+        self._host, self._port = host, port
+        self._server: Optional[Server] = None
+        self._draining = threading.Event()
+        self._finished = threading.Event()
+
+    def _listen(self, protocol: str, version: int, idle_s: float,
+                error: type, welcome: Optional[dict] = None
+                ) -> tuple[str, int]:
+        """Bind and serve from a daemon thread; returns (host, port)."""
+        self._server = Server((self._host, self._port), protocol, version,
+                              self._session, idle_s, error, welcome)
+        self.address = self._server.start()
+        return self.address
+
+    @property
+    def draining(self) -> bool:
+        return self._draining.is_set()
+
+    def drain(self, grace_s: Optional[float] = None) -> None:
+        """Refuse new work, give in-flight work up to ``grace_s``
+        (default ``drain_grace_s``) to land, then settle.  Signal-handler
+        safe: a watcher thread does the waiting."""
+        if self._draining.is_set():
+            return
+        self._draining.set()
+        budget = self.drain_grace_s if grace_s is None else grace_s
+        threading.Thread(target=self._drain_watch, args=(budget,),
+                         daemon=True).start()
+
+    def _drain_watch(self, grace_s: float) -> None:
+        deadline = time.monotonic() + grace_s
+        while (time.monotonic() < deadline
+                and not self._finished.is_set() and self._busy()):
+            time.sleep(DRAIN_POLL_S)
+        self._settle()
+        self._finished.set()
+
+    def stop(self) -> None:
+        if self._server is not None:
+            self._server.stop()
+            self._server = None
+        self._close()
+        self._finished.set()
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stop()

@@ -356,11 +356,24 @@ def test_flood_past_max_pending_sheds():
     assert all(r["status"] == "ok" for r in results)
 
 
-def test_draining_server_refuses_new_queries():
-    server = QueryServer(spawn=spawn_script())
-    server._draining.set()
-    resp = server.handle_query(_query())
-    assert resp["type"] == "overloaded" and resp["draining"]
+def test_draining_server_refuses_new_queries(monkeypatch):
+    """A draining server refuses before any work: it builds no graph
+    and does not answer even a query it holds in its cache."""
+    server = QueryServer(spawn=spawn_script(_finishes()))
+    assert not server.handle_query(_query())["cached"]
+    built = []
+
+    def _request_graph(msg):
+        built.append(msg)
+        raise AssertionError("a draining server built a graph")
+
+    monkeypatch.setattr(serving, "_request_graph", _request_graph)
+    server.drain(grace_s=0)
+    assert server.wait(timeout=5)
+    for seed in (0, 1):          # seed 0 is cached, seed 1 is not
+        resp = server.handle_query(_query(seed=seed))
+        assert resp["type"] == "overloaded" and resp["draining"]
+    assert not built and server.stats.cache_hits == 0
 
 
 @pytest.mark.parametrize("bad,fragment", [

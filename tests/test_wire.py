@@ -4,7 +4,8 @@ One table: each client of the farm and of the query server, against a
 fake peer that stays silent, trickles bytes, floods a reply past the
 frame cap, rejects the handshake, or welcomes and then trickles.  Each
 must fail in its own error type, and within its deadline (the flood
-well before it).  Framing checks ride along.
+well before it).  Framing checks and the stop contract of the shared
+service lifecycle (:class:`repro.wire.Service`) ride along.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from repro.errors import (
 )
 from repro.experiments import SweepSpec
 from repro.experiments.distributed import (
+    Coordinator,
+    QueueJournal,
     cancel_sweep,
     fetch_status,
     fetch_sweep,
@@ -33,7 +36,14 @@ from repro.experiments.distributed import (
     run_worker,
     submit_sweep,
 )
-from repro.serving import build_query, fetch_serve_status, query_once
+from repro.serving import (
+    QueryServer,
+    build_query,
+    fetch_serve_status,
+    query_once,
+)
+
+from scripted_children import spawn_script
 
 _CAP = 4096
 _SPEC = SweepSpec(families=("gnp",), sizes=(30,), seeds=(0,),
@@ -169,3 +179,29 @@ def test_bad_frames_raise_wire_error(line, fragment, monkeypatch):
     monkeypatch.setattr(wire, "MAX_FRAME_BYTES", _CAP)
     with pytest.raises(WireError, match=fragment):
         wire.recv_msg(io.BytesIO(line))
+
+
+SERVICES = {
+    "coordinator": lambda tmp: Coordinator(
+        persistent=True, journal=QueueJournal(str(tmp / "farm.journal"))),
+    "query-server": lambda tmp: QueryServer(spawn=spawn_script()),
+}
+
+
+@pytest.mark.parametrize("service", sorted(SERVICES))
+def test_stop_ends_the_service(service, tmp_path):
+    """``start(); stop()`` leaves no thread the service started, and
+    ``wait`` returns at once instead of waiting for a drain."""
+    before = set(threading.enumerate())
+    server = SERVICES[service](tmp_path)
+    server.start()
+    assert set(threading.enumerate()) - before      # it did start some
+    server.stop()
+    deadline = time.monotonic() + 2.0
+    while (set(threading.enumerate()) - before
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    assert not set(threading.enumerate()) - before
+    start = time.monotonic()
+    server.wait(timeout=1)
+    assert time.monotonic() - start < 0.5
