@@ -121,8 +121,10 @@ python -m pytest -x -q \
 echo "== wire smoke (CLI clients give up on a trickling peer) =="
 # Every client reads each exchange under one total deadline
 # (src/repro/wire.py): against a peer that trickles one byte every
-# 100 ms, `farm status`, `serve-status` and `query` with --timeout 0.5
-# must each exit 1 within 5 s instead of hanging.
+# 100 ms, `farm status`, `farm attach`, `farm cancel`, `serve-status`
+# and `query` with --timeout 0.5, and `farm submit` with --rpc-timeout
+# 0.5 (its --timeout is the per-cell budget), must each exit 1 within
+# 5 s instead of hanging.
 python - << 'EOF'
 import socket, subprocess, sys, threading, time
 
@@ -148,12 +150,18 @@ def accept_loop():
 
 threading.Thread(target=accept_loop, daemon=True).start()
 endpoint = f"127.0.0.1:{port}"
-for argv in (["farm", "status"], ["serve-status"], ["query", "--n", "20"]):
+for argv in (["farm", "status", "--timeout", "0.5"],
+             ["farm", "attach", "--name", "x", "--timeout", "0.5"],
+             ["farm", "cancel", "--name", "x", "--timeout", "0.5"],
+             ["farm", "submit", "--name", "x", "--sizes", "30",
+              "--rpc-timeout", "0.5"],
+             ["serve-status", "--timeout", "0.5"],
+             ["query", "--n", "20", "--timeout", "0.5"]):
     start = time.monotonic()
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", *argv, "--connect", endpoint,
-             "--timeout", "0.5"], capture_output=True, text=True, timeout=5)
+            [sys.executable, "-m", "repro", *argv, "--connect", endpoint],
+            capture_output=True, text=True, timeout=5)
     except subprocess.TimeoutExpired:
         sys.exit(f"wire smoke: `repro {' '.join(argv)}` still running "
                  "after 5 s against a trickling peer")

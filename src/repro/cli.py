@@ -7,8 +7,9 @@ mis         run an MIS algorithm on a generated graph
 sweep       run a declarative experiment matrix under a worker pool
             (--serve hosts it for remote workers — the single-tenant
             alias for the farm — --dry-run prints the cell plan)
-worker      pull cells (batched) from a coordinator and run them
-            (reconnects with backoff when the coordinator bounces)
+worker      pull cells (batched) from a coordinator ('sweep --serve'
+            or 'farm serve') and run them (reconnects with backoff
+            when the coordinator bounces)
 farm        the persistent multi-tenant experiment service:
             farm serve   host named sweeps with per-sweep stores,
                          priorities, fair-share leasing, journal
@@ -34,6 +35,14 @@ reproducible; results print as a small report with message/round
 accounting and verification status.  ``sweep`` appends one JSON line
 per completed cell and skips cells already present in ``--out``, so an
 interrupted sweep resumes where it stopped.
+
+The three hosts (``sweep --serve``, ``farm serve``, ``serve``) run
+their service through one routine, :func:`_host`: start, banner,
+serve until done or drained by SIGTERM/SIGINT, stop.  Each flag set a
+role shares is declared once (``_engine_args``, ``_host_args``,
+``_client_args``), every command prints through :func:`_emit`, and a
+``ReproError`` from any command exits 1 with ``<command>: <reason>``
+on stderr (:func:`main`).
 """
 
 from __future__ import annotations
@@ -59,15 +68,10 @@ GRAPH_FAMILIES = ("gnp", "regular", "powerlaw", "barbell",
 
 
 def _build_graph(args) -> Graph:
-    try:
-        if getattr(args, "graph_file", None):
-            return load_edge_list(
-                args.graph_file,
-                strict=not getattr(args, "lenient_graph", False))
-        return family_graph(args.family, args.n, p=args.p,
-                            seed=args.graph_seed)
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    if getattr(args, "graph_file", None):
+        return load_edge_list(
+            args.graph_file, strict=not getattr(args, "lenient_graph", False))
+    return family_graph(args.family, args.n, p=args.p, seed=args.graph_seed)
 
 
 def _graph_label(args, graph: Graph) -> str:
@@ -95,50 +99,46 @@ def _graph_args(sub) -> None:
                      help="machine-readable output")
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(args, payload: dict, sort_keys: bool = False) -> None:
+    """Print ``payload`` as JSON under ``--json``, else as aligned
+    ``key: value`` lines."""
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, sort_keys=sort_keys))
         return
     for key, value in payload.items():
         print(f"{key:>18}: {value}")
 
 
-def _async_payload(report) -> dict:
-    """The cost-of-asynchrony lines shared by ``color`` and ``mis``."""
-    if report.engine != "async":
-        return {}
-    return {
-        "latency model": report.latency,
-        "sync messages": report.sync_messages,
-        "overhead msgs": report.overhead_messages,
-        "wrapped stages": report.synchronized_stages,
-    }
-
-
-def _fault_payload(report) -> dict:
-    """The failure-injection lines shared by ``color`` and ``mis``."""
-    if report.faults is None:
-        return {}
-    return {
-        "fault model": report.faults,
-        "dropped msgs": report.dropped_messages,
-        "crashed nodes": report.crashed_nodes,
-        "casualties": len(report.casualty_vertices),
-        "survivor valid": report.survivor_valid,
-    }
+def _engine_payload(report) -> dict:
+    """The cost-of-asynchrony and failure-injection lines shared by
+    ``color`` and ``mis`` (what ``_engine_args`` switches on)."""
+    payload = {}
+    if report.engine == "async":
+        payload.update({
+            "latency model": report.latency,
+            "sync messages": report.sync_messages,
+            "overhead msgs": report.overhead_messages,
+            "wrapped stages": report.synchronized_stages,
+        })
+    if report.faults is not None:
+        payload.update({
+            "fault model": report.faults,
+            "dropped msgs": report.dropped_messages,
+            "crashed nodes": report.crashed_nodes,
+            "casualties": len(report.casualty_vertices),
+            "survivor valid": report.survivor_valid,
+        })
+    return payload
 
 
 def cmd_color(args) -> int:
     graph = _build_graph(args)
-    try:
-        result = api.color_graph(
-            graph, method=args.method, seed=args.seed,
-            epsilon=args.epsilon, asynchronous=args.asynchronous,
-            latency=args.latency, faults=args.faults,
-            scheduler=args.scheduler,
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    result = api.color_graph(
+        graph, method=args.method, seed=args.seed,
+        epsilon=args.epsilon, asynchronous=args.asynchronous,
+        latency=args.latency, faults=args.faults,
+        scheduler=args.scheduler,
+    )
     _emit(args, {
         "graph": _graph_label(args, graph),
         "method": args.method,
@@ -149,21 +149,17 @@ def cmd_color(args) -> int:
         "messages/edge": round(result.messages_per_edge, 3),
         "rounds": result.report.rounds,
         "utilized edges": result.report.utilized_edges,
-        **_async_payload(result.report),
-        **_fault_payload(result.report),
+        **_engine_payload(result.report),
     })
     return 0 if result.valid else 1
 
 
 def cmd_mis(args) -> int:
     graph = _build_graph(args)
-    try:
-        result = api.find_mis(graph, method=args.method, seed=args.seed,
-                              asynchronous=args.asynchronous,
-                              latency=args.latency, faults=args.faults,
-                              scheduler=args.scheduler)
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    result = api.find_mis(graph, method=args.method, seed=args.seed,
+                          asynchronous=args.asynchronous,
+                          latency=args.latency, faults=args.faults,
+                          scheduler=args.scheduler)
     _emit(args, {
         "graph": _graph_label(args, graph),
         "method": args.method,
@@ -172,8 +168,7 @@ def cmd_mis(args) -> int:
         "messages": result.messages,
         "messages/edge": round(result.report.messages_per_edge, 3),
         "rounds": result.report.rounds,
-        **_async_payload(result.report),
-        **_fault_payload(result.report),
+        **_engine_payload(result.report),
     })
     return 0 if result.valid else 1
 
@@ -189,29 +184,31 @@ def _parse_endpoint(value: str, default_host: str, what: str):
         raise SystemExit(f"{what} takes PORT or HOST:PORT, got {value!r}")
 
 
+def _peer(args):
+    """A client command's ``--connect`` address as (host, port)."""
+    return _parse_endpoint(args.connect, "127.0.0.1", "--connect")
+
+
 def _spec_from_args(args):
     """Build the SweepSpec shared by ``sweep`` and ``farm submit``
     (both parsers add the same axis flags via ``_sweep_axis_args``)."""
     from repro.experiments import SweepSpec
 
-    try:
-        return SweepSpec(
-            families=tuple(args.families),
-            sizes=tuple(args.sizes),
-            seeds=tuple(args.seeds),
-            methods=tuple(args.methods),
-            engines=tuple(args.engines),
-            latencies=tuple(args.latencies),
-            faults=tuple(args.faults),
-            density=args.p,
-            epsilon=args.epsilon,
-            sample_constant=args.sample_constant,
-            collect_utilization=args.full_stats,
-            timeout_s=args.timeout,
-            retries=args.retries,
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    return SweepSpec(
+        families=tuple(args.families),
+        sizes=tuple(args.sizes),
+        seeds=tuple(args.seeds),
+        methods=tuple(args.methods),
+        engines=tuple(args.engines),
+        latencies=tuple(args.latencies),
+        faults=tuple(args.faults),
+        density=args.p,
+        epsilon=args.epsilon,
+        sample_constant=args.sample_constant,
+        collect_utilization=args.full_stats,
+        timeout_s=args.timeout,
+        retries=args.retries,
+    )
 
 
 def cmd_sweep(args) -> int:
@@ -225,7 +222,7 @@ def cmd_sweep(args) -> int:
         done = store.completed_keys()
         plan = [c.key() for c in spec.cells() if c.key() not in done]
         if args.json:
-            print(json.dumps({
+            _emit(args, {
                 "cells": spec.size,
                 "to_run": len(plan),
                 "resumed (skipped)": spec.size - len(plan),
@@ -233,7 +230,7 @@ def cmd_sweep(args) -> int:
                 "latencies": list(spec.latencies),
                 "faults": list(spec.faults),
                 "plan": plan,
-            }, indent=2))
+            })
         else:
             for key in plan:
                 print(key)
@@ -257,19 +254,32 @@ def cmd_sweep(args) -> int:
             flush=True,
         )
 
+    def banner(service) -> str:
+        host, port = service.address
+        return (f"coordinator listening on {host}:{port}"
+                f" — start workers with:\n"
+                f"    python -m repro worker --connect HOST:{port}")
+
+    def summary(snap: dict) -> None:
+        eta = "?" if snap["eta_s"] is None else f"{snap['eta_s']:.0f}s"
+        print(f"[serve] {snap['done']}/{snap['total']} done, "
+              f"{snap['active_workers']} worker(s), "
+              f"{snap['cells_per_s']:.2f} cells/s, eta {eta}", flush=True)
+
+    if args.json:
+        progress = banner = summary = None
     t0 = time.perf_counter()
     drained = False
     with store:
         if args.serve is not None:
-            fresh, drained = _serve_with_signals(args, spec, store,
-                                                 progress)
+            coord = _host_farm(
+                args, _parse_endpoint(args.serve, "0.0.0.0", "--serve"),
+                "coordinator", args.journal or args.out + ".journal",
+                banner, summary, spec=spec, store=store, progress=progress)
+            fresh, drained = coord.fresh, coord.drained
         else:
-            fresh = run_sweep(
-                spec,
-                store=store,
-                workers=args.workers,
-                progress=None if args.json else progress,
-            )
+            fresh = run_sweep(spec, store=store, workers=args.workers,
+                              progress=progress)
     wall = time.perf_counter() - t0
     failed = [r for r in fresh if r.get("status", "ok") != "ok"]
     payload = {
@@ -284,11 +294,7 @@ def cmd_sweep(args) -> int:
     }
     if drained:
         payload["drained"] = True
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            print(f"{key:>18}: {value}")
+    _emit(args, payload)
     if drained:
         # A drain is a *requested* early exit, not a failure: the store
         # and journal are flushed, and re-serving with --resume-journal
@@ -318,66 +324,24 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _serve_with_signals(args, spec, store, progress):
-    """Host ``spec`` as a single-tenant farm with a journal until it
-    completes or a signal drains it (:func:`_serve_until_drained`).
+def _host(service, banner, notice: str, grace_s, interval: float,
+          observe=None, **wait_kwargs):
+    """Host a ``wire.Service`` — a Coordinator or a QueryServer — until
+    its ``wait`` returns; returns what ``wait`` returned.
 
-    Returns ``(fresh_records, drained)``.
-    """
-    from repro.experiments.distributed import Coordinator, QueueJournal
-
-    host, port = _parse_endpoint(args.serve, "0.0.0.0", "--serve")
-    journal_path = args.journal or (args.out + ".journal")
-    try:
-        coord = Coordinator(
-            spec, store=store, host=host, port=port,
-            lease_s=args.lease,
-            progress=None if args.json else progress,
-            journal=QueueJournal(journal_path),
-            resume_journal=args.resume_journal,
-            journal_interval_s=args.journal_interval,
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc))
-    bound_host, bound_port = coord.start()
-    if not args.json:
-        print(f"coordinator listening on {bound_host}:{bound_port}"
-              f" — start workers with:\n"
-              f"    python -m repro worker "
-              f"--connect HOST:{bound_port}", flush=True)
-
-    def _summary(snap: dict) -> None:
-        eta = "?" if snap["eta_s"] is None else f"{snap['eta_s']:.0f}s"
-        print(f"[serve] {snap['done']}/{snap['total']} done, "
-              f"{snap['active_workers']} worker(s), "
-              f"{snap['cells_per_s']:.2f} cells/s, eta {eta}", flush=True)
-
-    fresh = _serve_until_drained(
-        coord, _drain_notice("coordinator", args, journal_path),
-        args.drain_grace, args.status_interval,
-        None if args.json else _summary)
-    return fresh, coord.drained
-
-
-def _drain_notice(what: str, args, journal_path: str) -> str:
-    return (f"draining {what} — no new leases, up to "
-            f"{args.drain_grace:g}s for in-flight cells "
-            f"(journal: {journal_path})")
-
-
-def _serve_until_drained(service, notice: str, grace_s, interval: float,
-                         observe=None, **wait_kwargs):
-    """Run a started Coordinator or QueryServer until ``wait`` returns,
-    draining on SIGTERM/SIGINT.
-
-    A signal prints ``notice`` and calls ``service.drain(grace_s)``, so
-    in-flight work lands and the process exits 0 instead of dying
-    mid-write.  ``observe(status_snapshot)`` (if given) runs every
-    ``interval`` seconds.  The service is stopped and the previous
-    handlers restored on the way out.
+    Starts the service, prints ``banner(service)`` (if given) once it
+    is bound, then serves.  SIGTERM/SIGINT prints ``notice`` and calls
+    ``service.drain(grace_s)``, so in-flight work lands and the process
+    exits 0 instead of dying mid-write.  ``observe(status_snapshot)``
+    (if given) runs every ``interval`` seconds.  The service is stopped
+    and the previous handlers restored on the way out.
     """
     from concurrent.futures import ThreadPoolExecutor
     from concurrent.futures import wait as futures_wait
+
+    service.start()
+    if banner is not None:
+        print(banner(service), flush=True)
 
     def _drain_handler(signum, frame):
         service.drain(grace_s=grace_s)
@@ -409,20 +373,46 @@ def _serve_until_drained(service, notice: str, grace_s, interval: float,
             signal.signal(sig, handler)
 
 
+def _host_farm(args, address, what: str, journal_path: str, banner,
+               summary, **coordinator):
+    """Build the Coordinator behind ``sweep --serve`` and ``farm serve``
+    from the host flags both declare (``_host_args``) and host it until
+    it completes or a signal drains it; returns the coordinator.
+
+    Both linger ``DEFAULT_LINGER_S`` after the end so late workers are
+    told ``shutdown`` rather than refused (``Coordinator.wait``).
+    """
+    from repro.experiments.distributed import (
+        DEFAULT_LINGER_S,
+        Coordinator,
+        QueueJournal,
+    )
+
+    coord = Coordinator(
+        host=address[0], port=address[1],
+        lease_s=args.lease,
+        journal=QueueJournal(journal_path),
+        resume_journal=args.resume_journal,
+        journal_interval_s=args.journal_interval,
+        **coordinator,
+    )
+    notice = (f"draining {what} — no new leases, up to "
+              f"{args.drain_grace:g}s for in-flight cells "
+              f"(journal: {journal_path})")
+    _host(coord, banner, notice, args.drain_grace, args.status_interval,
+          summary, linger_s=DEFAULT_LINGER_S)
+    return coord
+
+
 def cmd_farm_status(args) -> int:
     """One read-only status round trip against a live coordinator."""
-    from repro.errors import DistributedError
     from repro.experiments.distributed import fetch_status
 
-    host, port = _parse_endpoint(args.connect, "127.0.0.1", "--connect")
-    try:
-        snap = fetch_status(host, port, timeout_s=args.timeout)
-    except DistributedError as exc:
-        print(f"farm status: {exc}", file=sys.stderr)
-        return 1
+    host, port = _peer(args)
+    snap = fetch_status(host, port, timeout_s=args.timeout)
     snap.pop("type", None)
     if args.json:
-        print(json.dumps(snap, indent=2))
+        _emit(args, snap)
         return 0
     eta = "-" if snap["eta_s"] is None else f"{snap['eta_s']:g}s"
     _emit(args, {
@@ -455,39 +445,24 @@ def cmd_farm_status(args) -> int:
 
 def cmd_farm_serve(args) -> int:
     """Host the persistent multi-tenant farm until SIGTERM drains it."""
-    from repro.errors import DistributedError
-    from repro.experiments.distributed import Coordinator, QueueJournal
-
-    host, port = _parse_endpoint(args.listen, "0.0.0.0", "PORT")
     os.makedirs(args.store_dir, exist_ok=True)
     journal_path = args.journal or os.path.join(args.store_dir,
                                                 "farm.journal")
-    try:
-        coord = Coordinator(
-            persistent=True,
-            store_dir=args.store_dir,
-            host=host, port=port,
-            lease_s=args.lease,
-            max_requeues=args.max_requeues,
-            journal=QueueJournal(journal_path),
-            resume_journal=args.resume_journal,
-            journal_interval_s=args.journal_interval,
-        )
-    except (DistributedError, ReproError) as exc:
-        raise SystemExit(str(exc))
-    bound_host, bound_port = coord.start()
-    resumed = coord.status_snapshot()["sweeps"]
-    print(f"farm serving on {bound_host}:{bound_port} "
-          f"(stores: {args.store_dir}, journal: {journal_path})\n"
-          f"    submit:  python -m repro farm submit "
-          f"--connect HOST:{bound_port} --name NAME ...\n"
-          f"    workers: python -m repro worker "
-          f"--connect HOST:{bound_port}", flush=True)
-    if resumed:
-        print(f"resumed {len(resumed)} sweep(s) from the journal: "
-              f"{', '.join(sorted(resumed))}", flush=True)
 
-    def _summary(snap: dict) -> None:
+    def banner(service) -> str:
+        host, port = service.address
+        text = (f"farm serving on {host}:{port} "
+                f"(stores: {args.store_dir}, journal: {journal_path})\n"
+                f"    submit:  python -m repro farm submit "
+                f"--connect HOST:{port} --name NAME ...\n"
+                f"    workers: python -m repro worker --connect HOST:{port}")
+        resumed = sorted(service.status_snapshot()["sweeps"])
+        if resumed:
+            text += (f"\nresumed {len(resumed)} sweep(s) from the journal: "
+                     f"{', '.join(resumed)}")
+        return text
+
+    def summary(snap: dict) -> None:
         sweeps = snap["sweeps"]
         live = sum(1 for s in sweeps.values()
                    if not s["finished"] and not s["cancelled"])
@@ -496,9 +471,9 @@ def cmd_farm_serve(args) -> int:
               f"{snap['active_workers']} worker(s), "
               f"{snap['cells_per_s']:.2f} cells/s", flush=True)
 
-    _serve_until_drained(coord, _drain_notice("farm", args, journal_path),
-                         args.drain_grace, args.status_interval, _summary,
-                         linger_s=2.0)
+    _host_farm(args, _parse_endpoint(args.listen, "0.0.0.0", "PORT"),
+               "farm", journal_path, banner, summary, persistent=True,
+               store_dir=args.store_dir, max_requeues=args.max_requeues)
     print("farm drained: stores and journal flushed; restart with "
           "--resume-journal to continue every sweep", file=sys.stderr)
     return 0
@@ -506,31 +481,19 @@ def cmd_farm_serve(args) -> int:
 
 def cmd_farm_submit(args) -> int:
     """Register a named sweep on a running farm."""
-    from repro.errors import DistributedError
     from repro.experiments.distributed import submit_sweep
 
-    host, port = _parse_endpoint(args.connect, "127.0.0.1", "--connect")
-    spec = _spec_from_args(args)
-    try:
-        ack = submit_sweep(host, port, args.name, spec,
-                           priority=args.priority,
-                           timeout_s=args.rpc_timeout)
-    except DistributedError as exc:
-        print(f"farm submit: {exc}", file=sys.stderr)
-        return 1
-    payload = {
+    host, port = _peer(args)
+    ack = submit_sweep(host, port, args.name, _spec_from_args(args),
+                       priority=args.priority, timeout_s=args.rpc_timeout)
+    _emit(args, {
         "coordinator": f"{host}:{port}",
         "sweep": ack.get("sweep"),
         "created": ack.get("created"),
         "cells to run": ack.get("total"),
         "fingerprint": ack.get("fingerprint"),
         "priority": args.priority,
-    }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            print(f"{key:>18}: {value}")
+    })
     return 0
 
 
@@ -540,15 +503,10 @@ def cmd_farm_attach(args) -> int:
     from repro.errors import DistributedError
     from repro.experiments.distributed import fetch_sweep
 
-    host, port = _parse_endpoint(args.connect, "127.0.0.1", "--connect")
+    host, port = _peer(args)
     last_done = None
     while True:
-        try:
-            snap = fetch_sweep(host, port, args.name,
-                               timeout_s=args.timeout)
-        except DistributedError as exc:
-            print(f"farm attach: {exc}", file=sys.stderr)
-            return 1
+        snap = fetch_sweep(host, port, args.name, timeout_s=args.timeout)
         snap.pop("type", None)
         if not args.json and snap["done"] != last_done:
             eta = "-" if snap["eta_s"] is None else f"{snap['eta_s']:g}s"
@@ -558,12 +516,10 @@ def cmd_farm_attach(args) -> int:
                   flush=True)
             last_done = snap["done"]
         if snap.get("cancelled"):
-            print(f"farm attach: sweep {args.name!r} was cancelled",
-                  file=sys.stderr)
-            return 1
+            raise DistributedError(f"sweep {args.name!r} was cancelled")
         if snap.get("finished") or args.poll <= 0:
             if args.json:
-                print(json.dumps(snap, indent=2))
+                _emit(args, snap)
             elif snap.get("finished"):
                 print(f"[{args.name}] finished: {snap['done']}/"
                       f"{snap['total']} done, {snap['lost']} lost "
@@ -574,36 +530,25 @@ def cmd_farm_attach(args) -> int:
 
 def cmd_farm_cancel(args) -> int:
     """Cancel a named sweep on a running farm."""
-    from repro.errors import DistributedError
     from repro.experiments.distributed import cancel_sweep
 
-    host, port = _parse_endpoint(args.connect, "127.0.0.1", "--connect")
-    try:
-        ack = cancel_sweep(host, port, args.name, timeout_s=args.timeout)
-    except DistributedError as exc:
-        print(f"farm cancel: {exc}", file=sys.stderr)
-        return 1
-    payload = {
+    host, port = _peer(args)
+    ack = cancel_sweep(host, port, args.name, timeout_s=args.timeout)
+    _emit(args, {
         "coordinator": f"{host}:{port}",
         "sweep": ack.get("sweep"),
         "dropped (pending)": ack.get("dropped"),
         "revoked (leases)": ack.get("revoked"),
-    }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            print(f"{key:>18}: {value}")
+    })
     return 0
 
 
 def cmd_worker(args) -> int:
-    """Run cells for a ``repro sweep --serve`` coordinator until it
-    declares the sweep complete."""
-    from repro.errors import DistributedError
+    """Run cells for a coordinator — ``repro sweep --serve`` or
+    ``repro farm serve`` — until it tells the worker to shut down."""
     from repro.experiments.distributed import run_worker
 
-    host, port = _parse_endpoint(args.connect, "127.0.0.1", "--connect")
+    host, port = _peer(args)
 
     def progress(rec, count):
         status = rec.get("status", "ok")
@@ -620,28 +565,19 @@ def cmd_worker(args) -> int:
               f"attempt {attempt}/{args.reconnect} in {delay:.1f}s",
               file=sys.stderr, flush=True)
 
-    try:
-        completed = run_worker(
-            host, port,
-            worker_id=args.id,
-            poll_s=args.poll,
-            progress=None if args.json else progress,
-            reconnect=args.reconnect,
-            backoff_s=args.backoff,
-            backoff_max_s=args.backoff_max,
-            on_reconnect=on_reconnect,
-            max_batch=args.max_batch,
-            batch_target_s=args.batch_target,
-        )
-    except DistributedError as exc:
-        print(f"worker: {exc}", file=sys.stderr)
-        return 1
-    payload = {"coordinator": f"{host}:{port}", "cells run": completed}
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            print(f"{key:>18}: {value}")
+    completed = run_worker(
+        host, port,
+        worker_id=args.id,
+        poll_s=args.poll,
+        progress=None if args.json else progress,
+        reconnect=args.reconnect,
+        backoff_s=args.backoff,
+        backoff_max_s=args.backoff_max,
+        on_reconnect=on_reconnect,
+        max_batch=args.max_batch,
+        batch_target_s=args.batch_target,
+    )
+    _emit(args, {"coordinator": f"{host}:{port}", "cells run": completed})
     return 0
 
 
@@ -789,23 +725,23 @@ def cmd_serve(args) -> int:
     from repro.serving import QueryServer
 
     host, port = _parse_endpoint(args.listen, "0.0.0.0", "PORT")
-    try:
-        server = QueryServer(
-            host=host, port=port,
-            solvers=args.solvers,
-            max_pending=args.max_pending,
-            cache_size=args.cache_size,
-            deadline_s=args.deadline,
-            grace_s=args.grace,
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc))
-    bound_host, bound_port = server.start()
-    print(f"serving on {bound_host}:{bound_port} — query with:\n"
-          f"    python -m repro query --connect HOST:{bound_port} "
-          f"--problem coloring --n 100", flush=True)
+    server = QueryServer(
+        host=host, port=port,
+        solvers=args.solvers,
+        max_pending=args.max_pending,
+        cache_size=args.cache_size,
+        deadline_s=args.deadline,
+        grace_s=args.grace,
+    )
 
-    def _observe(snap: dict) -> None:
+    def banner(service) -> str:
+        host, port = service.address
+        # perfbench reads the port off this first stdout line.
+        return (f"serving on {host}:{port} — query with:\n"
+                f"    python -m repro query --connect HOST:{port} "
+                f"--problem coloring --n 100")
+
+    def observe(snap: dict) -> None:
         if args.stats_out:
             write_json_atomic(args.stats_out, snap)
         if args.status_interval > 0:
@@ -819,10 +755,10 @@ def cmd_serve(args) -> int:
 
     # grace_s=None: a drain grants in-flight queries their deadline plus
     # --grace.
-    _serve_until_drained(
-        server, "draining — answering in-flight queries, refusing new ones",
-        None, args.status_interval or 30.0,
-        _observe if args.status_interval > 0 or args.stats_out else None)
+    _host(server, banner,
+          "draining — answering in-flight queries, refusing new ones",
+          None, args.status_interval or 30.0,
+          observe if args.status_interval > 0 or args.stats_out else None)
     if args.stats_out:
         write_json_atomic(args.stats_out, server.status_snapshot())
     print("drained: all in-flight queries answered", file=sys.stderr)
@@ -833,28 +769,20 @@ def cmd_query(args) -> int:
     """One query round trip against a running ``repro serve``."""
     from repro.serving import build_query, query_once
 
-    host, port = _parse_endpoint(args.connect, "127.0.0.1", "--connect")
-    try:
-        if args.graph_file and args.send_path:
-            # Ship the path; the server (which shares our filesystem)
-            # loads the file itself — no megabyte edge lists inline.
-            request = build_query(
-                args.problem, method=args.method,
-                graph_file=args.graph_file, seed=args.seed,
-                epsilon=args.epsilon, deadline_s=args.deadline)
-        else:
-            graph = _build_graph(args)
-            request = build_query(
-                args.problem, method=args.method,
-                edges=graph.edges(), n=graph.n, seed=args.seed,
-                epsilon=args.epsilon, deadline_s=args.deadline)
-        result = query_once(host, port, request,
-                            timeout_s=args.timeout)
-    except ReproError as exc:
-        print(f"query: {exc}", file=sys.stderr)
-        return 1
+    host, port = _peer(args)
+    if args.graph_file and args.send_path:
+        # Ship the path; the server (which shares our filesystem)
+        # loads the file itself — no megabyte edge lists inline.
+        graph = {"graph_file": args.graph_file}
+    else:
+        built = _build_graph(args)
+        graph = {"edges": built.edges(), "n": built.n}
+    request = build_query(args.problem, method=args.method, seed=args.seed,
+                          epsilon=args.epsilon, deadline_s=args.deadline,
+                          **graph)
+    result = query_once(host, port, request, timeout_s=args.timeout)
     if args.json:
-        print(json.dumps(result.payload, indent=2, sort_keys=True))
+        _emit(args, result.payload, sort_keys=True)
         return 0 if result.ok else 1
     if result.status == "overloaded":
         hint = ("draining" if result.payload.get("draining")
@@ -893,15 +821,11 @@ def cmd_serve_status(args) -> int:
     """One read-only status round trip against a live query server."""
     from repro.serving import fetch_serve_status
 
-    host, port = _parse_endpoint(args.connect, "127.0.0.1", "--connect")
-    try:
-        snap = fetch_serve_status(host, port, timeout_s=args.timeout)
-    except ReproError as exc:
-        print(f"serve status: {exc}", file=sys.stderr)
-        return 1
+    host, port = _peer(args)
+    snap = fetch_serve_status(host, port, timeout_s=args.timeout)
     snap.pop("type", None)
     if args.json:
-        print(json.dumps(snap, indent=2, sort_keys=True))
+        _emit(args, snap, sort_keys=True)
         return 0
     p50 = "-" if snap["p50_ms"] is None else f"{snap['p50_ms']:.1f}ms"
     p99 = "-" if snap["p99_ms"] is None else f"{snap['p99_ms']:.1f}ms"
@@ -993,6 +917,71 @@ def _sweep_axis_args(p) -> None:
                         "instead of the default stats-lite mode")
 
 
+def _engine_args(p) -> None:
+    """Engine flags shared by ``color`` and ``mis``."""
+    p.add_argument("--asynchronous", action="store_true")
+    p.add_argument("--latency", default="uniform", choices=LATENCY_MODELS,
+                   help="async latency model (with --asynchronous)")
+    p.add_argument("--faults", default=None, metavar="SPEC",
+                   help="fault model: drop:P, crash:P[:T[:R]], "
+                        "adversary[:B[:W]] (default: none)")
+    p.add_argument("--scheduler", default=None, choices=SCHEDULERS,
+                   help="synchronous delivery engine: rounds (scalar "
+                        "per-node loop) or columnar (numpy whole-round "
+                        "batches; identical counts, see docs/columnar.md)")
+
+
+def _host_args(p, title: str) -> None:
+    """Coordinator flags shared by ``sweep --serve`` and ``farm serve``
+    (everything :func:`_host_farm` reads)."""
+    g = p.add_argument_group(title)
+    g.add_argument("--lease", type=float, default=30.0, metavar="SECONDS",
+                   help="lease duration per cell (a batch of K cells "
+                        "holds K leases renewed by one heartbeat); a "
+                        "worker silent past it is presumed dead and its "
+                        "cells are re-served")
+    g.add_argument("--journal", default=None, metavar="PATH",
+                   help="queue-journal file (default: <out>.journal for "
+                        "sweep --serve, <store-dir>/farm.journal for farm "
+                        "serve) — an fsync'd snapshot of each sweep's "
+                        "done keys, requeue counts and live leases, so a "
+                        "bounced coordinator can restart mid-sweep")
+    g.add_argument("--resume-journal", action="store_true",
+                   help="restore the journal at startup — done cells "
+                        "stay done, requeue history (max_requeues) "
+                        "survives, cancelled sweeps stay cancelled")
+    g.add_argument("--journal-interval", type=float, default=2.0,
+                   metavar="SECONDS",
+                   help="seconds between journal writes")
+    g.add_argument("--drain-grace", type=float, default=5.0,
+                   metavar="SECONDS",
+                   help="on SIGTERM/SIGINT: stop leasing, wait this long "
+                        "for in-flight cells, flush stores and journal, "
+                        "exit 0")
+    g.add_argument("--status-interval", type=float, default=30.0,
+                   metavar="SECONDS",
+                   help="print a one-line progress summary (done/total, "
+                        "workers, cells/s) this often; 0 disables")
+
+
+def _client_args(p, peer: str, deadline: str | None = "--timeout",
+                 with_json: bool = True) -> None:
+    """Flags shared by the client commands: the peer's ``--connect``
+    address, the request deadline (``deadline=None``: the command has
+    none) and ``--json``."""
+    p.add_argument("--connect", required=True, metavar="HOST:PORT",
+                   help=f"the {peer}'s address")
+    if deadline is not None:
+        p.add_argument(deadline, type=float, default=10.0,
+                       metavar="SECONDS",
+                       help="deadline per request (a query's own "
+                            "deadline and grace are added on top); past "
+                            "it the command exits 1")
+    if with_json:
+        p.add_argument("--json", action="store_true",
+                       help="machine-readable output")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1007,32 +996,14 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("kt1-delta-plus-one", "kt1-eps-delta",
                             "baseline-trial", "baseline-rank-greedy"))
     p.add_argument("--epsilon", type=float, default=0.5)
-    p.add_argument("--asynchronous", action="store_true")
-    p.add_argument("--latency", default="uniform", choices=LATENCY_MODELS,
-                   help="async latency model (with --asynchronous)")
-    p.add_argument("--faults", default=None, metavar="SPEC",
-                   help="fault model: drop:P, crash:P[:T[:R]], "
-                        "adversary[:B[:W]] (default: none)")
-    p.add_argument("--scheduler", default=None, choices=SCHEDULERS,
-                   help="synchronous delivery engine: rounds (scalar "
-                        "per-node loop) or columnar (numpy whole-round "
-                        "batches; identical counts, see docs/columnar.md)")
+    _engine_args(p)
     p.set_defaults(fn=cmd_color)
 
     p = subs.add_parser("mis", help="run an MIS algorithm")
     _graph_args(p)
     p.add_argument("--method", default="kt2-sampled-greedy",
                    choices=("kt2-sampled-greedy", "luby", "rank-greedy"))
-    p.add_argument("--asynchronous", action="store_true")
-    p.add_argument("--latency", default="uniform", choices=LATENCY_MODELS,
-                   help="async latency model (with --asynchronous)")
-    p.add_argument("--faults", default=None, metavar="SPEC",
-                   help="fault model: drop:P, crash:P[:T[:R]], "
-                        "adversary[:B[:W]] (default: none)")
-    p.add_argument("--scheduler", default=None, choices=SCHEDULERS,
-                   help="synchronous delivery engine: rounds (scalar "
-                        "per-node loop) or columnar (numpy whole-round "
-                        "batches; identical counts, see docs/columnar.md)")
+    _engine_args(p)
     p.set_defaults(fn=cmd_mis)
 
     p = subs.add_parser(
@@ -1055,33 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "'repro worker' processes over a TCP work queue "
                         "(lease/heartbeat/requeue; records merge into "
                         "--out); HOST defaults to 0.0.0.0")
-    p.add_argument("--lease", type=float, default=30.0, metavar="SECONDS",
-                   help="with --serve: lease duration per cell; a worker "
-                        "silent past it is presumed dead and its cells "
-                        "are re-served")
-    p.add_argument("--journal", default=None, metavar="PATH",
-                   help="with --serve: queue-journal file (default: "
-                        "<out>.journal) — an fsync'd snapshot of done "
-                        "keys, requeue counts, and live leases so a "
-                        "bounced coordinator can restart mid-sweep")
-    p.add_argument("--resume-journal", action="store_true",
-                   help="with --serve: restore the queue journal at "
-                        "startup — completed cells are not re-run and "
-                        "requeue history (max_requeues) survives the "
-                        "coordinator restart")
-    p.add_argument("--journal-interval", type=float, default=2.0,
-                   metavar="SECONDS",
-                   help="with --serve: seconds between journal writes")
-    p.add_argument("--drain-grace", type=float, default=5.0,
-                   metavar="SECONDS",
-                   help="with --serve: on SIGTERM/SIGINT, how long to "
-                        "wait for in-flight cells before exiting "
-                        "(leasing stops immediately; exit code 0)")
-    p.add_argument("--status-interval", type=float, default=30.0,
-                   metavar="SECONDS",
-                   help="with --serve: print a one-line progress summary "
-                        "(done/total, workers, cells/s, eta) this often; "
-                        "0 disables")
+    _host_args(p, "coordinator (with --serve)")
     p.add_argument("--dry-run", action="store_true",
                    help="print the resume-aware cell plan (one key per "
                         "line) and exit without running anything")
@@ -1091,11 +1036,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser(
         "worker",
-        help="pull sweep cells from a 'repro sweep --serve' coordinator, "
-             "run them (timeouts/retries included), stream records back",
+        help="pull sweep cells from a coordinator ('repro sweep --serve' "
+             "or 'repro farm serve'), run them (timeouts/retries "
+             "included), stream records back",
     )
-    p.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="the coordinator's address")
+    _client_args(p, "coordinator", deadline=None)
     p.add_argument("--id", default=None,
                    help="worker name in coordinator logs/leases "
                         "(default: hostname-pid)")
@@ -1119,8 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="wall-clock a leased batch should amount to "
                         "(capped by the coordinator's lease duration)")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable summary")
     p.set_defaults(fn=cmd_worker)
 
     p = subs.add_parser(
@@ -1142,31 +1085,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--store-dir", required=True, metavar="DIR",
                     help="directory for per-sweep result stores "
                          "(<name>.jsonl) and the farm journal")
-    ps.add_argument("--journal", default=None, metavar="PATH",
-                    help="multi-sweep queue journal (default: "
-                         "<store-dir>/farm.journal)")
-    ps.add_argument("--resume-journal", action="store_true",
-                    help="restore every journalled sweep at startup — "
-                         "done cells stay done, requeue history "
-                         "survives, cancelled sweeps stay cancelled")
-    ps.add_argument("--lease", type=float, default=30.0, metavar="SECONDS",
-                    help="lease duration per cell (a batch of K cells "
-                         "holds K leases renewed by one heartbeat)")
-    ps.add_argument("--max-requeues", type=int, default=3, metavar="N",
+    _host_args(ps, "coordinator")
+    # distributed.DEFAULT_MAX_REQUEUES, written out so that building the
+    # parser imports no farm module (tests/test_cli.py pins the two).
+    ps.add_argument("--max-requeues", type=int, default=5, metavar="N",
                     help="times a cell may be re-served after lease "
                          "expiry before it is recorded as lost")
-    ps.add_argument("--journal-interval", type=float, default=2.0,
-                    metavar="SECONDS",
-                    help="seconds between journal writes")
-    ps.add_argument("--drain-grace", type=float, default=5.0,
-                    metavar="SECONDS",
-                    help="on SIGTERM/SIGINT: stop leasing, wait this "
-                         "long for in-flight cells, flush stores and "
-                         "journal, exit 0")
-    ps.add_argument("--status-interval", type=float, default=30.0,
-                    metavar="SECONDS",
-                    help="print a one-line farm summary this often; "
-                         "0 disables")
     ps.set_defaults(fn=cmd_farm_serve)
 
     ps = farm_subs.add_parser(
@@ -1175,20 +1099,14 @@ def build_parser() -> argparse.ArgumentParser:
              "re-submitting the same name+spec attaches to the live "
              "sweep; same name, different spec is refused)",
     )
-    ps.add_argument("--connect", required=True, metavar="HOST:PORT",
-                    help="the farm coordinator's address")
+    # --timeout is the per-cell budget here, an axis flag.
+    _client_args(ps, "farm coordinator", deadline="--rpc-timeout")
     ps.add_argument("--name", required=True, metavar="NAME",
                     help="sweep name (letters, digits, . _ -); also "
                          "names the store file <name>.jsonl")
     ps.add_argument("--priority", type=int, default=0,
                     help="fair-share priority; higher drains first")
     _sweep_axis_args(ps)
-    ps.add_argument("--rpc-timeout", type=float, default=10.0,
-                    metavar="SECONDS",
-                    help="submit request deadline (--timeout is the "
-                         "per-cell wall-clock budget, an axis flag)")
-    ps.add_argument("--json", action="store_true",
-                    help="machine-readable acknowledgement")
     ps.set_defaults(fn=cmd_farm_submit)
 
     ps = farm_subs.add_parser(
@@ -1196,16 +1114,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="follow one sweep's progress until it finishes (exit 0 "
              "clean, 1 on lost cells or cancellation)",
     )
-    ps.add_argument("--connect", required=True, metavar="HOST:PORT",
-                    help="the farm coordinator's address")
+    _client_args(ps, "farm coordinator")
     ps.add_argument("--name", required=True, metavar="NAME")
     ps.add_argument("--poll", type=float, default=2.0, metavar="SECONDS",
                     help="progress poll interval; 0 = print one "
                          "snapshot and exit")
-    ps.add_argument("--timeout", type=float, default=10.0,
-                    metavar="SECONDS", help="per-request deadline")
-    ps.add_argument("--json", action="store_true",
-                    help="machine-readable final snapshot")
     ps.set_defaults(fn=cmd_farm_attach)
 
     ps = farm_subs.add_parser(
@@ -1214,13 +1127,8 @@ def build_parser() -> argparse.ArgumentParser:
              "cells are revoked at the next heartbeat; its store keeps "
              "already-recorded results",
     )
-    ps.add_argument("--connect", required=True, metavar="HOST:PORT",
-                    help="the farm coordinator's address")
+    _client_args(ps, "farm coordinator")
     ps.add_argument("--name", required=True, metavar="NAME")
-    ps.add_argument("--timeout", type=float, default=10.0,
-                    metavar="SECONDS", help="cancel request deadline")
-    ps.add_argument("--json", action="store_true",
-                    help="machine-readable acknowledgement")
     ps.set_defaults(fn=cmd_farm_cancel)
 
     ps = farm_subs.add_parser(
@@ -1229,12 +1137,7 @@ def build_parser() -> argparse.ArgumentParser:
              "pending/leased/done, cells/s, eta (read-only; never "
              "leases or disturbs the sweeps)",
     )
-    ps.add_argument("--connect", required=True, metavar="HOST:PORT",
-                    help="the coordinator's address")
-    ps.add_argument("--timeout", type=float, default=10.0,
-                    metavar="SECONDS", help="status request deadline")
-    ps.add_argument("--json", action="store_true",
-                    help="machine-readable status")
+    _client_args(ps, "coordinator")
     ps.set_defaults(fn=cmd_farm_status)
 
     p = subs.add_parser(
@@ -1334,8 +1237,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="send one coloring/MIS query to a 'repro serve' server",
     )
     _graph_args(p)
-    p.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="the query server's address")
+    _client_args(p, "query server", with_json=False)  # _graph_args has it
     p.add_argument("--problem", default="coloring",
                    choices=("coloring", "mis"))
     p.add_argument("--method", default=None, metavar="METHOD",
@@ -1349,10 +1251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--send-path", action="store_true",
                    help="with --graph-file: send the path for the "
                         "server to load, instead of inlining edges")
-    p.add_argument("--timeout", type=float, default=10.0,
-                   metavar="SECONDS",
-                   help="socket deadline per exchange (on top of the "
-                        "query deadline + grace)")
     p.set_defaults(fn=cmd_query)
 
     p = subs.add_parser(
@@ -1361,12 +1259,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(queries/s, p50/p99, cache hit rate, shed/degraded/"
              "error counts)",
     )
-    p.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="the query server's address")
-    p.add_argument("--timeout", type=float, default=10.0,
-                   metavar="SECONDS", help="status request deadline")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable status")
+    _client_args(p, "query server")
     p.set_defaults(fn=cmd_serve_status)
 
     p = subs.add_parser("info", help="model constants for a graph")
@@ -1377,9 +1270,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except ReproError as exc:
+        command = " ".join(filter(None, (
+            args.command, getattr(args, "farm_command", None))))
+        print(f"{command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

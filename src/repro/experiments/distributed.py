@@ -142,6 +142,9 @@ DEFAULT_BACKOFF_S = 0.5
 DEFAULT_BACKOFF_MAX_S = 15.0
 DEFAULT_JOURNAL_INTERVAL_S = 2.0
 DEFAULT_DRAIN_GRACE_S = 5.0
+#: How long both CLI farm hosts stay up after their work ends, so a
+#: worker that arrives late is told ``shutdown`` instead of refused.
+DEFAULT_LINGER_S = 2.0
 
 #: The tenant name single-sweep entry points (`repro sweep --serve`,
 #: Coordinator(spec=...)) serve under.
@@ -817,8 +820,11 @@ class Coordinator(Service):
         drained or stopped); returns the fresh records.
 
         ``linger_s`` keeps the coordinator up briefly after the last
-        record so workers parked in the idle loop can come back for
-        their shutdown message instead of finding a dead socket.
+        record so workers parked in the idle loop (or arriving late) can
+        come back for their shutdown message instead of finding a dead
+        socket.  A drained single sweep closes at once: its workers must
+        ride out the bounce to the restarted coordinator, not exit on a
+        lingering one's ``shutdown``.
         """
         if not self._finished.wait(timeout):
             outstanding = sum(s.queue.outstanding()
@@ -827,7 +833,7 @@ class Coordinator(Service):
                 f"sweep not finished after {timeout}s "
                 f"({outstanding} cells outstanding)"
             )
-        if linger_s > 0:
+        if linger_s > 0 and (self._persistent or not self.draining):
             time.sleep(linger_s)
         self._settle()
         self.stop()

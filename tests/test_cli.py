@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -149,3 +150,83 @@ def test_sweep_timeout_flag(tmp_path, capsys, monkeypatch):
     assert "timeout" in err
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     assert lines and lines[-1]["status"] == "timeout"
+
+
+# -- parser parity: each role's flags are declared once ----------------------
+
+
+def _subparser(*path):
+    parser = build_parser()
+    for name in path:
+        [subs] = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        parser = subs.choices[name]
+    return parser
+
+
+def _options(*path) -> dict:
+    """Option string -> its argparse action, for one (sub)command."""
+    return {opt: action for action in _subparser(*path)._actions
+            for opt in action.option_strings}
+
+
+def _same(a, b) -> bool:
+    return (a.default, a.required, a.choices, a.type, a.dest) == \
+        (b.default, b.required, b.choices, b.type, b.dest)
+
+
+HOST_FLAGS = ("--lease", "--journal", "--resume-journal",
+              "--journal-interval", "--drain-grace", "--status-interval")
+
+
+def test_sweep_and_farm_serve_take_the_same_host_flags():
+    from repro.experiments import distributed
+
+    sweep, farm = _options("sweep"), _options("farm", "serve")
+    for flag in HOST_FLAGS:
+        assert _same(sweep[flag], farm[flag]), flag
+    assert sweep["--lease"].default == distributed.DEFAULT_LEASE_S
+    assert (sweep["--journal-interval"].default
+            == distributed.DEFAULT_JOURNAL_INTERVAL_S)
+    assert sweep["--drain-grace"].default == distributed.DEFAULT_DRAIN_GRACE_S
+    # --max-requeues is the farm's alone; sweep keeps its option set.
+    assert "--max-requeues" in farm and "--max-requeues" not in sweep
+
+
+def test_farm_serve_max_requeues_defaults_to_the_library_default():
+    from repro.experiments.distributed import DEFAULT_MAX_REQUEUES
+
+    args = build_parser().parse_args(["farm", "serve", "0",
+                                      "--store-dir", "stores"])
+    assert args.max_requeues == DEFAULT_MAX_REQUEUES
+
+
+def test_color_and_mis_take_the_same_engine_flags():
+    color, mis = _options("color"), _options("mis")
+    for flag in ("--asynchronous", "--latency", "--faults", "--scheduler"):
+        assert _same(color[flag], mis[flag]), flag
+
+
+#: client command -> its request-deadline flag (the worker has none;
+#: on `farm submit`, --timeout is the per-cell budget, a sweep axis).
+CLIENTS = {
+    ("worker",): None,
+    ("farm", "submit"): "--rpc-timeout",
+    ("farm", "attach"): "--timeout",
+    ("farm", "cancel"): "--timeout",
+    ("farm", "status"): "--timeout",
+    ("query",): "--timeout",
+    ("serve-status",): "--timeout",
+}
+
+
+@pytest.mark.parametrize("path", sorted(CLIENTS), ids=" ".join)
+def test_client_commands_take_connect_deadline_and_json(path):
+    from repro.wire import DEFAULT_REQUEST_TIMEOUT_S
+
+    options = _options(*path)
+    assert options["--connect"].required
+    assert options["--json"].default is False
+    deadline = CLIENTS[path]
+    if deadline is not None:
+        assert options[deadline].default == DEFAULT_REQUEST_TIMEOUT_S

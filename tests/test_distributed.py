@@ -331,7 +331,9 @@ def test_two_worker_distributed_sweep_matches_serial(tmp_path):
             )
             for i in range(2)
         ]
-        fresh = coord.wait(timeout=120)
+        # Linger as `repro sweep --serve` does: the sweep can end before
+        # the second worker connects, which must then hear `shutdown`.
+        fresh = coord.wait(timeout=120, linger_s=distributed.DEFAULT_LINGER_S)
         outs = [p.communicate(timeout=60) for p in procs]
     assert [p.returncode for p in procs] == [0, 0], outs
     merged = {r["key"]: r for r in store.load()}
@@ -351,6 +353,38 @@ def test_two_worker_distributed_sweep_matches_serial(tmp_path):
 
 
 # -- CLI ----------------------------------------------------------------------
+
+
+def test_cli_sweep_serve_tells_a_late_worker_to_shut_down(tmp_path):
+    """A worker that connects after `repro sweep --serve` recorded its
+    last cell is told `shutdown` (exit 0, no cells run), not refused:
+    the one-shot host lingers after completion like `farm serve`."""
+    def repro(*argv):
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv], env=_worker_env(),
+            cwd=str(tmp_path), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+
+    serve = repro("sweep", "--serve", "127.0.0.1:0", "--families", "gnp",
+                  "--sizes", "30", "--seeds", "0", "--methods", "luby",
+                  "--status-interval", "0",
+                  "--out", str(tmp_path / "late.jsonl"))
+    try:
+        banner = serve.stdout.readline()
+        endpoint = banner.split(" on ", 1)[1].split()[0]
+        first = repro("worker", "--connect", endpoint, "--json")
+        out, err = first.communicate(timeout=60)
+        assert first.returncode == 0, err
+        assert json.loads(out)["cells run"] == 1
+        late = repro("worker", "--connect", endpoint, "--reconnect", "0",
+                     "--json")
+        out, err = late.communicate(timeout=60)
+        assert late.returncode == 0, err
+        assert json.loads(out)["cells run"] == 0
+        serve.communicate(timeout=60)
+        assert serve.returncode == 0
+    finally:
+        serve.kill()
 
 
 def test_cli_sweep_dry_run(tmp_path, capsys):

@@ -833,11 +833,12 @@ def test_cli_dry_run_prints_axes(tmp_path, capsys):
     assert payload["cells"] == 4 == payload["to_run"]
 
 
-def test_cli_sweep_rejects_bad_fault_spec(tmp_path):
-    with pytest.raises(SystemExit):
-        cli.main(["sweep", "--families", "gnp", "--sizes", "36",
-                  "--faults", "drop:lots", "--dry-run",
-                  "--out", str(tmp_path / "x.jsonl")])
+def test_cli_sweep_rejects_bad_fault_spec(tmp_path, capsys):
+    rc = cli.main(["sweep", "--families", "gnp", "--sizes", "36",
+                   "--faults", "drop:lots", "--dry-run",
+                   "--out", str(tmp_path / "x.jsonl")])
+    assert rc == 1
+    assert "sweep: malformed fault spec 'drop:lots'" in capsys.readouterr().err
 
 
 # -- graph-major plan and graph reuse -----------------------------------------

@@ -657,8 +657,8 @@ def test_cli_query_unreachable_server_fails_cleanly(capsys):
 
 
 def test_cli_serve_drains_through_the_shared_loop(tmp_path, capsys):
-    """`repro serve` drains on SIGTERM through the CLI's one
-    serve-until-drained loop: exit 0, the previous handler restored,
+    """`repro serve` drains on SIGTERM through the CLI's one host
+    routine: exit 0, the previous handler restored,
     and a final --stats-out snapshot written after the drain."""
     stats = tmp_path / "stats.json"
     previous = signal.getsignal(signal.SIGTERM)
