@@ -32,10 +32,8 @@ baseline for the *cost-of-asynchrony* metrics
 
 from __future__ import annotations
 
-import gc
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -56,6 +54,7 @@ from repro.mis.algorithm3 import run_algorithm3
 from repro.mis.baselines import run_rank_greedy_mis
 from repro.mis.luby import run_luby
 from repro.mis.verify import mis_violations, survivor_mis_violations
+from repro.util.collector import collector_paused
 
 
 @dataclass
@@ -177,38 +176,7 @@ def _report(method: str, net, engine: str = "sync",
     return report
 
 
-@contextmanager
-def _collector_paused():
-    """Keep Python's cyclic garbage collector off for one engine run.
-
-    A run allocates a ``Msg``, an ``Envelope``, tuples and inbox lists
-    per simulated send, and each collection those allocations trigger
-    re-walks every per-node set and dict the run has built; yet the run
-    leaves only O(n) cyclic garbage, nothing per message
-    (``tests/test_api.py::test_engine_run_leaves_only_per_node_cyclic_garbage``).
-    So the collector is off while the run lasts, and nothing is
-    collected here: the first allocation after the run starts one
-    young-generation pass, paid by the caller.
-
-    The collector is re-enabled on the way out, normal or raising, only
-    if it was enabled on the way in.  ``gc.disable`` is process-wide:
-    when two threads run engines at once, the first to finish turns the
-    collector back on while the other still runs.  That costs only
-    speed, and the collector is never left off when it was on before.
-    Engines run in a process's main thread or in warm children; server
-    threads never run one.
-    """
-    enabled = gc.isenabled()
-    if enabled:
-        gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-@_collector_paused()
+@collector_paused()
 def _run_engines(build, drive, asynchronous: bool, latency: str,
                  faults=None, scheduler=None):
     """Run a cell on the requested engine.
@@ -241,7 +209,7 @@ def _run_engines(build, drive, asynchronous: bool, latency: str,
     contract).  The event-driven engine keeps its own scheduler.
 
     The whole call, shadow and retries included, runs with the cyclic
-    garbage collector paused (:func:`_collector_paused`).
+    garbage collector paused (:func:`repro.util.collector.collector_paused`).
 
     Returns ``(net, outputs, shadow_net_or_None, wall_seconds)`` where
     ``wall_seconds`` times the successful primary drive.

@@ -713,6 +713,7 @@ def cmd_profile(args) -> int:
             print(f"  {name:32s} {wall * 1000:9.2f} ms")
         print(f"  {'(stage total)':32s} {total * 1000:9.2f} ms "
               f"of {record['wall_s'] * 1000:.2f} ms cell wall")
+        print(f"  {'(graph build)':32s} {record['graph_s'] * 1000:9.2f} ms")
     print(f"cell {record['key']}: {record['messages']} msgs, "
           f"{record['rounds']} rounds, {record['wall_s']:.3f}s, "
           f"valid={record['valid']}")

@@ -57,7 +57,8 @@ class JohanssonListColoring(ColumnarStage, NodeAlgorithm):
         if active is None:
             self.undecided = set(ctx.neighbor_ids)
         elif active:
-            self.undecided = {u for u in ctx.neighbor_ids if u in active}
+            self.undecided = set(filter(active.__contains__,
+                                          ctx.neighbor_ids))
         else:
             self.undecided = set()
         self.phase = 0

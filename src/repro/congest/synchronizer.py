@@ -112,7 +112,7 @@ class AlphaSynchronizer(NodeAlgorithm):
         active = state.get("active")
         if active is None:
             active = frozenset(ctx.neighbor_ids)
-        self.active = frozenset(u for u in ctx.neighbor_ids if u in active)
+        self.active = frozenset(filter(active.__contains__, ctx.neighbor_ids))
         self.inner = self.inner_factory()
         self.sim = _SimContext(ctx, state.get("inner"))
         self.inner.setup(self.sim)

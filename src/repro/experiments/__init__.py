@@ -29,69 +29,45 @@ host a distributed run, ``--dry-run`` to print the plan),
         --seeds 0 1 2 --methods kt1-delta-plus-one luby \\
         --workers 4 --out results.jsonl
     python -m repro report --results results.jsonl
+
+The package loads lazily (PEP 562): ``import repro.experiments`` runs
+no submodule, and each name below imports only its own submodule on
+first use.  So ``repro.serving`` (which needs :mod:`.spec`) and a cell
+runner (:mod:`.runner`) never pay for :mod:`.distributed`'s wire and
+socket stack.
 """
 
-from repro.experiments.distributed import (
-    DEFAULT_SWEEP,
-    PROTOCOL_VERSION,
-    Coordinator,
-    QueueJournal,
-    SweepState,
-    WorkQueue,
-    cancel_sweep,
-    fetch_status,
-    fetch_sweep,
-    list_sweeps,
-    run_worker,
-    submit_sweep,
-)
-from repro.experiments.report import bench_payload, render_report, summarize
-from repro.experiments.runner import run_cell, run_sweep
-from repro.experiments.spec import (
-    ALL_METHODS,
-    ASYNC_NATIVE_METHODS,
-    COLORING_METHODS,
-    MIS_METHODS,
-    Cell,
-    SweepSpec,
-)
-from repro.experiments.stats import (
-    fit_exponent,
-    growth_exponents,
-    latest_per_key,
-    mean_ci,
-    ok_records,
-)
-from repro.experiments.store import ResultStore
+from importlib import import_module
 
-__all__ = [
-    "ALL_METHODS",
-    "ASYNC_NATIVE_METHODS",
-    "COLORING_METHODS",
-    "Coordinator",
-    "DEFAULT_SWEEP",
-    "MIS_METHODS",
-    "PROTOCOL_VERSION",
-    "Cell",
-    "QueueJournal",
-    "ResultStore",
-    "SweepSpec",
-    "SweepState",
-    "WorkQueue",
-    "bench_payload",
-    "cancel_sweep",
-    "fetch_status",
-    "fetch_sweep",
-    "list_sweeps",
-    "fit_exponent",
-    "growth_exponents",
-    "latest_per_key",
-    "mean_ci",
-    "ok_records",
-    "render_report",
-    "run_cell",
-    "run_sweep",
-    "run_worker",
-    "submit_sweep",
-    "summarize",
-]
+_EXPORTS = {
+    "distributed": (
+        "DEFAULT_SWEEP", "PROTOCOL_VERSION", "Coordinator", "QueueJournal",
+        "SweepState", "WorkQueue", "cancel_sweep", "fetch_status",
+        "fetch_sweep", "list_sweeps", "run_worker", "submit_sweep",
+    ),
+    "report": ("bench_payload", "render_report", "summarize"),
+    "runner": ("run_cell", "run_sweep"),
+    "spec": (
+        "ALL_METHODS", "ASYNC_NATIVE_METHODS", "COLORING_METHODS",
+        "MIS_METHODS", "Cell", "SweepSpec",
+    ),
+    "stats": (
+        "fit_exponent", "growth_exponents", "latest_per_key", "mean_ci",
+        "ok_records",
+    ),
+    "store": ("ResultStore",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items()
+         for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

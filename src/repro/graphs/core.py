@@ -13,6 +13,10 @@ edge tuple: every edge ``(u, x)`` with ``u < x`` precedes every edge
 ``(x, w)``, and both runs are in increasing order, so vertex ``x`` receives
 its smaller neighbors in order, then its larger ones in order.  Each list
 comes out sorted, with no per-vertex sort.
+
+A generator that already produces sorted adjacency lists (G(n, p) draws
+its edges row by row, in increasing order) skips all of that through
+:meth:`Graph._from_sorted_adjacency`, which only derives ``_edges``.
 """
 
 from __future__ import annotations
@@ -47,6 +51,22 @@ class Graph:
         self.n = n
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self._edges: tuple[tuple[int, int], ...] = canonical
+
+    @classmethod
+    def _from_sorted_adjacency(cls, n: int, adj: list[list[int]]) -> "Graph":
+        """The graph whose neighbor lists are ``adj``, without validation.
+
+        The caller guarantees what ``__init__`` would establish: each
+        ``adj[v]`` is sorted, free of duplicates and of ``v``, and ``w``
+        is in ``adj[v]`` exactly when ``v`` is in ``adj[w]``.  The
+        canonical edges are then each row's larger neighbors, in order.
+        """
+        g = cls.__new__(cls)
+        g.n = n
+        g._adj = tuple(map(tuple, adj))
+        g._edges = tuple([(u, v) for u, row in enumerate(g._adj)
+                          for v in row if v > u])
+        return g
 
     # -- basic accessors ----------------------------------------------------
 

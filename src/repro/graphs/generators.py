@@ -19,6 +19,7 @@ from typing import Sequence
 
 from repro.errors import ReproError
 from repro.graphs.core import Graph
+from repro.util.collector import collector_paused
 
 
 def _rng_from(seed) -> random.Random:
@@ -50,20 +51,27 @@ def _shuffle(rng: random.Random, items: list) -> None:
 
 
 def gnp_random_graph(n: int, p: float, seed=0) -> Graph:
-    """Erdos-Renyi G(n, p) via geometric edge skipping (O(n + m) time)."""
+    """Erdos-Renyi G(n, p) via geometric edge skipping (O(n + m) time).
+
+    Edges (v, w), w < v, are drawn row by row in increasing v, and in
+    increasing w inside a row, so appending each to both endpoints'
+    lists leaves every list sorted: vertex x first gets its smaller
+    neighbors in its own row, then its larger ones from later rows.
+    The graph is built from those lists directly, with no
+    canonicalizing pass over the edges.
+    """
     if not 0.0 <= p <= 1.0:
         raise ReproError("p must be in [0, 1]")
     rng = _rng_from(seed)
-    edges: list[tuple[int, int]] = []
     if p == 0.0 or n < 2:
-        return Graph(n, edges)
+        return Graph(n, ())
     if p == 1.0:
         return complete_graph(n)
     from math import log
 
     log_q = log(1.0 - p)
     draw = rng.random
-    append = edges.append
+    adj: list[list[int]] = [[] for _ in range(n)]
     v, w = 1, -1
     while v < n:
         w = w + 1 + int(log(1.0 - draw()) / log_q)
@@ -71,8 +79,9 @@ def gnp_random_graph(n: int, p: float, seed=0) -> Graph:
             w -= v
             v += 1
         if v < n:
-            append((v, w))
-    return Graph(n, edges)
+            adj[v].append(w)
+            adj[w].append(v)
+    return Graph._from_sorted_adjacency(n, adj)
 
 
 def connected_gnp_graph(n: int, p: float, seed=0, max_tries: int = 60) -> Graph:
@@ -425,6 +434,7 @@ def family_built_n(family: str, n: int, p: float = 0.2) -> int:
     return n
 
 
+@collector_paused()
 def family_graph(family: str, n: int, p: float = 0.2, seed=0) -> Graph:
     """Build a graph from a ``(family, n, density-knob, seed)`` spec.
 
@@ -436,7 +446,9 @@ def family_graph(family: str, n: int, p: float = 0.2, seed=0) -> Graph:
     ``expander`` (random d-regular lift of K_{d+1} with d ~ 16p clamped
     to [3, 8]), and ``planted`` (planted partition with p_in = p,
     p_out = p/8, 4 blocks).  Size quantization here must stay in
-    lockstep with :func:`family_built_n`.
+    lockstep with :func:`family_built_n`.  The build runs with the
+    cyclic garbage collector paused
+    (:func:`repro.util.collector.collector_paused`).
     """
     if family == "gnp":
         return connected_gnp_graph(n, p, seed=seed)

@@ -82,6 +82,7 @@ from repro.graphs.io import load_edge_list
 from repro.mis.greedy import sequential_greedy_mis
 from repro.mis.verify import mis_violations
 from repro.supervise import Supervisor, spawn_child
+from repro.util.collector import collector_paused
 from repro.wire import (
     DEFAULT_REQUEST_TIMEOUT_S,
     Client,
@@ -195,8 +196,14 @@ def build_query(problem: str, method: Optional[str] = None,
     return msg
 
 
+@collector_paused()
 def _request_graph(msg: dict) -> Graph:
-    """Build the query's graph; raises :class:`ReproError` on bad input."""
+    """Build the query's graph; raises :class:`ReproError` on bad input.
+
+    The build runs with the cyclic garbage collector paused
+    (:func:`repro.util.collector.collector_paused`), also in a
+    connection thread: the pause is process-wide and costs only speed.
+    """
     if "edges" in msg:
         edges = [(int(u), int(v)) for u, v in msg["edges"]]
         n = msg.get("n")

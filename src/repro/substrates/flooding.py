@@ -28,7 +28,7 @@ from repro.util.bitstrings import BitString, random_bitstring
 def _active_neighbors(ctx: Context, active) -> tuple[NodeId, ...]:
     if active is None:
         return ctx.neighbor_ids
-    return tuple(u for u in ctx.neighbor_ids if u in active)
+    return tuple(filter(active.__contains__, ctx.neighbor_ids))
 
 
 class FloodLeaderElect(NodeAlgorithm):

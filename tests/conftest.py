@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.congest.network import SyncNetwork
@@ -16,6 +18,16 @@ from repro.graphs.generators import (
     gnp_random_graph,
     random_regular_graph,
 )
+
+
+@pytest.fixture
+def gc_enabled():
+    """Run the test with the collector on, and leave it as it was."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    if not was_enabled:
+        gc.disable()
 
 
 @pytest.fixture

@@ -169,16 +169,6 @@ def test_stats_lite_api(workload):
 # -- the cyclic garbage collector is paused for one engine run ---------------
 
 
-@pytest.fixture
-def gc_enabled():
-    """Run the test with the collector on, and leave it as it was."""
-    was_enabled = gc.isenabled()
-    gc.enable()
-    yield
-    if not was_enabled:
-        gc.disable()
-
-
 def _spy_luby(monkeypatch, fail=None):
     """Patch Luby's driver to record ``gc.isenabled()`` per call and, on
     the calls ``fail(net, call_number)`` names, raise what it returns."""

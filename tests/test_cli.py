@@ -130,6 +130,21 @@ def test_profile_subcommand(capsys):
     assert "msgs" in out and "valid=True" in out
 
 
+def test_profile_prints_the_graph_build_next_to_the_stage_total(
+        capsys, monkeypatch):
+    from repro.experiments import runner
+
+    monkeypatch.setattr(runner, "_last_graph", None)    # build, not reuse
+    rc = main(["profile", "--method", "luby", "--n", "40", "--p", "0.3",
+               "--top", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    total = next(i for i, line in enumerate(lines) if "(stage total)" in line)
+    graph = lines[total + 1].split()
+    assert graph[:2] == ["(graph", "build)"] and graph[-1] == "ms"
+    assert float(graph[2]) > 0.0
+
+
 def test_profile_unknown_method():
     with pytest.raises(SystemExit):
         main(["profile", "--method", "nope", "--n", "30"])

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +28,40 @@ from repro.graphs.generators import family_graph, regular_degree_for
 from repro.supervise import Supervisor, spawn_child
 
 from scripted_children import HANG, ScriptedChild, spawn_script
+
+
+# -- lazy package loading ------------------------------------------------------
+
+_LAZY_PROBE = """
+import sys
+{statement}
+assert "repro.experiments.distributed" not in sys.modules, "{statement}"
+import repro.experiments as experiments
+for name in experiments.__all__:
+    getattr(experiments, name)
+assert experiments.distributed.Coordinator is experiments.Coordinator
+"""
+
+
+@pytest.mark.parametrize("statement", [
+    "import repro.serving",
+    "from repro.experiments import runner",
+])
+def test_experiments_package_loads_distributed_only_on_use(statement):
+    """A query server or a cell runner never imports the farm's wire stack,
+    yet every exported name and submodule still resolves."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_PROBE.format(statement=statement)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_experiments_package_rejects_unknown_names():
+    import repro.experiments as experiments
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        experiments.no_such_name
 
 
 # -- spec ---------------------------------------------------------------------

@@ -301,6 +301,8 @@ def test_torus_hypercube_via_family_graph():
 # the graphs themselves, bit for bit.  `regular` at p=0.05 succeeds in the
 # configuration model for n <= 80 and falls back to the circulant swaps at
 # n=140; at p=0.25 the fallback runs for every case but (16, seed 1).
+# The gnp cases other than (320, 0.45) were recorded while G(n, p) still
+# built its graph from an edge list, before it filled the adjacency itself.
 _FAMILY_GRAPH_DIGESTS = {
     ("regular", 16, 0.05, 0): "8f2018a3430e8b80e3b4376fc3b38831f4a920381f9ac7509e37203cdbf810fa",
     ("regular", 16, 0.05, 1): "90782dc4688a07acfacfda97abba344df105523cabd9183fd1336048e3ba9eb5",
@@ -338,6 +340,21 @@ _FAMILY_GRAPH_DIGESTS = {
     ("gnp", 320, 0.45, 0): "9d71ba6b9768cac70389680122f1a776f3ee91e4cae8c7e8f61cb3d19f7686d0",
     ("gnp", 320, 0.45, 1): "b0e3123d9e77101a61f73ca864e02a823f65afee4425e8f9085da8b418fd7e35",
     ("gnp", 320, 0.45, 2): "b047556852dbbd41386c29875121b01ce59a7b2a0bf2b56c35879989761a201c",
+    ("gnp", 220, 0.45, 0): "07f9146ed60378ca930b47939cdaff1621dd0eea2c1ad77f520626fe480c07e5",
+    ("gnp", 220, 0.45, 1): "43353faca53627454bc09d06bd176d1850282ba18791b425c1ddd20c0b98071c",
+    ("gnp", 220, 0.45, 2): "b4281db5de543fcc60fbbb4ff1726f8bc8b4a691621952b7797974ebb5740045",
+    ("gnp", 320, 0.25, 0): "61ed9e51437290b4a26846a124367c5f3a511d05db9e0993e35d4dae8c5d0149",
+    ("gnp", 320, 0.25, 1): "42b6896ac40bdbecebfcb99e045ef990728157f5861e2cd3f7842d177618f6a6",
+    ("gnp", 320, 0.25, 2): "e49bfd28b9d2242a3ec91f9f67518a5a5854f82e359ac7c26cfafe278c03843e",
+    ("gnp", 220, 0.25, 0): "2e2ab61faecb37c24a0099b6c34ff425bd4e8864d59c0d864b874b85c8426a1e",
+    ("gnp", 220, 0.25, 1): "9f271fe43842e5bc22990c112a3192ed0982dec274636b7085e3632f7d750ca7",
+    ("gnp", 220, 0.25, 2): "cbe89727a20d85349bc5dedfb8ff00382cb43222cdb27127e4bb8afb63c6bf63",
+    ("gnp", 80, 0.25, 0): "65ebc17cf49f0222644058410299203569f60e308a7f84151df56f5d394d64fe",
+    ("gnp", 80, 0.25, 1): "c3749d3992a4ef13935084c6619337671ec0d86a74bee493f2aa543a6b7528ee",
+    ("gnp", 80, 0.25, 2): "4dfc06bc1182fd770a178ee617b4eb36e80c57a577b8747a332b8d147cb3990a",
+    ("gnp", 140, 0.25, 0): "1bce8928a386658991dea38f71bb5b7b43849e898fdeb8fa81970efb01d01428",
+    ("gnp", 140, 0.25, 1): "6d7214e10d6c7e641de681f2869709a673aafb57123fa9ade638add288788fa5",
+    ("gnp", 140, 0.25, 2): "c737189aac395f529d5bb286aa46f0be9bbe3f18fad40908a4dceb029d7b5f36",
 }
 
 
@@ -355,6 +372,53 @@ def test_family_graphs_are_pinned(case):
 
 
 # -- exactness of the inlined rng draws ---------------------------------------
+
+def _reference_gnp_random_graph(n, p, seed=0):
+    """G(n, p) as first written: an edge list canonicalized by ``Graph``."""
+    from math import log
+
+    from repro.graphs.core import Graph
+    from repro.graphs.generators import _rng_from
+
+    rng = _rng_from(seed)
+    edges = []
+    if p == 0.0 or n < 2:
+        return Graph(n, edges)
+    if p == 1.0:
+        return complete_graph(n)
+    log_q = log(1.0 - p)
+    v, w = 1, -1
+    while v < n:
+        w = w + 1 + int(log(1.0 - rng.random()) / log_q)
+        while w >= v and v < n:
+            w -= v
+            v += 1
+        if v < n:
+            edges.append((v, w))
+    return Graph(n, edges)
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.25, 0.45, 0.999, 1.0])
+def test_gnp_adjacency_build_matches_the_edge_list_build(p, monkeypatch):
+    """Same adjacency, edges and rng stream as the edge-list build, through
+    ``connected_gnp_graph`` so that resampling and patching are covered."""
+    import random
+
+    from repro.graphs import generators
+
+    for n in range(41):
+        for seed in range(3):
+            rng = random.Random(seed)
+            got = connected_gnp_graph(n, p, rng)
+            with monkeypatch.context() as patch:
+                patch.setattr(generators, "gnp_random_graph",
+                              _reference_gnp_random_graph)
+                reference_rng = random.Random(seed)
+                expected = connected_gnp_graph(n, p, reference_rng)
+            assert got._adj == expected._adj, (n, seed)
+            assert got._edges == expected._edges, (n, seed)
+            assert rng.random() == reference_rng.random(), (n, seed)
+
 
 _SHUFFLE_LENGTHS = sorted(
     {0, 1, 2, 4900} | {(1 << k) + delta for k in range(1, 13) for delta in (-1, 1)}
