@@ -87,6 +87,18 @@ python -m pytest -x -q \
     tests/test_idle_work.py \
     tests/test_latency_fanout.py
 
+echo "== paper-claim benches (the paper's orderings, fixed seeds) =="
+# The 22 tests in benchmarks/bench_*.py that assert the paper's claims:
+# Figure 1's ordering, Thms 3.3/3.8/4.1 and Lemmas 3.5/3.7 (Algorithms
+# 1-3), the danner, the lower-bound lemmas and theorems, and the async
+# study.  pytest.ini's testpaths is tests/, so nothing else runs them.
+# bench_engine.py and bench_serve.py are artifact writers, not claims.
+python -m pytest -x -q benchmarks/bench_algorithm1.py \
+    benchmarks/bench_algorithm2.py benchmarks/bench_algorithm3.py \
+    benchmarks/bench_async.py benchmarks/bench_danner.py \
+    benchmarks/bench_figure1.py benchmarks/bench_lowerbound.py \
+    --benchmark-disable
+
 echo "== benchmark harness tests (perfbench/) =="
 # perfbench/tracing.py wraps supervisor, farm and serving functions by
 # module attribute; a rename in src/ breaks the traced benchmark run,

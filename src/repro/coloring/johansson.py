@@ -207,28 +207,24 @@ class JohanssonListColoring(ColumnarStage, NodeAlgorithm):
 
     @classmethod
     def build_columnar_kernel(cls, net, algorithms, contexts):
-        from repro.congest.columnar import ActiveGraph, get_numpy
+        from repro.congest.columnar import (ActiveGraph, get_numpy,
+                                           undecided_adjacency)
 
         np_ = get_numpy()
         if np_ is None:
             return None
-        n = net._n
-        vertex_of = net.vertex_of
-        adjacency = []
         for alg in algorithms:
-            if not alg.participate:
-                # Bystanders never speak; a participant still pointing
-                # at one is an asymmetry the build below rejects (the
-                # scalar path then raises its ProtocolError exactly).
-                adjacency.append(())
-                continue
-            if any(
+            if alg.participate and any(
                 type(c) is not int or c < 0 or c >= _MAX_KERNEL_COLOR
                 for c in alg.palette
             ):
                 return None
-            adjacency.append(sorted(vertex_of(u) for u in alg.undecided))
-        graph = ActiveGraph.build(np_, n, adjacency)
+        # A declined build sends the stage to the scalar path (which then
+        # raises its ProtocolError exactly).
+        adjacency = undecided_adjacency(net, algorithms)
+        if adjacency is None:
+            return None
+        graph = ActiveGraph.build(np_, net._n, adjacency)
         if graph is None:
             return None
         return _JohanssonKernel(np_, net, graph, algorithms, contexts)

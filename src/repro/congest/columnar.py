@@ -25,6 +25,8 @@ kernel needs:
   path).  ``erev`` doubles as the delivery scatter: the bank slot of an
   arrival at ``dst`` from ``src`` is ``erev[edge]`` — an out-edge slot of
   ``dst``, so every receiver's bank block is contiguous in ``indptr``.
+* :func:`undecided_adjacency` — the per-node active neighbor lists an
+  ``ActiveGraph`` is built from, resolved through the nodes' port maps.
 * :func:`block_positions` — the gather that turns "these nodes" into
   "all their out-edge slots" plus an owner index, without Python loops.
 
@@ -35,7 +37,10 @@ Kernels themselves live next to their algorithms (``mis/luby.py`` and
 from __future__ import annotations
 
 import sys
+from itertools import chain
 from typing import Optional
+
+from repro.congest.ids import id_value
 
 _UNSET = object()
 
@@ -139,14 +144,12 @@ class ActiveGraph:
         edge has no reverse) — the scalar path owns that case, including
         its deadlock diagnostics.
         """
-        degrees = np_.fromiter(
-            (len(a) for a in adjacency), dtype=np_.int64, count=n
-        )
+        degrees = np_.fromiter(map(len, adjacency), dtype=np_.int64,
+                               count=n)
         total = int(degrees.sum())
         esrc = np_.repeat(np_.arange(n, dtype=np_.int64), degrees)
-        edst = np_.fromiter(
-            (u for a in adjacency for u in a), dtype=np_.int64, count=total
-        )
+        edst = np_.fromiter(chain.from_iterable(adjacency),
+                            dtype=np_.int64, count=total)
         # adjacency lists are sorted and vertices ascend, so the flat
         # keys src*n + dst arrive pre-sorted: erev is one searchsorted.
         ekeys = esrc * n + edst
@@ -160,6 +163,41 @@ class ActiveGraph:
         np_.cumsum(degrees, out=indptr[1:])
         alive = np_.ones(total, dtype=bool)
         return cls(n, esrc, edst, erev, indptr, alive, degrees.copy())
+
+
+def undecided_adjacency(net, algorithms) -> Optional[list]:
+    """Per-vertex ascending active neighbor lists for
+    :meth:`ActiveGraph.build`, from each participant's ``undecided`` ID
+    set; a bystander's list is empty.
+
+    Each set is resolved through the vertex's port map (neighbor ID
+    value -> vertex) with C-level ``map``.  A set that resolves to as
+    many vertices as the vertex has neighbors names them all (its IDs
+    are distinct neighbors), so the graph's sorted row is used as is.
+    A bystander never speaks; a participant still listing one is an
+    asymmetry ``ActiveGraph.build`` rejects.  Returns None (decline) when
+    a member is not a neighbor's ID, as the send path's port lookup
+    finds, so the scalar path raises its own error.
+    """
+    ports = net._ports
+    nbrs = net.graph.neighbors
+    adjacency = []
+    for v, alg in enumerate(algorithms):
+        if not alg.participate:
+            adjacency.append(())
+            continue
+        try:
+            row = list(map(ports[v].__getitem__,
+                           map(id_value, alg.undecided)))
+        except (KeyError, AttributeError):
+            return None
+        full = nbrs(v)
+        if len(row) == len(full):
+            adjacency.append(full)
+        else:
+            row.sort()
+            adjacency.append(row)
+    return adjacency
 
 
 def block_positions(np_, indptr, nodes):

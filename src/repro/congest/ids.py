@@ -20,11 +20,23 @@ salted per network so its numeric value carries no usable order information
 (a genuinely comparison-based algorithm could maintain the same dictionaries
 with a comparison-based search tree; allowing hashing is a convenience, not
 extra power).
+
+Hashing runs no Python frame.  IDs key every knowledge set, port map and
+receive dict, so each ID precomputes its hash and keeps, in the ``_hash``
+slot, that int's bound ``__index__`` (a zero-argument builtin).
+``NodeId.__hash__`` *is* the slot's member descriptor: ``hash(x)`` reads
+the slot and calls the builtin, both in C.  The values are the ones a
+Python ``__hash__`` returning the precomputed int gave, so set orders,
+KT-2 transcripts and async delay draws are unchanged.  The IDs stay plain
+objects: as an ``int`` subclass an OpaqueId would index lists without
+calling ``__index__`` (losing the discipline check) and its salted hash
+could not be its int value.
 """
 
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import ComparisonDisciplineError, ReproError
@@ -37,13 +49,17 @@ class NodeId:
 
     def __init__(self, value: int):
         self._value = int(value)
-        # IDs key every knowledge set and routing table in the engine, so
-        # the (immutable) hash is computed once instead of per lookup.
+        # The (immutable) hash is computed once; ``_hash`` holds it as a
+        # bound builtin that ``__hash__`` aliases (see the module doc).
         # Derived from the integer value only — never from a string —
         # because str hashes vary with PYTHONHASHSEED, which would make
         # set-of-ID iteration order (and hence the order sends consume
         # the async engine's delay stream) differ between processes.
-        self._hash = hash(self._value * 0x9E3779B97F4A7C15 + 1)
+        self._hash = hash(self._value * 0x9E3779B97F4A7C15 + 1).__index__
+
+    def __reduce__(self):
+        # The bound builtin in ``_hash`` does not pickle; rebuild instead.
+        return (NodeId, (self._value,))
 
     # -- comparisons (always allowed) ---------------------------------------
 
@@ -77,9 +93,6 @@ class NodeId:
             return self._value >= other._value
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"Id({self._value})"
 
@@ -102,6 +115,9 @@ class NodeId:
 #: Python frame; node programs read it once per neighbor.
 #: :class:`OpaqueId` shadows it with a property that raises.
 NodeId.value = NodeId._value
+#: ``hash(x)`` calls ``x._hash``, the precomputed hash's bound
+#: ``__index__``: the lookup and the call both run in C.
+NodeId.__hash__ = NodeId._hash
 
 
 class OpaqueId(NodeId):
@@ -113,13 +129,16 @@ class OpaqueId(NodeId):
     __slots__ = ("_salt",)
 
     def __init__(self, value: int, salt: int = 0):
-        super().__init__(value)
-        # object.__setattr__ not needed; __slots__ assignment is fine.
+        self._value = int(value)
         self._salt = salt
         # Int-tuple hash: salt-scrambled (no usable order information)
         # yet stable across processes — see NodeId.__init__ on why no
-        # strings may enter engine-path hashes.
-        self._hash = hash((salt, 0x27D4EB2F165667C5, self._value))
+        # strings may enter engine-path hashes.  Inherited ``__hash__``
+        # calls it from C, as for a NodeId.
+        self._hash = hash((salt, 0x27D4EB2F165667C5, self._value)).__index__
+
+    def __reduce__(self):
+        return (OpaqueId, (self._value, self._salt))
 
     @property
     def value(self) -> int:
@@ -127,10 +146,6 @@ class OpaqueId(NodeId):
             "comparison-based algorithms may only compare IDs "
             "(attempted to read the raw ID value)"
         )
-
-    def __hash__(self) -> int:
-        # Salted so the hash cannot be used as a stand-in for the value.
-        return self._hash
 
     def __repr__(self) -> str:
         return f"OpaqueId(#{self._value})"
@@ -152,14 +167,12 @@ class OpaqueId(NodeId):
         return repr(self)
 
 
-def id_value(node_id: NodeId) -> int:
-    """Engine-internal raw value access (bypasses the opaque discipline).
-
-    Only the simulator (for routing, decoding, and accounting) may call
-    this; algorithm code must go through ``.value`` so the discipline check
-    applies.
-    """
-    return node_id._value  # noqa: SLF001 - deliberate engine backdoor
+#: ``id_value(node_id)``: engine-internal raw value access (bypasses the
+#: opaque discipline).  Only the simulator (for routing, decoding, and
+#: accounting) may call this; algorithm code must go through ``.value``
+#: so the discipline check applies.  An ``attrgetter`` on the slot, so
+#: ``map(id_value, ids)`` runs no Python frame per ID.
+id_value = attrgetter("_value")
 
 
 class IdAssignment:

@@ -15,10 +15,10 @@ front with what every send needs: each vertex's ID object, port map
 (neighbor ID value -> vertex) and neighbor IDs sorted by value (also
 readable, under KT-2 and up, through
 :meth:`KTKnowledge.ordered_neighborhood_of`).  The
-rest is built on first query and cached: a vertex's neighbor-ID set,
-shared by every node that may read it; a node's ID layers by distance;
-under rho >= 3, its (rho - 1)-ball.  Laziness changes when a set is
-built, never what a node may read: each query first checks the model's
+rest is built on first query and cached: every vertex's neighbor-ID set,
+in one pass, shared by every node that may read it; a node's ID layers
+by distance; under rho >= 3, its (rho - 1)-ball.  Laziness changes when
+a set is built, never what a node may read: each query first checks the model's
 bounds and raises :class:`~repro.errors.ModelViolationError` beyond rho
 or outside the (rho - 1)-ball, as eagerly built knowledge did.
 """
@@ -64,15 +64,21 @@ class Topology:
             for w in nbrs(u):
                 lists[w].append(uid)
         self.neighbor_ids = list(map(tuple, lists))
-        self._neighborhoods: list[Optional[frozenset[NodeId]]] = [None] * n
+        self._neighborhoods: Optional[list[frozenset[NodeId]]] = None
+
+    def neighborhoods(self) -> list[frozenset[NodeId]]:
+        """Every vertex's neighbor-ID set, all built on first use."""
+        hoods = self._neighborhoods
+        if hoods is None:
+            ids = self.id_of.__getitem__
+            hoods = self._neighborhoods = [
+                frozenset(map(ids, row))
+                for row in map(self.graph.neighbors, range(self.n))]
+        return hoods
 
     def neighborhood(self, u: int) -> frozenset[NodeId]:
-        """Vertex ``u``'s neighbor-ID set, built on first use."""
-        s = self._neighborhoods[u]
-        if s is None:
-            s = self._neighborhoods[u] = frozenset(
-                map(self.id_of.__getitem__, self.graph.neighbors(u)))
-        return s
+        """Vertex ``u``'s neighbor-ID set."""
+        return self.neighborhoods()[u]
 
     def layers(self, source: int) -> list[list[int]]:
         """Vertices grouped by exact distance 0..rho from ``source``."""
@@ -216,9 +222,9 @@ class KTKnowledge:
         if self.rho < 2 and ids:
             self._known_vertex(ids[0])      # raises: not in the 0-ball
         table = self._table
-        ports = table.ports[self._vertex]
-        hood = table.neighborhood
-        return [hood(ports[x._value]) for x in ids]
+        return list(map(table.neighborhoods().__getitem__,
+                        map(table.ports[self._vertex].__getitem__,
+                            map(id_value, ids))))
 
     @property
     def degree(self) -> int:

@@ -176,10 +176,10 @@ class SyncNetwork:
         return self._ids[vertex]
 
     def vertex_of(self, node_id: NodeId) -> int:
-        return self.assignment.vertex_of_value(id_value(node_id))
+        return self.assignment._vertex_of[node_id._value]
 
     def vertex_of_value(self, value: int) -> int:
-        return self.assignment.vertex_of_value(value)
+        return self.assignment._vertex_of[value]
 
     # -- stage execution ------------------------------------------------------
 

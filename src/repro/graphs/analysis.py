@@ -28,31 +28,34 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
+def _component(g: Graph, source: int) -> set[int]:
+    """The vertices reachable from ``source``, grown by whole BFS
+    layers: a layer's neighbors are one C-level set union, so no Python
+    frame runs per neighbor."""
+    nbrs = g.neighbors
+    comp = {source}
+    frontier = comp
+    while frontier:
+        frontier = set().union(*map(nbrs, frontier))
+        frontier -= comp
+        comp |= frontier
+    return comp
+
+
 def connected_components(g: Graph) -> list[set[int]]:
     """Connected components as vertex sets, in order of smallest member."""
-    seen = [False] * g.n
+    placed: set[int] = set()
     components: list[set[int]] = []
     for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = {s}
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    comp.add(v)
-                    queue.append(v)
-        components.append(comp)
+        if s not in placed:
+            comp = _component(g, s)
+            placed |= comp
+            components.append(comp)
     return components
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return all(d >= 0 for d in bfs_distances(g, 0))
+    return g.n == 0 or len(_component(g, 0)) == g.n
 
 
 def eccentricity(g: Graph, v: int) -> int:

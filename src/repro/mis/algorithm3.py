@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from repro.congest.node import Context, NodeAlgorithm
@@ -66,17 +67,18 @@ class InformTwoHop(NodeAlgorithm):
         N(joiner) below me also neighbors x.  Those beaters are the prefix
         of joiner's ID-ordered neighbor tuple below my ID, found with one
         ``bisect_left`` (log-degree ID comparisons, so the
-        comparison-based discipline holds); each target then costs one
-        membership test and one ``isdisjoint`` against the beaters.
+        comparison-based discipline holds).  The ``isdisjoint`` tests
+        against the beaters run as one C-level ``map``; only the
+        neighbors that pass cost a membership test.
         """
         knowledge = ctx.knowledge
         n_joiner = knowledge.neighborhood_of(joiner)
         ordered = knowledge.ordered_neighborhood_of(joiner)
         beaters = frozenset(ordered[:bisect_left(ordered, ctx.my_id)])
         return [
-            x for x, n_x in zip(ctx.neighbor_ids, neighborhoods)
-            if beaters.isdisjoint(n_x) and x not in n_joiner
-            and x != joiner
+            x for x in compress(ctx.neighbor_ids,
+                                map(beaters.isdisjoint, neighborhoods))
+            if x not in n_joiner and x != joiner
         ]
 
     def on_round(self, ctx: Context, inbox) -> None:
@@ -166,28 +168,22 @@ def run_algorithm3(
     remnant_count = 0
     remnant_max_deg = 0
     for v in range(n):
-        out_v = greedy.outputs[v]
-        joiners_2hop = (
-            set(inform.outputs[v]["two_hop_joiners"])
-            | set(out_v["joined_neighbors"])
-        )
-        my_id = net.knowledge[v].my_id
-        if joined[v] or (set(out_v["joined_neighbors"])):
+        if joined[v] or greedy.outputs[v]["joined_neighbors"]:
             participate.append(False)
             active_sets.append(frozenset())
             continue
-        active = set()
-        for u in net.knowledge[v].neighbor_ids:
-            if u in out_v["joined_neighbors"]:
-                continue
-            # u is dominated iff some neighbor of u joined; v knows N(u)
-            # (KT-2) and every joiner within two hops of itself.
-            n_u = net.knowledge[v].neighborhood_of(u)
-            if not n_u.isdisjoint(joiners_2hop):
-                continue
-            active.add(u)
+        # No neighbor of v joined, so every joiner v knows of is two hops
+        # away.  A neighbor u is dominated iff some neighbor of u joined;
+        # v knows N(u) (KT-2, read for all neighbors under one model
+        # check) and every joiner within two hops of itself.
+        knowledge = net.knowledge[v]
+        joiners_2hop = frozenset(inform.outputs[v]["two_hop_joiners"])
+        active = frozenset(compress(
+            knowledge.neighbor_ids,
+            map(joiners_2hop.isdisjoint, knowledge.neighbor_neighborhoods()),
+        ))
         participate.append(True)
-        active_sets.append(frozenset(active))
+        active_sets.append(active)
         remnant_count += 1
         remnant_max_deg = max(remnant_max_deg, len(active))
 

@@ -168,26 +168,18 @@ class LubyMIS(ColumnarStage, NodeAlgorithm):
 
     @classmethod
     def build_columnar_kernel(cls, net, algorithms, contexts):
-        from repro.congest.columnar import ActiveGraph, get_numpy
+        from repro.congest.columnar import (ActiveGraph, get_numpy,
+                                           undecided_adjacency)
 
         np_ = get_numpy()
         if np_ is None:
             return None
-        n = net._n
-        vertex_of = net.vertex_of
-        adjacency = []
-        for alg in algorithms:
-            if not alg.participate:
-                # A bystander never speaks; if some participant still
-                # lists it as undecided the asymmetry check below sends
-                # the stage to the scalar path (which then reproduces
-                # the exact deadlock diagnostics).
-                adjacency.append(())
-            else:
-                adjacency.append(
-                    sorted(vertex_of(u) for u in alg.undecided)
-                )
-        graph = ActiveGraph.build(np_, n, adjacency)
+        # A declined build sends the stage to the scalar path, which then
+        # reproduces the exact deadlock or ProtocolError diagnostics.
+        adjacency = undecided_adjacency(net, algorithms)
+        if adjacency is None:
+            return None
+        graph = ActiveGraph.build(np_, net._n, adjacency)
         if graph is None:
             return None
         return _LubyKernel(np_, net, graph, algorithms, contexts)

@@ -37,6 +37,25 @@ def test_connected_components_counts(cycles_graph):
     assert len(comps) == 6
 
 
+@pytest.mark.parametrize("p", [0.0, 0.02, 0.05, 0.1, 0.3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_connected_components_match_bfs(p, seed):
+    """Layer-wise set unions find the components a BFS from each
+    smallest unplaced vertex finds, in the same order."""
+    from repro.graphs.generators import gnp_random_graph
+
+    g = gnp_random_graph(60, p, seed)
+    expected = []
+    placed = set()
+    for s in range(g.n):
+        if s not in placed:
+            comp = {v for v, d in enumerate(bfs_distances(g, s)) if d >= 0}
+            placed |= comp
+            expected.append(comp)
+    assert connected_components(g) == expected
+    assert is_connected(g) == (len(expected) == 1)
+
+
 def test_is_connected(path4, cycles_graph):
     assert is_connected(path4)
     assert not is_connected(cycles_graph)

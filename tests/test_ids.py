@@ -142,3 +142,73 @@ def test_order_isomorphic():
 def test_space_bound():
     a = IdAssignment([3, 17, 8])
     assert a.space_bound() == 18
+
+
+# -- the C-level hash: pinned values, no Python frame, pickling ----------
+
+HASH_VALUES = [0, 1, 2, 7, 63, 64, 255, 1000, 4095, 102_399, 2**31 - 1,
+               2**40 + 3, 2**62, 2**63 + 5]
+
+
+@pytest.mark.parametrize("value", HASH_VALUES)
+def test_nodeid_hash_value_is_pinned(value):
+    """The values fix set orders, KT-2 transcripts and async delay draws:
+    they must stay those of the Python ``__hash__`` they replaced."""
+    assert hash(NodeId(value)) == hash(value * 0x9E3779B97F4A7C15 + 1)
+
+
+@pytest.mark.parametrize("value", HASH_VALUES)
+@pytest.mark.parametrize("salt", [0, 1, 0xDEADBEEF, 2**32 - 1])
+def test_opaque_hash_value_is_pinned(value, salt):
+    assert hash(OpaqueId(value, salt)) == hash(
+        (salt, 0x27D4EB2F165667C5, value))
+
+
+def _python_calls(fn):
+    """Python-level frames entered while ``fn`` runs, ``fn``'s own aside
+    (profile ``call`` events; builtins raise ``c_call`` instead)."""
+    import sys
+
+    calls = []
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code is not fn.__code__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("make", [lambda: NodeId(12),
+                                  lambda: OpaqueId(12, salt=9)])
+def test_hashing_runs_no_python_frame(make):
+    x = make()
+    d = {x: 1}
+    assert _python_calls(lambda: hash(x)) == []
+    assert _python_calls(lambda: {x}) == []
+    assert _python_calls(lambda: d[x]) == []
+    assert NodeId.__dict__["__hash__"] is NodeId.__dict__["_hash"]
+    assert "__hash__" not in OpaqueId.__dict__
+
+
+@pytest.mark.parametrize("make", [lambda: NodeId(12),
+                                  lambda: OpaqueId(12, salt=9)])
+def test_ids_survive_pickle_and_copy(make):
+    import copy
+    import pickle
+
+    x = make()
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x),
+              copy.deepcopy(x)):
+        assert type(y) is type(x)
+        assert y == x and id_value(y) == id_value(x)
+        assert hash(y) == hash(x)
+    y = pickle.loads(pickle.dumps(OpaqueId(12, salt=9)))
+    with pytest.raises(ComparisonDisciplineError):
+        y.value
+    with pytest.raises(ComparisonDisciplineError):
+        [10, 20][y]
