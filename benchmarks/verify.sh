@@ -38,7 +38,7 @@ echo "== tier-1 (fast slice: -m 'not slow') =="
 # hold graph construction bit-identical in families no BENCH cell covers.
 # tests/test_experiments.py::test_serial_sweep_builds_each_graph_once
 # holds the graph-major cell plan to one graph build per (family, n,
-# density, seed) in a serial sweep; the sweep smoke below reruns it.
+# density, seed) in a serial sweep.
 # The collector guards: api._run_engines pauses the cyclic garbage
 # collector for a whole engine run, which is safe only while a run
 # leaves O(n) cyclic garbage, not O(messages):
@@ -68,24 +68,9 @@ echo "== tier-1 (fast slice: -m 'not slow') =="
 # live danner set like an untraced run's; tests/test_latency_fanout.py
 # holds the event scheduler's one-call fan-out delays to per-receiver
 # link_delay draws (uniform, fixed, adversary_latency; a uniform
-# subclass that changes a draw uses the loop).  All of these run again
-# right after the fast slice, by name.
+# subclass that changes a draw uses the loop).  None of these is
+# slow-marked, so the fast slice runs each of them once.
 python -m pytest -x -q -m "not slow"
-python -m pytest -x -q \
-    tests/test_api.py::test_engine_run_leaves_only_per_node_cyclic_garbage \
-    tests/test_supervise.py::test_child_freezes_its_inherited_heap \
-    tests/test_supervise.py::test_child_still_frees_a_tasks_cyclic_garbage \
-    tests/test_supervise.py::test_parent_heap_is_never_frozen
-python -m pytest -x -q \
-    tests/test_delivery_order.py::test_kt1_columnar_transcript_is_rounds_minus_kernel_stages \
-    tests/test_columnar_parity.py::test_kernel_ledger_is_pinned
-python -m pytest -x -q \
-    tests/test_phase_predicates.py \
-    tests/test_topology_order.py \
-    tests/test_fanout_structure.py
-python -m pytest -x -q \
-    tests/test_idle_work.py \
-    tests/test_latency_fanout.py
 
 echo "== paper-claim benches (the paper's orderings, fixed seeds) =="
 # The 22 tests in benchmarks/bench_*.py that assert the paper's claims:
@@ -109,26 +94,26 @@ echo "== benchmark harness tests (perfbench/) =="
 # (wire.Service, say) breaks the traced run too.
 python -m pytest -q perfbench/tests
 
-echo "== distributed sweep smoke (plan + two-worker end-to-end) =="
+echo "== distributed sweep smoke (cell plan) =="
+# The two-worker end-to-end sweep
+# (tests/test_distributed.py::test_two_worker_distributed_sweep_matches_serial)
+# and the shared graph build of sibling cells (run_cell keeps the
+# previous cell's graph: 12 graphs, 48 cells, 12 builds;
+# tests/test_experiments.py::test_serial_sweep_builds_each_graph_once)
+# ran in the fast slice above.
 SMOKE_OUT="$(mktemp -u "${TMPDIR:-/tmp}/repro-smoke-XXXXXX.jsonl")"
 python -m repro sweep --families gnp --sizes 30 --seeds 0 1 \
     --methods luby --out "$SMOKE_OUT" --dry-run
 rm -f "$SMOKE_OUT"
-python -m pytest -x -q \
-    tests/test_distributed.py::test_two_worker_distributed_sweep_matches_serial
-# Sibling cells share one graph build (run_cell keeps the previous
-# cell's graph): 12 graphs, 48 cells, 12 builds.
-python -m pytest -x -q \
-    tests/test_experiments.py::test_serial_sweep_builds_each_graph_once
 
-echo "== farm smoke (two tenants, batched workers, journal round-trip) =="
-# The persistent-farm contract: two named sweeps served to two real
-# worker subprocesses with batched leases must land per-sweep stores
-# bit-identical to serial run_sweep, and a multi-tenant journal must
-# restore every tenant across a drain/restart (docs/distributed.md).
-python -m pytest -x -q \
-    tests/test_farm.py::test_two_sweeps_two_workers_batched_matches_serial \
-    tests/test_farm.py::test_farm_journal_multi_tenant_round_trip
+# The farm smoke runs in the fast slice above: the persistent-farm
+# contract is that two named sweeps served to two real worker
+# subprocesses with batched leases land per-sweep stores bit-identical
+# to serial run_sweep
+# (tests/test_farm.py::test_two_sweeps_two_workers_batched_matches_serial),
+# and that a multi-tenant journal restores every tenant across a
+# drain/restart (::test_farm_journal_multi_tenant_round_trip,
+# docs/distributed.md).
 
 echo "== wire smoke (CLI clients give up on a trickling peer) =="
 # Every client reads each exchange under one total deadline

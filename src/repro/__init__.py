@@ -17,9 +17,9 @@ The package provides:
   (:mod:`repro.lowerbounds`);
 * a one-call facade (:mod:`repro.api`);
 * a parallel, resumable experiment-sweep subsystem for the scaling
-  claims — declarative family x n x seed x method matrices, a
-  multiprocessing worker pool, JSON-lines result stores, and growth-
-  exponent aggregation (:mod:`repro.experiments`; CLI: ``repro sweep``
+  claims — declarative family x n x seed x method matrices, supervised
+  warm child processes, JSON-lines result stores, and growth-exponent
+  aggregation (:mod:`repro.experiments`; CLI: ``repro sweep``
   and ``repro report``).
 
 Quickstart::

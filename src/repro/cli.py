@@ -4,7 +4,7 @@ Commands
 --------
 color       run a coloring algorithm on a generated graph
 mis         run an MIS algorithm on a generated graph
-sweep       run a declarative experiment matrix under a worker pool
+sweep       run a declarative experiment matrix in supervised warm children
             (--serve hosts it for remote workers — the single-tenant
             alias for the farm — --dry-run prints the cell plan)
 worker      pull cells (batched) from a coordinator ('sweep --serve'
@@ -909,8 +909,8 @@ def _sweep_axis_args(p) -> None:
                         "default: the method's 1.0)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="per-cell wall-clock budget; a cell past it is "
-                        "killed (pool unharmed), retried --retries times, "
-                        "then recorded with status=timeout")
+                        "killed (its child replaced), retried --retries "
+                        "times, then recorded with status=timeout")
     p.add_argument("--retries", type=int, default=0,
                    help="extra attempts for a timed-out cell")
     p.add_argument("--full-stats", action="store_true",

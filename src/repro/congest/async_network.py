@@ -47,43 +47,36 @@ class AsyncNetwork(SyncNetwork):
     """Event-driven engine sharing identity/accounting with SyncNetwork.
 
     ``latency`` picks the delay distribution (a model name or a
-    :class:`LatencyModel` instance); ``min_delay`` keeps the historical
-    knob: it is the lower bound of the default ``uniform`` model, under
-    which each charged packet takes uniform(min_delay, 1.0) time, FIFO
-    per link.  ``stats.rounds`` records ceil(total time) per stage, the
+    :class:`LatencyModel` instance).  Under the default ``uniform``
+    model each charged packet takes uniform(0.05, 1.0) time, FIFO per
+    link; pass ``UniformLatency(low=...)`` for another lower bound.
+    ``stats.rounds`` records ceil(total time) per stage, the
     asynchronous time complexity.
 
     ``round_budgets`` — a sequence of ``(stage_name, sync_rounds)``
-    pairs (or a ``{stage_name: sync_rounds}`` dict) giving, per stage,
-    the number of rounds the same stage took on the synchronous engine;
-    round-cadence stages are then auto-wrapped in an
-    :class:`AlphaSynchronizer` with budget ``sync_rounds - 1`` (the
-    inner algorithm's last executed round index).  Async-native stages
-    ignore their budgets.  ``default_round_budget`` is a blanket inner
-    round budget used when no per-stage entry matches.
+    pairs giving, per stage, the number of rounds the same stage took
+    on the synchronous engine; round-cadence stages are then
+    auto-wrapped in an :class:`AlphaSynchronizer` with budget
+    ``sync_rounds - 1`` (the inner algorithm's last executed round
+    index).  Async-native stages ignore their budgets.
+    ``default_round_budget`` is a blanket inner round budget used when
+    no per-stage entry matches.
     """
 
     def __init__(
         self,
         *args,
-        min_delay: float = 0.05,
         latency: Union[str, LatencyModel] = "uniform",
         round_budgets: Optional[Sequence] = None,
         default_round_budget: Optional[int] = None,
         **kwargs,
     ):
         # The scheduler is built inside SyncNetwork.__init__ via
-        # _default_scheduler, so the latency knobs must be in place first.
-        self.min_delay = min_delay
+        # _default_scheduler, so the latency model must be in place first.
         self._latency_spec = latency
         super().__init__(*args, **kwargs)
-        if round_budgets is None:
-            self._budget_entries: list[tuple[str, int]] = []
-        elif isinstance(round_budgets, dict):
-            self._budget_entries = list(round_budgets.items())
-        else:
-            self._budget_entries = [(str(k), int(v))
-                                    for k, v in round_budgets]
+        self._budget_entries: list[tuple[str, int]] = [
+            (str(k), int(v)) for k, v in round_budgets or ()]
         self._budget_cursor = 0
         self.default_round_budget = default_round_budget
         #: Names of the stages this network auto-wrapped in an
@@ -96,7 +89,7 @@ class AsyncNetwork(SyncNetwork):
             )
 
     def _default_scheduler(self) -> Scheduler:
-        return EventScheduler(self._latency_spec, min_delay=self.min_delay)
+        return EventScheduler(self._latency_spec)
 
     @property
     def latency_model(self) -> LatencyModel:

@@ -163,8 +163,8 @@ class FixedLatency(LatencyModel):
 class UniformLatency(LatencyModel):
     """uniform(low, high) per packet — the normalized adversary.
 
-    The defaults reproduce the engine's historical behavior
-    (``min_delay=0.05``, max delay normalized to 1).
+    The defaults reproduce the engine's historical behavior (least
+    delay 0.05, max delay normalized to 1).
     """
 
     name = "uniform"
@@ -321,19 +321,11 @@ _LATENCY_CLASSES = {
 }
 
 
-def make_latency_model(spec, min_delay: float = 0.05) -> LatencyModel:
+def make_latency_model(spec) -> LatencyModel:
     """Resolve a latency-model spec: an instance passes through, a name
-    builds the registered class with defaults.
-
-    ``min_delay`` feeds the ``uniform`` model's lower bound, preserving
-    the historical ``AsyncNetwork(min_delay=...)`` knob.
-    """
+    builds the registered class with defaults."""
     if isinstance(spec, LatencyModel):
         return spec
-    if spec == "uniform":
-        return UniformLatency(low=min_delay)
-    if spec == "adversary_latency":
-        return AdversaryLatency(min_delay=min_delay)
     cls = _LATENCY_CLASSES.get(spec)
     if cls is None:
         raise ReproError(
@@ -1138,10 +1130,9 @@ class EventScheduler(Scheduler):
 
     kind = "async"
 
-    def __init__(self, latency: LatencyModel | str = "uniform",
-                 min_delay: float = 0.05):
+    def __init__(self, latency: LatencyModel | str = "uniform"):
         super().__init__()
-        self.latency = make_latency_model(latency, min_delay=min_delay)
+        self.latency = make_latency_model(latency)
         self._rng: Optional[random.Random] = None
 
     def bind(self, net: "SyncNetwork") -> None:

@@ -7,8 +7,9 @@ This subsystem makes those sweeps declarative, parallel, and resumable:
 
 * :class:`SweepSpec` — the experiment matrix (family x n x seed x
   method x engine), expanded to picklable :class:`Cell` units;
-* :func:`run_cell` / :func:`run_sweep` — execute cells, optionally under
-  a ``multiprocessing`` pool, in the engine's stats-lite mode by default
+* :func:`run_cell` / :func:`run_sweep` — execute cells, optionally in
+  supervised warm children (:mod:`repro.supervise`), in the engine's
+  stats-lite mode by default
   (identical message/round counts, no utilized-edge bookkeeping);
 * :class:`ResultStore` — append-only JSON-lines storage; completed cell
   keys are skipped on re-run, so interrupted sweeps resume for free;

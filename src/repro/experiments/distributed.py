@@ -89,11 +89,12 @@ real faults, not just simulated ones):
   same ``worker_id``.  A result whose submission was cut off mid-send
   is re-submitted on the next connection instead of recomputed.
 * **Lease-revocation cancellation.**  A heartbeat answered ``gone``
-  means the coordinator re-served the cell; the worker terminates the
-  in-flight child process (the ``cancel`` seam on
-  :func:`~repro.experiments.runner._run_cells_with_timeout`) and drops
-  the stale record instead of computing to completion; revoked
-  not-yet-started cells of the batch are silently dropped.
+  means the coordinator re-served the cell; the worker heartbeats from
+  the supervisor loop (the ``keep`` seam on
+  :func:`~repro.experiments.runner._run_cells_with_timeout`), so it
+  kills the in-flight child process on the spot and drops the stale
+  record instead of computing to completion; revoked not-yet-started
+  cells of the batch are silently dropped.
 * **Coordinator drain.**  SIGTERM/SIGINT on ``repro sweep --serve`` /
   ``repro farm serve`` stops leasing, answers ``shutdown`` to lease
   requests, gives in-flight cells a grace window to land, fsyncs every
@@ -466,6 +467,19 @@ class QueueJournal:
 # -- per-tenant state ---------------------------------------------------------
 
 
+def _progress(records: int, outstanding: int, elapsed: float) -> dict:
+    """A status payload's ``cells_per_s`` and ``eta_s`` (0.0 when no
+    cell is outstanding, None before the first record)."""
+    rate = records / elapsed
+    if not outstanding:
+        eta = 0.0
+    elif rate > 0:
+        eta = round(outstanding / rate, 1)
+    else:
+        eta = None
+    return {"cells_per_s": round(rate, 4), "eta_s": eta}
+
+
 class SweepState:
     """One named sweep inside a multi-tenant coordinator.
 
@@ -503,8 +517,6 @@ class SweepState:
         now = time.monotonic() if now is None else now
         counts = self.queue.counts()
         outstanding = counts["pending"] + counts["leased"]
-        elapsed = max(1e-9, now - self.started_at)
-        rate = len(self.fresh) / elapsed
         return {
             "name": self.name,
             "priority": self.priority,
@@ -517,10 +529,8 @@ class SweepState:
             "lost": counts["failed"],
             "records": len(self.fresh),
             "duplicates": self.duplicates,
-            "cells_per_s": round(rate, 4),
-            "eta_s": (round(outstanding / rate, 1) if rate > 0
-                      and outstanding else (0.0 if not outstanding
-                                            else None)),
+            **_progress(len(self.fresh), outstanding,
+                        max(1e-9, now - self.started_at)),
             "finished": self.queue.finished(),
             "store": self.store.path if self.store is not None else None,
         }
@@ -1079,7 +1089,6 @@ class Coordinator(Service):
         leased = sum(c["leased"] for c in counts)
         outstanding = pending + leased
         elapsed = max(1e-9, now - self._started_at)
-        rate = len(self.fresh) / elapsed
         return {
             "total": total,
             "pending": pending,
@@ -1092,10 +1101,7 @@ class Coordinator(Service):
                 1 for w in workers.values() if w["connected"]),
             "workers": workers,
             "elapsed_s": round(elapsed, 3),
-            "cells_per_s": round(rate, 4),
-            "eta_s": (round(outstanding / rate, 1) if rate > 0
-                      and outstanding else (0.0 if not outstanding
-                                            else None)),
+            **_progress(len(self.fresh), outstanding, elapsed),
             "draining": self.draining,
             "finished": self._finished.is_set(),
             "persistent": self._persistent,
@@ -1274,53 +1280,41 @@ def cancel_sweep(host: str, port: int, name: str,
 def _run_leased_cell(cell: Cell, heartbeat: Callable[[], bool],
                      interval: float, supervisor: Supervisor,
                      last_beat: Optional[float] = None) -> Optional[dict]:
-    """Run one cell through the supervised farm, heartbeating meanwhile.
+    """Run one cell in the worker's supervised child, heartbeating meanwhile.
 
-    The farm (one slot) gives the exact local-sweep semantics — the cell
-    executes in a child process with its ``timeout_s``/``retries``
-    honored and errors captured as records — while this thread stays
-    free to service the lease; the worker's long-lived ``supervisor``
-    keeps its warm child past this call.  ``heartbeat()`` is called
-    whenever ``interval`` seconds have passed since the previous beat;
+    The supervisor (one slot) gives the exact local-sweep semantics —
+    the cell executes in a child process with its
+    ``timeout_s``/``retries`` honored and errors captured as records —
+    and the worker's long-lived ``supervisor`` keeps its warm child past
+    this call.  The lease is serviced from the supervisor's ``keep``
+    callback, on this thread: ``heartbeat()`` is called whenever
+    ``interval`` seconds have passed since the previous beat;
     ``last_beat`` (a :func:`time.monotonic` stamp, default now) lets a
-    batch carry its clock across cells.
+    batch carry its clock across cells.  A beat blocked on a slow
+    coordinator holds up the supervisor loop, so it delays this cell's
+    deadline kill by as long.
 
     ``heartbeat`` returns False when the coordinator revoked the lease
-    (``gone``): the in-flight child process is terminated through the
-    farm's cancel seam and ``None`` comes back — the caller must *not*
-    submit anything, the cell now belongs to another worker.  A
-    heartbeat that *raises* (connection loss) gets the same reaping on
-    the way out: the farm child never outlives its lease.
+    (``gone``): the in-flight child process is killed (or, at a beat
+    before the cell starts, never forked) and ``None`` comes back — the
+    caller must *not* submit anything, the cell now belongs to another
+    worker.  A heartbeat that *raises* (connection loss) gets the same
+    reaping on the way out: the child never outlives its lease.
     """
     out: list[dict] = []
-    cancel = threading.Event()
-    farm = threading.Thread(
-        target=_run_cells_with_timeout, args=([cell], 1, out.append),
-        kwargs={"cancel": cancel, "supervisor": supervisor},
-        daemon=True,
-    )
-    if last_beat is None:
-        last_beat = time.monotonic()
-    farm.start()
-    try:
-        while True:
-            farm.join(max(0.0, last_beat + interval - time.monotonic()))
-            if not farm.is_alive():
-                break
-            if not heartbeat():
-                cancel.set()
-                farm.join()
-                return None
-            last_beat = time.monotonic()
-    except BaseException:
-        cancel.set()
-        farm.join()
-        raise
-    if not out:
-        # The farm records every outcome; an empty result means the
-        # farm thread itself died, which is a worker bug.
-        return _failure_record(cell, "error",
-                               error="farm produced no record")
+    due = (time.monotonic() if last_beat is None else last_beat) + interval
+
+    def keep() -> bool:
+        nonlocal due
+        if time.monotonic() < due:
+            return True
+        alive = heartbeat()
+        due = time.monotonic() + interval
+        return alive
+
+    if not _run_cells_with_timeout([cell], 1, out.append, keep=keep,
+                                   supervisor=supervisor):
+        return None
     return out[0]
 
 
@@ -1335,26 +1329,26 @@ def _run_leased_batch(
 
     Each cell runs through :func:`_run_leased_cell` on one shared
     heartbeat clock, so while any batch cell is in flight no lease goes
-    longer than ``interval`` without a beat.  ``heartbeat(keys)`` covers
-    the in-flight cell *and* the queued remainder (their leases age
-    while they wait their turn) and returns the subset of keys whose
-    leases are gone: revoked queued cells are dropped from the batch, a
-    revoked in-flight cell is killed through the cancel seam and not
-    submitted.  ``submit(record, wall_s)`` is called per completed cell
-    (the wall time feeds the worker's EWMA batch tuner); a submit that
-    raises (connection cut mid-send) aborts the rest of the batch — the
-    coordinator requeues the unfinished cells when their leases lapse,
-    and the cut-off record is re-submitted after reconnect.
+    longer than ``interval`` without a beat: after a quick cell, the
+    next cell's first ``keep`` check beats when one is due.
+    ``heartbeat(keys)`` covers the current cell *and* the queued
+    remainder (their leases age while they wait their turn) and returns
+    the subset of keys whose leases are gone: revoked queued cells are
+    dropped from the batch, a revoked current cell is killed (or never
+    started) and not submitted.  ``submit(record, wall_s)`` is called
+    per completed cell (the wall time feeds the worker's EWMA batch
+    tuner); a submit that raises (connection cut mid-send) aborts the
+    rest of the batch — the coordinator requeues the unfinished cells
+    when their leases lapse, and the cut-off record is re-submitted
+    after reconnect.
     """
     remaining: deque[Cell] = deque(cells)
     last_beat = time.monotonic()
 
-    def _beat(current_key: Optional[str]) -> bool:
+    def _beat(current_key: str) -> bool:
         """Heartbeat everything in flight; True = current cell alive."""
         nonlocal last_beat, remaining
-        keys = ([current_key] if current_key is not None else [])
-        keys += [c.key() for c in remaining]
-        gone = heartbeat(keys)
+        gone = heartbeat([current_key] + [c.key() for c in remaining])
         last_beat = time.monotonic()
         if gone:
             remaining = deque(c for c in remaining
@@ -1371,10 +1365,6 @@ def _run_leased_batch(
         if record is None:
             continue
         submit(record, time.monotonic() - started)
-        # Quick cells can drain the whole batch without the join loop
-        # ever heartbeating; keep the queued remainder's leases alive.
-        if remaining and time.monotonic() - last_beat >= interval:
-            _beat(None)
 
 
 def _batch_size(ewma_wall: Optional[float], max_batch: int,

@@ -26,7 +26,6 @@ from the resume set so a re-run attempts them again.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from typing import Callable, Optional
 
@@ -266,9 +265,9 @@ def _run_cells_with_timeout(
     cells: list[Cell],
     workers: int,
     record: Callable[[dict], None],
-    cancel: Optional[threading.Event] = None,
+    keep: Optional[Callable[[], bool]] = None,
     supervisor: Optional[Supervisor] = None,
-) -> None:
+) -> bool:
     """Run cells in warm supervised children with per-cell deadlines
     (``inf`` for a cell without a ``timeout_s``).
 
@@ -281,11 +280,13 @@ def _run_cells_with_timeout(
     first-try one); a non-ok record also gets the supervisor's wall
     clock, so a retry failure does not read as a zero-second attempt.
 
-    ``cancel`` is the cooperative kill seam: setting it terminates every
-    in-flight child process, drops the still-pending cells, and returns
-    without recording anything for them.  A distributed worker whose
-    lease was revoked (heartbeat answered ``gone``) uses this to stop
-    burning CPU on a cell whose record would be discarded anyway.
+    ``keep`` is the cooperative kill seam, asked on this thread before
+    a cell starts and every ``supervise.KEEP_CHECK_S`` while one runs:
+    when it returns False every in-flight child is killed, the
+    still-pending cells are dropped with nothing recorded for them, and
+    the call returns False (True when every cell was recorded).  A
+    distributed worker heartbeats its lease from ``keep``, and stops
+    burning CPU on a revoked cell whose record would be discarded.
     """
     def settle(task: Task, outcome: Outcome) -> Optional[Task]:
         (cell,), attempt = task.args, task.tag
@@ -310,7 +311,8 @@ def _run_cells_with_timeout(
     if own:
         supervisor = Supervisor(_spawn_cell_process, workers)
     try:
-        supervisor.run([_cell_task(c, 0) for c in cells], settle, cancel)
+        return supervisor.run([_cell_task(c, 0) for c in cells], settle,
+                              keep)
     finally:
         if own:
             supervisor.close()

@@ -5,8 +5,8 @@ A :class:`SweepSpec` is the cross product
     graph family x size n x seed x method x engine (x latency model)
 
 and expands to a list of :class:`Cell` objects, each a single
-self-contained run (picklable, so the worker pool can ship it to another
-process).  Every cell has a stable string :meth:`Cell.key` used by the
+self-contained run (picklable, so the supervisor can ship it to a warm
+child process).  Every cell has a stable string :meth:`Cell.key` used by the
 JSON-lines store for resume: a completed key is never re-run.
 
 Every method runs on every engine: async-native methods run the
@@ -22,7 +22,7 @@ no latency model, so sync cells are emitted once regardless of
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Optional
 
 from repro.congest.runtime import LATENCY_MODELS, make_fault_model
@@ -92,7 +92,7 @@ class Cell:
     sample_constant: Optional[float] = None
     faults: str = "none"
     collect_utilization: bool = False
-    #: Wall-clock budget per attempt (None = unlimited, run in-pool).
+    #: Wall-clock budget per attempt (None = unlimited).
     timeout_s: Optional[float] = None
     #: Extra attempts after a timed-out one before recording failure.
     retries: int = 0
@@ -182,7 +182,7 @@ class SweepSpec:
     sample_constant: Optional[float] = None
     collect_utilization: bool = False
     #: Per-cell wall-clock budget: a cell still running after ``timeout_s``
-    #: seconds is killed (its worker process terminated, the pool intact),
+    #: seconds is killed (its warm child replaced, the others intact),
     #: retried up to ``retries`` times, and finally recorded with
     #: ``status="timeout"`` — aggregation excludes such records from
     #: exponent fits, and the store's resume set skips them so a re-run
@@ -346,6 +346,3 @@ class SweepSpec:
             digest.update(key.encode("utf-8"))
             digest.update(b"\n")
         return digest.hexdigest()[:16]
-
-    def with_full_stats(self) -> "SweepSpec":
-        return replace(self, collect_utilization=True)

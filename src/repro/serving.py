@@ -300,7 +300,6 @@ def supervised_solve(
     problem: str, method: str, graph: Graph, seed: int, epsilon: float,
     deadline: float,
     supervisor: Supervisor,
-    cancel: Optional[threading.Event] = None,
     retries: int = 1,
 ) -> tuple[str, Optional[dict]]:
     """Run one query in a warm child of ``supervisor`` under a
@@ -310,9 +309,8 @@ def supervised_solve(
 
     * ``("ok", record)`` — the child delivered a result (possibly its
       own non-retriable error record);
-    * ``("deadline", None)`` — the deadline (or ``cancel``) fired; the
-      child was killed and the caller owes the client a degraded
-      answer;
+    * ``("deadline", None)`` — the deadline fired; the child was killed
+      and the caller owes the client a degraded answer;
     * ``("crashed", None)`` — the child died without a result more than
       ``retries`` times (SIGKILL, OOM, a segfault); the caller owes a
       structured retriable error.
@@ -322,7 +320,7 @@ def supervised_solve(
         attempts += 1
         outcome = supervisor.call(
             _solver_child, (problem, method, graph, seed, epsilon),
-            deadline - time.monotonic(), cancel)
+            deadline - time.monotonic())
         if outcome.kind == "ok":
             return "ok", {**outcome.reply, "attempts": attempts}
         if outcome.kind != "died":

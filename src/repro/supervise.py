@@ -5,12 +5,12 @@ return value, runs one cyclic GC and waits for the next task, so numpy
 and the engine are imported once per child.  A child freezes the heap
 it inherited at fork (``gc.freeze``), so that collection walks only the
 objects the child made itself.  A child is replaced only when killed
-at a deadline, cancelled, or dead, or when its peak RSS has
-grown by more than :data:`MAX_WARM_GROWTH_MB` since it was forked (the
-heap a large task reaches stays with the process); children are forked
-lazily.  The loop sleeps on the reply pipes and process sentinels; a
-reply already in the pipe at a deadline or death wins (the *last
-drain*).  Retry policy stays with the callers
+at a deadline or by its caller's ``keep`` callback, or dead, or when
+its peak RSS has grown by more than :data:`MAX_WARM_GROWTH_MB` since it
+was forked (the heap a large task reaches stays with the process);
+children are forked lazily.  The loop sleeps on the reply pipes and
+process sentinels; a reply already in the pipe at a deadline or death
+wins (the *last drain*).  Retry policy stays with the callers
 (``runner._run_cells_with_timeout``, ``serving.supervised_solve``).
 """
 
@@ -28,8 +28,8 @@ from collections import deque
 from multiprocessing.connection import wait
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
-#: Longest the loop blocks without looking at its cancel Event.
-CANCEL_CHECK_S = 0.05
+#: Longest the loop blocks without asking its ``keep`` callback.
+KEEP_CHECK_S = 0.05
 
 #: A child whose peak RSS has grown by more than this since it was forked
 #: exits after sending its reply instead of staying warm.  Importing
@@ -104,7 +104,7 @@ class Task(NamedTuple):
 
 class Outcome(NamedTuple):
     """``ok`` (``reply`` is ``fn``'s return value), ``died`` (``error``
-    says how) or ``deadline`` (also when cancelled)."""
+    says how) or ``deadline``."""
 
     kind: str
     reply: Any = None
@@ -135,24 +135,27 @@ class Supervisor:
 
     def run(self, tasks: Iterable[Task],
             settle: Callable[[Task, Outcome], Optional[Task]],
-            cancel: Optional[threading.Event] = None) -> bool:
+            keep: Optional[Callable[[], bool]] = None) -> bool:
         """Run ``tasks``, at most ``slots`` at once.
 
         ``settle(task, outcome)`` sees every finished task and may
-        return a retry to queue.  Setting ``cancel`` kills the running
-        children and returns False, settling nothing more.
+        return a retry to queue.  ``keep()`` is asked before any task
+        starts and at least every :data:`KEEP_CHECK_S` while tasks run,
+        on the calling thread.  When it returns False the running
+        children are killed and ``run`` returns False, settling nothing
+        more; when it raises they are killed and the exception goes on.
         """
         pending = deque(tasks)
         running: list[list] = []    # [proc, conn, task, started, deadline]
         try:
             while pending or running:
-                if cancel is not None and cancel.is_set():
+                if keep is not None and not keep():
                     return False
                 while pending and len(running) < self.slots:
                     running.append(self._start(pending.popleft()))
                 timeout = min(job[4] for job in running) - time.monotonic()
-                if cancel is not None:
-                    timeout = min(timeout, CANCEL_CHECK_S)
+                if keep is not None:
+                    timeout = min(timeout, KEEP_CHECK_S)
                 wait([h for job in running for h in (job[1], job[0].sentinel)],
                      None if timeout == math.inf else max(0.0, timeout))
                 now = time.monotonic()
@@ -168,14 +171,12 @@ class Supervisor:
             for proc, conn, *_ in running:
                 self._retire(proc, conn)
 
-    def call(self, fn: Callable, args: tuple, budget_s: float = math.inf,
-             cancel: Optional[threading.Event] = None) -> Outcome:
+    def call(self, fn: Callable, args: tuple,
+             budget_s: float = math.inf) -> Outcome:
         """Run one task and return its outcome."""
         outcomes: list[Outcome] = []
-        if not self.run([Task(fn, args, budget_s)],
-                        lambda task, outcome: outcomes.append(outcome),
-                        cancel):
-            return Outcome("deadline")
+        self.run([Task(fn, args, budget_s)],
+                 lambda task, outcome: outcomes.append(outcome))
         return outcomes[0]
 
     def close(self) -> None:

@@ -1,5 +1,5 @@
 """Self-healing farm tests: lease-revocation cancellation, the farm's
-cancel seam, worker reconnect with backoff (scripted flaky sockets),
+``keep`` seam, worker reconnect with backoff (scripted flaky sockets),
 the queue journal, coordinator drain, and `repro farm status`.
 
 The full chaos scenario — SIGKILL a worker mid-cell, bounce the
@@ -16,7 +16,6 @@ import random
 import socket
 import subprocess
 import sys
-import threading
 import time
 from collections import deque
 
@@ -60,24 +59,28 @@ def _ok_record(cell):
 # -- lease-revocation cancellation (the kill seam) ----------------------------
 
 
-def test_farm_cancel_event_terminates_inflight(monkeypatch):
-    """Setting the cancel event kills every running child and records
-    nothing for it — the seam revocation/reconnect paths stand on."""
+def test_farm_keep_false_terminates_inflight(monkeypatch):
+    """A ``keep`` that turns False kills every running child, records
+    nothing for it and returns False — the seam revocation/reconnect
+    paths stand on."""
     cell = Cell("gnp", 30, 0, "luby")
     child = ScriptedChild(HANG)
     monkeypatch.setattr(runner, "_spawn_cell_process", spawn_script(child))
-    cancel = threading.Event()
+    stop_at = time.monotonic() + 0.1
+    killed_while_kept = []
+
+    def keep():
+        if time.monotonic() < stop_at:
+            killed_while_kept.append(child.proc.killed)
+            return True
+        return False
+
     out = []
-    farm = threading.Thread(
-        target=runner._run_cells_with_timeout,
-        args=([cell], 1, out.append), kwargs={"cancel": cancel},
-        daemon=True)
-    farm.start()
-    time.sleep(0.05)
-    assert farm.is_alive() and not child.proc.killed
-    cancel.set()
-    farm.join(5)
-    assert not farm.is_alive()
+    start = time.monotonic()
+    assert runner._run_cells_with_timeout([cell], 1, out.append,
+                                          keep=keep) is False
+    assert time.monotonic() - start < 5
+    assert len(killed_while_kept) >= 2 and not any(killed_while_kept)
     assert child.proc.killed
     assert out == []
 
@@ -119,7 +122,7 @@ def test_heartbeat_gone_kills_child_and_drops_record():
     duplicate record the coordinator had to dedup.  Now the in-flight
     child is terminated and the stale record dropped (None)."""
     cell = Cell("gnp", 30, 0, "luby")
-    # Finishes after 0.8s if nobody cancels it: slow enough for a
+    # Finishes after 0.8s if nobody kills it: slow enough for a
     # heartbeat to fire first, fast enough that the pre-fix behavior
     # (run to completion, return the record) fails the assert instead
     # of hanging the test.

@@ -51,6 +51,8 @@ from repro.experiments.distributed import (
 )
 from repro.supervise import Supervisor
 
+from scripted_children import Delay, ScriptedChild, spawn_script
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
 
@@ -357,16 +359,20 @@ def test_observe_wall_is_an_ewma():
 
 def _patched_cell_runner(monkeypatch, duration_by_key):
     """Make _run_leased_batch's farm children synthetic: each 'runs' for
-    its scripted duration, honours the cancel seam, then emits an ok
-    record (the supervisor passed in never starts a child)."""
-    def fake(cells, slots, emit, cancel=None, supervisor=None):
+    its scripted duration, asking ``keep`` before it starts and while it
+    runs as the supervisor does, then emits an ok record (the supervisor
+    passed in never starts a child)."""
+    def fake(cells, slots, emit, keep=None, supervisor=None):
         [cell] = cells
         end = time.monotonic() + duration_by_key.get(cell.key(), 0.0)
-        while time.monotonic() < end:
-            if cancel is not None and cancel.is_set():
-                return
+        while True:
+            if keep is not None and not keep():
+                return False
+            if time.monotonic() >= end:
+                break
             time.sleep(0.002)
         emit(_ok_record(cell))
+        return True
     monkeypatch.setattr(distributed, "_run_cells_with_timeout", fake)
 
 
@@ -411,8 +417,8 @@ def test_batch_partial_completion_after_queued_revocation(monkeypatch):
 
 def test_batch_revoked_inflight_cell_killed_not_submitted(monkeypatch):
     """Mid-batch revocation of the *running* cell goes through the
-    cancel-Event seam: the child is reaped, nothing is submitted for
-    it, and the rest of the batch continues."""
+    ``keep`` seam: the child is reaped, nothing is submitted for it,
+    and the rest of the batch continues."""
     cells = list(SweepSpec(sizes=(30, 40), seeds=(0,),
                            methods=("luby",)).cells())
     victim = cells[0].key()
@@ -450,16 +456,52 @@ def test_batch_submit_cut_off_aborts_rest(monkeypatch):
     assert attempts == [cells[0].key()]
 
 
+def test_batch_beats_on_the_caller_thread_with_a_real_supervisor():
+    """A real supervisor and a scripted child: the lease heartbeat runs
+    in the supervisor loop on the caller's thread (no helper thread
+    while a cell runs), and a current cell revoked at a due beat before
+    it starts is never handed to a child."""
+    cells = list(SweepSpec(sizes=(30, 40), seeds=(0,),
+                           methods=("luby",)).cells())
+    first, revoked = (c.key() for c in cells)
+    child = ScriptedChild(Delay(0.15, _ok_record))
+    spawn = spawn_script(child)
+    supervisor = Supervisor(spawn)
+    threads = threading.active_count()
+    beats, submitted = [], []
+
+    def heartbeat(keys):
+        beats.append((list(keys), threading.get_ident(),
+                      threading.active_count()))
+        return {revoked} if keys[0] == revoked else set()
+
+    try:
+        _run_leased_batch(cells, heartbeat=heartbeat, interval=0.0,
+                          submit=lambda rec, wall: submitted.append(rec),
+                          supervisor=supervisor)
+    finally:
+        supervisor.close()
+    assert [r["key"] for r in submitted] == [first]
+    assert spawn.count == 1 and child.tasks == [(cells[0],)]
+    # Beats while the first cell ran covered the queued cell too; the
+    # last beat revoked the second cell before it started.
+    assert sum(keys == [first, revoked] for keys, _, _ in beats) >= 2
+    assert beats[-1][0] == [revoked]
+    assert {tid for _, tid, _ in beats} == {threading.get_ident()}
+    assert max(count for _, _, count in beats) <= threads
+
+
 def test_batch_resubmission_after_cut_off_send(tmp_path, monkeypatch):
     """End-to-end: a worker whose submission is severed mid-batch
     reconnects and re-submits the cut-off record instead of recomputing
     it — the store ends complete with no duplicates."""
     ran = []
 
-    def fake(cells, slots, emit, cancel=None, supervisor=None):
+    def fake(cells, slots, emit, keep=None, supervisor=None):
         [cell] = cells
         ran.append(cell.key())
         emit(_ok_record(cell))
+        return True
     monkeypatch.setattr(distributed, "_run_cells_with_timeout", fake)
     monkeypatch.setattr(time, "sleep", lambda s: None)
 

@@ -51,13 +51,6 @@ def test_registry_names_and_instances():
         make_latency_model("tachyon")
 
 
-def test_min_delay_feeds_uniform_default():
-    model = make_latency_model("uniform", min_delay=0.4)
-    assert isinstance(model, UniformLatency) and model.low == 0.4
-    rng = random.Random(0)
-    assert all(0.4 <= model.packet_delay(rng) <= 1.0 for _ in range(200))
-
-
 def test_model_parameter_validation():
     with pytest.raises(ReproError):
         FixedLatency(0.0)

@@ -3,7 +3,7 @@ process seam), admission control, the cache, the wire protocol, CLI
 verbs, and the examples as clients.
 
 The deterministic races — deadline expiry, child crashes, retry
-exhaustion, cancellation, child reuse — are driven through
+exhaustion, child reuse — are driven through
 ``QueryServer``'s ``spawn`` seam with scripted warm children
 (``scripted_children.py``, shared with ``test_chaos.py``'s farm
 tests); real-subprocess SIGKILL/SIGTERM scenarios live in
@@ -154,26 +154,6 @@ def test_supervised_solve_deadline_kills_child():
     outcome, record = _solve(child, deadline_s=0.05)
     assert (outcome, record) == ("deadline", None)
     assert child.proc.killed
-
-
-def test_supervised_solve_cancelled_before_start_forks_nothing():
-    cancel = threading.Event()
-    cancel.set()
-    spawn = spawn_script()
-    outcome, _ = supervised_solve("coloring", "luby", None, 0, 0.5,
-                                  time.monotonic() + 60, Supervisor(spawn),
-                                  cancel=cancel)
-    assert outcome == "deadline" and spawn.count == 0
-
-
-def test_supervised_solve_cancel_event_kills_child():
-    cancel = threading.Event()
-    child = _hung()
-    threading.Timer(0.05, cancel.set).start()
-    t0 = time.monotonic()
-    outcome, _ = _solve(child, deadline_s=60, cancel=cancel)
-    assert outcome == "deadline" and child.proc.killed
-    assert time.monotonic() - t0 < 5
 
 
 def test_supervised_solve_retries_a_crashed_child_once():

@@ -1,9 +1,9 @@
 """The shared supervisor with real child processes: reuse, replacement
 after a deadline kill or a large task, and signal handling inherited
-from a server.
+from a server; and its ``keep`` seam on scripted children.
 
-The scripted races (last drain at a deadline or death, cancel, crash
-and retry) run on scripted children in ``test_chaos.py``,
+The other scripted races (last drain at a deadline or death, crash and
+retry) run on scripted children in ``test_chaos.py``,
 ``test_experiments.py`` and ``test_serving.py``.
 """
 
@@ -15,7 +15,9 @@ import signal
 import time
 import weakref
 
-from repro.supervise import MAX_WARM_GROWTH_MB, Supervisor
+from repro.supervise import MAX_WARM_GROWTH_MB, Supervisor, Task
+
+from scripted_children import HANG, ScriptedChild, spawn_script
 
 #: In a child: a weak reference to the cycle :func:`_leave_cycle` left.
 _watched = None
@@ -133,3 +135,27 @@ def test_parent_heap_is_never_frozen():
     finally:
         supervisor.close()
     assert gc.get_freeze_count() == before
+
+
+# -- the keep seam (scripted children) ----------------------------------------
+
+
+def test_keep_false_before_the_start_forks_nothing():
+    spawn = spawn_script()
+    settled = []
+    assert Supervisor(spawn).run(
+        [Task(os.getpid, ())], lambda task, outcome: settled.append(outcome),
+        keep=lambda: False) is False
+    assert spawn.count == 0 and settled == []
+
+
+def test_keep_turning_false_kills_the_child():
+    child = ScriptedChild(HANG)
+    stop_at = time.monotonic() + 0.05
+    settled = []
+    start = time.monotonic()
+    assert Supervisor(spawn_script(child)).run(
+        [Task(os.getpid, ())], lambda task, outcome: settled.append(outcome),
+        keep=lambda: time.monotonic() < stop_at) is False
+    assert child.proc.killed and settled == []
+    assert time.monotonic() - start < 5
