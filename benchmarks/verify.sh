@@ -15,61 +15,10 @@ cd "$REPO_ROOT"
 export PYTHONPATH="$REPO_ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 (fast slice: -m 'not slow') =="
-# Includes the delivery pins counts cannot see:
-# tests/test_delivery_order.py::test_kt2_algorithm3_transcript_is_pinned
-# holds Algorithm 3's KT-2 inbox transcripts (rounds and event
-# schedulers) to sha256 digests recorded before KT-rho knowledge became
-# lazy, ::test_kt3_cycle_experiment_counts_are_pinned covers KT-3, and
-# ::test_kt1_algorithm1_transcript_is_pinned holds Algorithm 1's KT-1
-# transcripts (rounds and event schedulers, partition levels with
-# deferrals) to digests recorded before its driver evaluated the level
-# hashes once per ID instead of once per edge;
-# ::test_kt1_columnar_transcript_is_rounds_minus_kernel_stages holds the
-# columnar transcript to the pinned rounds one minus exactly the stages
-# a columnar kernel runs (alg1-base-*, alg1-color-*).
-# The kernel ledger pin
-# tests/test_columnar_parity.py::test_kernel_ledger_is_pinned holds the
-# set of classes with their own columnar kernel to the stages whose win
-# is measured in docs/columnar.md's ledger table.  The graph pins
-# tests/test_generators.py::test_family_graphs_are_pinned (sha256 of
-# each graph's n, adjacency and edges for regular, expander, powerlaw,
-# planted and dense gnp; recorded before the generators' rng draws were
-# inlined) and tests/test_graph_core.py::test_graph_pickle_is_pinned
-# hold graph construction bit-identical in families no BENCH cell covers.
-# tests/test_experiments.py::test_serial_sweep_builds_each_graph_once
-# holds the graph-major cell plan to one graph build per (family, n,
-# density, seed) in a serial sweep.
-# The collector guards: api._run_engines pauses the cyclic garbage
-# collector for a whole engine run, which is safe only while a run
-# leaves O(n) cyclic garbage, not O(messages):
-# tests/test_api.py::test_engine_run_leaves_only_per_node_cyclic_garbage
-# holds that for Algorithm 1 (rounds, columnar, event) and
-# baseline-trial.  Warm children freeze the heap they inherit:
-# tests/test_supervise.py::test_child_freezes_its_inherited_heap,
-# ::test_child_still_frees_a_tasks_cyclic_garbage and
-# ::test_parent_heap_is_never_frozen.  The node-program equivalence
-# guards: tests/test_phase_predicates.py holds the Johansson and Luby
-# set-algebra phase predicates equal to their per-neighbor all()/any()
-# forms (asymmetric active sets, early next-phase arrivals, survivor
-# iteration order); tests/test_topology_order.py holds Topology's
-# O(n log n + m) neighbor order equal to a per-vertex sort and the KT-2
-# ordered accessors equal to neighborhood_of, refusals included; and
-# tests/test_fanout_structure.py holds Algorithm 3's relays to their
-# definition and NotifyStage, ParallelGreedyMIS and InformTwoHop to one
-# outbox entry per fan-out.  The idle-work guards:
-# tests/test_idle_work.py holds Algorithm 1's tree relays to no send
-# without receivers (one _submit per node with children and chunk in a
-# shared-bits stage, TreeAggregate echoes only from nodes with
-# children), the BitString payload memo to analyze_payload's answer
-# (and never answering for an int, str or tuple key), and
-# DannerLocalStage, NotifyStage and FloodLeaderElect to one output
-# build per change with outputs equal to the rebuild-per-activation
-# definition on all three schedulers, and a traced run decoding the
-# live danner set like an untraced run's; tests/test_latency_fanout.py
-# holds the event scheduler's one-call fan-out delays to per-receiver
-# link_delay draws (uniform, fixed, adversary_latency; a uniform
-# subclass that changes a draw uses the loop).  None of these is
-# slow-marked, so the fast slice runs each of them once.
+# The guards counts cannot see carry the `pin` marker (pytest.ini), each
+# with its rationale in its docstring; none is slow-marked, so the fast
+# slice runs each of them once.  This lists them and runs none:
+python -m pytest --co -q -m pin
 python -m pytest -x -q -m "not slow"
 
 echo "== paper-claim benches (the paper's orderings, fixed seeds) =="

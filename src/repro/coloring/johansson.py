@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.congest.columnar import PhaseKernel, int_words, int_words_scalar
 from repro.congest.node import ColumnarStage, Context, NodeAlgorithm
 from repro.errors import ProtocolError
 
@@ -207,50 +208,16 @@ class JohanssonListColoring(ColumnarStage, NodeAlgorithm):
 
     @classmethod
     def build_columnar_kernel(cls, net, algorithms, contexts):
-        from repro.congest.columnar import (ActiveGraph, get_numpy,
-                                           undecided_adjacency)
-
-        np_ = get_numpy()
-        if np_ is None:
-            return None
         for alg in algorithms:
             if alg.participate and any(
                 type(c) is not int or c < 0 or c >= _MAX_KERNEL_COLOR
                 for c in alg.palette
             ):
                 return None
-        # A declined build sends the stage to the scalar path (which then
-        # raises its ProtocolError exactly).
-        adjacency = undecided_adjacency(net, algorithms)
-        if adjacency is None:
-            return None
-        graph = ActiveGraph.build(np_, net._n, adjacency)
-        if graph is None:
-            return None
-        return _JohanssonKernel(np_, net, graph, algorithms, contexts)
+        return _JohanssonKernel.build(net, algorithms, contexts)
 
 
-class _JohanssonBank:
-    """Per-phase receive banks, slot-indexed like the Luby banks.
-
-    ``cnt_any`` counts trial-or-defer arrivals (each undecided neighbor
-    sends exactly one of the two per phase — the completeness test of
-    ``_try_resolve``); ``cnt_res`` counts resolves (rf/rc/rd)."""
-
-    __slots__ = ("cnt_any", "cnt_res", "got", "tval", "kind", "rval")
-
-    def __init__(self, np_, n: int, num_edges: int):
-        self.cnt_any = np_.zeros(n, dtype=np_.int64)
-        self.cnt_res = np_.zeros(n, dtype=np_.int64)
-        self.got = np_.zeros(num_edges, dtype=bool)
-        self.tval = np_.zeros(num_edges, dtype=np_.int64)
-        #: 0 = nothing, 1 = rf (failed), 2 = rc (colored), 3 = rd
-        #: (deferred) — rc/rd remove the neighbor at advance, rf keeps it.
-        self.kind = np_.zeros(num_edges, dtype=np_.int8)
-        self.rval = np_.zeros(num_edges, dtype=np_.int64)
-
-
-class _JohanssonKernel:
+class _JohanssonKernel(PhaseKernel):
     """Vectorized Johansson phases over node-state columns.
 
     Palettes stay the algorithms' own Python sets (sorted-and-drawn in a
@@ -259,43 +226,36 @@ class _JohanssonKernel:
     resolve bookkeeping over every active edge — runs as array ops.
     """
 
+    class Bank:
+        """Per-phase receive bank, slot-indexed like the Luby bank.
+
+        ``cnt_any`` counts trial-or-defer arrivals (each undecided
+        neighbor sends exactly one of the two per phase — the
+        completeness test of ``_try_resolve``); ``cnt_res`` counts
+        resolves (rf/rc/rd)."""
+
+        __slots__ = ("cnt_any", "cnt_res", "got", "tval", "kind", "rval")
+
+        def __init__(self, np_, n: int, num_edges: int):
+            self.cnt_any = np_.zeros(n, dtype=np_.int64)
+            self.cnt_res = np_.zeros(n, dtype=np_.int64)
+            self.got = np_.zeros(num_edges, dtype=bool)
+            self.tval = np_.zeros(num_edges, dtype=np_.int64)
+            #: 0 = nothing, 1 = rf (failed), 2 = rc (colored), 3 = rd
+            #: (deferred) — rc/rd remove the neighbor at advance, rf
+            #: keeps it.
+            self.kind = np_.zeros(num_edges, dtype=np_.int8)
+            self.rval = np_.zeros(num_edges, dtype=np_.int64)
+
     def __init__(self, np_, net, graph, algorithms, contexts):
-        self.np = np_
-        self.net = net
-        self.graph = graph
-        self.algorithms = algorithms
-        self.contexts = contexts
-        n = self.n = net._n
-        self.word_bits = net.word_bits
-        self.phase = np_.zeros(n, dtype=np_.int64)
-        self.trial = np_.full(n, -1, dtype=np_.int64)
-        self.resolved = np_.ones(n, dtype=bool)
-        self.live = np_.zeros(n, dtype=bool)
-        self.banks: dict[int, _JohanssonBank] = {}
-
-    def _bank(self, p: int) -> _JohanssonBank:
-        bank = self.banks.get(p)
-        if bank is None:
-            bank = self.banks[p] = _JohanssonBank(
-                self.np, self.n, len(self.graph.esrc)
-            )
-        return bank
-
-    def _emit(self, tag, p, nodes, values, words):
-        from repro.congest.columnar import SendBatch, block_positions
-
-        np_ = self.np
-        pos, owners = block_positions(np_, self.graph.indptr, nodes)
-        mask = self.graph.alive[pos]
-        own = owners[mask]
-        return SendBatch(tag, p, pos[mask], values[own], words[own])
+        super().__init__(np_, net, graph, algorithms, contexts)
+        self.trial = np_.full(self.n, -1, dtype=np_.int64)
+        self.resolved = np_.ones(self.n, dtype=bool)
 
     def _begin(self, p, nodes):
         """Scalar-identical phase entry, in the scalar's branch order:
         defer first (palette invariant broken), trivial color second
         (no undecided neighbors), otherwise draw and broadcast a trial."""
-        from repro.congest.columnar import int_words, int_words_scalar
-
         np_ = self.np
         needed = self.graph.needed
         contexts = self.contexts
@@ -320,11 +280,8 @@ class _JohanssonKernel:
         batches = []
         pw = int_words_scalar(p, self.word_bits)
         if deferred:
-            da = np_.asarray(deferred, dtype=np_.int64)
             batch = self._emit(
-                "rd", p, da,
-                np_.zeros(len(da), dtype=np_.int64),
-                np_.full(len(da), pw, dtype=np_.int64),
+                "rd", p, np_.asarray(deferred, dtype=np_.int64), 0, pw
             )
             if len(batch.eids):
                 batches.append(batch)
@@ -334,144 +291,71 @@ class _JohanssonKernel:
             batches.append(self._emit("trial", p, sa, self.trial[sa], words))
         return batches
 
-    def begin(self):
-        nodes = []
-        for v in range(self.n):
-            if self.algorithms[v].participate:
-                self.live[v] = True
-                nodes.append(v)
-            else:
-                self.contexts[v].done(None)
-        return self._begin(0, nodes)
+    def _file(self, bank, tag, slots, values, counts):
+        if tag == "trial":
+            bank.got[slots] = True
+            bank.tval[slots] = values
+            bank.cnt_any += counts
+        elif tag == "rf":
+            bank.kind[slots] = 1
+            bank.cnt_res += counts
+        elif tag == "rc":
+            bank.kind[slots] = 2
+            bank.rval[slots] = values
+            bank.cnt_res += counts
+        else:  # rd — a deferral counts as trial AND resolve
+            bank.kind[slots] = 3
+            bank.cnt_any += counts
+            bank.cnt_res += counts
 
-    def deliver(self, arrivals):
+    def _steps(self, p, bank, nodes, out):
+        """Resolve -> strike, the scalar ``_try_resolve``/``_try_advance``
+        in that order."""
         np_ = self.np
-        erev = self.graph.erev
-        edst = self.graph.edst
-        n = self.n
-        touched = []
-        for batch, subset in arrivals:
-            eids = batch.eids if subset is None else batch.eids[subset]
-            values = (
-                batch.values if subset is None else batch.values[subset]
+        needed = self.graph.needed
+        pw = int_words_scalar(p, self.word_bits)
+        # -- resolve: every neighbor trialed or deferred -------------------
+        rn = nodes[
+            ~self.resolved[nodes] & (bank.cnt_any[nodes] == needed[nodes])
+        ]
+        if rn.size:
+            slots, owners = self._live_slots(rn)
+            hits = bank.got[slots] & (
+                bank.tval[slots] == self.trial[rn][owners]
             )
-            bank = self._bank(batch.phase)
-            slots = erev[eids]
-            receivers = edst[eids]
-            counts = np_.bincount(receivers, minlength=n)
-            tag = batch.tag
-            if tag == "trial":
-                bank.got[slots] = True
-                bank.tval[slots] = values
-                bank.cnt_any += counts
-            elif tag == "rf":
-                bank.kind[slots] = 1
-                bank.cnt_res += counts
-            elif tag == "rc":
-                bank.kind[slots] = 2
-                bank.rval[slots] = values
-                bank.cnt_res += counts
-            else:  # rd — a deferral counts as trial AND resolve
-                bank.kind[slots] = 3
-                bank.cnt_any += counts
-                bank.cnt_res += counts
-            touched.append(receivers)
-        cand = np_.unique(np_.concatenate(touched))
-        return self._pump(cand[self.live[cand]])
-
-    def _pump(self, cand):
-        """Fixpoint of resolve -> advance over the touched nodes."""
-        from repro.congest.columnar import (
-            block_positions,
-            int_words,
-            int_words_scalar,
-        )
-
-        np_ = self.np
-        graph = self.graph
-        needed = graph.needed
-        algorithms = self.algorithms
-        out = []
-        while cand.size:
-            nxt = []
-            for p in np_.unique(self.phase[cand]).tolist():
-                bank = self.banks.get(p)
-                if bank is None:
-                    continue
-                nodes = cand[self.phase[cand] == p]
-                pw = int_words_scalar(p, self.word_bits)
-                # -- resolve: every neighbor trialed or deferred -------
-                rn = nodes[
-                    ~self.resolved[nodes]
-                    & (bank.cnt_any[nodes] == needed[nodes])
-                ]
-                if rn.size:
-                    pos, owners = block_positions(np_, graph.indptr, rn)
-                    mask = graph.alive[pos]
-                    mpos = pos[mask]
-                    mown = owners[mask]
-                    hits = bank.got[mpos] & (
-                        bank.tval[mpos] == self.trial[rn][mown]
-                    )
-                    conflicted = (
-                        np_.bincount(mown[hits], minlength=len(rn)) > 0
-                    )
-                    self.resolved[rn] = True
-                    fails = rn[conflicted]
-                    colors = rn[~conflicted]
-                    if fails.size:
-                        out.append(self._emit(
-                            "rf", p, fails,
-                            np_.zeros(len(fails), dtype=np_.int64),
-                            np_.full(len(fails), pw, dtype=np_.int64),
-                        ))
-                    if colors.size:
-                        cvals = self.trial[colors]
-                        out.append(self._emit(
-                            "rc", p, colors, cvals,
-                            pw + int_words(np_, cvals, self.word_bits),
-                        ))
-                        for v, c in zip(colors.tolist(), cvals.tolist()):
-                            self.contexts[v].done({"color": int(c)})
-                        self.live[colors] = False
-                # -- advance: every neighbor's resolve arrived ---------
-                an = nodes[
-                    self.resolved[nodes]
-                    & self.live[nodes]
-                    & (bank.cnt_res[nodes] == needed[nodes])
-                ]
-                if an.size:
-                    pos, owners = block_positions(np_, graph.indptr, an)
-                    mask = graph.alive[pos]
-                    mpos = pos[mask]
-                    mown = owners[mask]
-                    kinds = bank.kind[mpos]
-                    struck = kinds == 2
-                    if struck.any():
-                        for v, c in zip(
-                            an[mown[struck]].tolist(),
-                            bank.rval[mpos[struck]].tolist(),
-                        ):
-                            algorithms[v].palette.discard(c)
-                    gone = kinds >= 2
-                    if gone.any():
-                        graph.alive[mpos[gone]] = False
-                        needed[an] -= np_.bincount(
-                            mown[gone], minlength=len(an)
-                        )
-                    self.phase[an] = p + 1
-                    self.trial[an] = -1
-                    if not bool((self.live & (self.phase <= p)).any()):
-                        self.banks.pop(p, None)
-                    out.extend(self._begin(p + 1, an.tolist()))
-                    survivors = an[self.live[an]]
-                    if survivors.size:
-                        nxt.append(survivors)
-            cand = (
-                np_.unique(np_.concatenate(nxt))
-                if nxt else np_.empty(0, dtype=np_.int64)
-            )
-        return out
+            conflicted = np_.bincount(owners[hits], minlength=len(rn)) > 0
+            self.resolved[rn] = True
+            fails = rn[conflicted]
+            colors = rn[~conflicted]
+            if fails.size:
+                out.append(self._emit("rf", p, fails, 0, pw))
+            if colors.size:
+                cvals = self.trial[colors]
+                out.append(self._emit(
+                    "rc", p, colors, cvals,
+                    pw + int_words(np_, cvals, self.word_bits),
+                ))
+                for v, c in zip(colors.tolist(), cvals.tolist()):
+                    self.contexts[v].done({"color": int(c)})
+                self.live[colors] = False
+        # -- strike: every neighbor's resolve arrived ----------------------
+        an = nodes[
+            self.resolved[nodes]
+            & self.live[nodes]
+            & (bank.cnt_res[nodes] == needed[nodes])
+        ]
+        if an.size:
+            slots, owners = self._live_slots(an)
+            kinds = bank.kind[slots]
+            struck = kinds == 2
+            if struck.any():
+                algorithms = self.algorithms
+                for v, c in zip(an[owners[struck]].tolist(),
+                                bank.rval[slots[struck]].tolist()):
+                    algorithms[v].palette.discard(c)
+            self._retire(an, slots, owners, kinds >= 2)
+            self.trial[an] = -1
+        return an
 
 
 def johansson_color(net, active_sets, palettes, participate=None,

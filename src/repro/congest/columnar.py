@@ -29,9 +29,13 @@ kernel needs:
   ``ActiveGraph`` is built from, resolved through the nodes' port maps.
 * :func:`block_positions` — the gather that turns "these nodes" into
   "all their out-edge slots" plus an owner index, without Python loops.
+* :class:`PhaseKernel` — the skeleton of a lockstep-by-counting phase
+  kernel: the build, the per-phase receive banks, batch emission, the
+  arrival scatter and the per-phase fixpoint with its advance tail.
 
-Kernels themselves live next to their algorithms (``mis/luby.py`` and
-``coloring/johansson.py``); see ``docs/columnar.md`` for the contract.
+The kernels themselves subclass :class:`PhaseKernel` next to their
+algorithms (``mis/luby.py`` and ``coloring/johansson.py``) and supply
+only their protocol rules; see ``docs/columnar.md`` for the contract.
 """
 
 from __future__ import annotations
@@ -219,27 +223,11 @@ def block_positions(np_, indptr, nodes):
     return pos, owners
 
 
-def masked_block_max(np_, values, pos, owners, alive, num_blocks):
-    """Per-owner max of ``values[pos]`` restricted to alive slots.
-
-    Every block must have at least one alive slot (kernels only query
-    nodes with live out-degree >= 1); blocks are contiguous because
-    ``owners`` ascends.
-    """
-    mask = alive[pos]
-    vals = values[pos[mask]]
-    counts = np_.bincount(owners[mask], minlength=num_blocks)
-    offsets = np_.cumsum(counts) - counts
-    return np_.maximum.reduceat(vals, offsets)
-
-
 def sender_counts_view(np_, stats):
     """Writable int64 view over ``MessageStats._sender_counts``, or None
-    when the flat array is absent or the buffer refuses a writable view
-    (callers then fall back to per-element adds)."""
+    when the buffer refuses a writable view (callers then fall back to
+    per-element adds)."""
     counts = stats._sender_counts
-    if counts is None:
-        return None
     view = np_.frombuffer(counts, dtype=np_.int64)
     if not view.flags.writeable:  # pragma: no cover - platform-dependent
         try:
@@ -249,3 +237,163 @@ def sender_counts_view(np_, stats):
         if not view.flags.writeable:
             return None
     return view
+
+
+class PhaseKernel:
+    """Skeleton of a columnar kernel for a lockstep-by-counting phase
+    protocol.
+
+    A node leaves phase p only after hearing from every live neighbor,
+    so messages of at most two phases are in flight at a node; each
+    phase in use keeps one receive bank, indexed by the receiver's
+    out-edge slot.  The base owns what every such protocol shares: the
+    build, the ``phase``/``live`` node columns, the banks, batch
+    emission, round-0 entry, the arrival scatter, and the per-phase
+    fixpoint with its advance tail.  A subclass supplies its protocol
+    rules:
+
+    * ``Bank`` — the per-phase receive bank, ``Bank(np_, n, num_edges)``;
+    * ``_begin(p, nodes)`` — enter phase p at ``nodes`` (ascending vertex
+      order, which is the scalar draw order) and return its batches;
+    * ``_file(bank, tag, slots, values, counts)`` — file one delivered
+      batch into its phase's bank;
+    * ``_steps(p, bank, nodes, out)`` — run phase p's steps at ``nodes``,
+      appending batches to ``out``, and return the nodes that finished
+      the phase (neighbor edges retired, per-phase flags reset).
+    """
+
+    Bank = None
+
+    def __init__(self, np_, net, graph, algorithms, contexts):
+        self.np = np_
+        self.net = net
+        self.graph = graph
+        self.algorithms = algorithms
+        self.contexts = contexts
+        n = self.n = net._n
+        self.word_bits = net.word_bits
+        self.phase = np_.zeros(n, dtype=np_.int64)
+        self.live = np_.zeros(n, dtype=bool)
+        self.banks: dict = {}
+
+    @classmethod
+    def build(cls, net, algorithms, contexts):
+        """The stage's kernel over its ``undecided`` sets, or None.
+
+        A declined build sends the stage to the scalar path, which then
+        reproduces the exact deadlock or ProtocolError diagnostics.
+        """
+        np_ = get_numpy()
+        if np_ is None:
+            return None
+        adjacency = undecided_adjacency(net, algorithms)
+        if adjacency is None:
+            return None
+        graph = ActiveGraph.build(np_, net._n, adjacency)
+        if graph is None:
+            return None
+        return cls(np_, net, graph, algorithms, contexts)
+
+    def _bank(self, p: int):
+        bank = self.banks.get(p)
+        if bank is None:
+            bank = self.banks[p] = self.Bank(
+                self.np, self.n, len(self.graph.esrc)
+            )
+        return bank
+
+    def _live_slots(self, nodes):
+        """The live out-edge slots of ``nodes`` and, per slot, the index
+        into ``nodes`` of its owner."""
+        pos, owners = block_positions(self.np, self.graph.indptr, nodes)
+        mask = self.graph.alive[pos]
+        return pos[mask], owners[mask]
+
+    def _block_max(self, values, nodes):
+        """Per node, the max of ``values`` over its live slots (every
+        node in ``nodes`` has at least one)."""
+        np_ = self.np
+        slots, owners = self._live_slots(nodes)
+        counts = np_.bincount(owners, minlength=len(nodes))
+        return np_.maximum.reduceat(values[slots], np_.cumsum(counts) - counts)
+
+    def _retire(self, nodes, slots, owners, gone):
+        """Retire the live slots where ``gone`` holds: those neighbors
+        left the protocol."""
+        if gone.any():
+            graph = self.graph
+            graph.alive[slots[gone]] = False
+            graph.needed[nodes] -= self.np.bincount(
+                owners[gone], minlength=len(nodes)
+            )
+
+    def _emit(self, tag, p, nodes, values, words):
+        """Fan ``values``/``words`` out over each node's live edges: an
+        array with entry i for ``nodes[i]``, or one int for all."""
+        np_ = self.np
+        slots, owners = self._live_slots(nodes)
+        k = len(nodes)
+        return SendBatch(tag, p, slots, np_.broadcast_to(values, k)[owners],
+                         np_.broadcast_to(words, k)[owners])
+
+    def begin(self):
+        """Round 0: bystanders finish with no output, participants
+        enter phase 0."""
+        nodes = []
+        for v in range(self.n):
+            if self.algorithms[v].participate:
+                self.live[v] = True
+                nodes.append(v)
+            else:
+                self.contexts[v].done(None)
+        return self._begin(0, nodes)
+
+    def deliver(self, arrivals):
+        """File a round's arrivals into their phases' banks, then pump
+        the live receivers."""
+        np_ = self.np
+        erev = self.graph.erev
+        edst = self.graph.edst
+        n = self.n
+        touched = []
+        for batch, subset in arrivals:
+            eids = batch.eids if subset is None else batch.eids[subset]
+            values = (
+                batch.values if subset is None else batch.values[subset]
+            )
+            receivers = edst[eids]
+            self._file(self._bank(batch.phase), batch.tag, erev[eids],
+                       values, np_.bincount(receivers, minlength=n))
+            touched.append(receivers)
+        cand = np_.unique(np_.concatenate(touched))
+        return self._pump(cand[self.live[cand]])
+
+    def _pump(self, cand):
+        """Fixpoint over the touched nodes — the vectorized mirror of the
+        scalar ``_pump`` loop: each phase's steps, then the nodes that
+        finished it enter the next phase, until no node moves."""
+        np_ = self.np
+        phase = self.phase
+        live = self.live
+        out = []
+        while cand.size:
+            nxt = []
+            for p in np_.unique(phase[cand]).tolist():
+                bank = self.banks.get(p)
+                if bank is None:
+                    continue
+                done = self._steps(p, bank, cand[phase[cand] == p], out)
+                if not done.size:
+                    continue
+                phase[done] = p + 1
+                if not bool((live & (phase <= p)).any()):
+                    self.banks.pop(p, None)
+                out.extend(self._begin(p + 1, done.tolist()))
+                survivors = done[live[done]]
+                if survivors.size:
+                    nxt.append(survivors)
+            cand = (
+                np_.unique(np_.concatenate(nxt))
+                if nxt else np_.empty(0, dtype=np_.int64)
+            )
+        return out

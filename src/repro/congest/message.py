@@ -117,7 +117,7 @@ def analyze_payload(fields: tuple, word_bits: int) -> tuple[int, tuple]:
     receive-side) ever rescans the payload.  The returned ID tuple is
     deduplicated (first occurrence order): a payload repeating phi(w) k
     times utilizes the same edge {sender, w} once, so the duplicates
-    would only trigger redundant ``mark_utilized`` lookups on both the
+    would only trigger redundant utilized-edge lookups on both the
     send and receive side.
     """
     if not fields:

@@ -21,7 +21,7 @@ Hot-path representation (the engine charges every send through here, so
 the containers are flat):
 
 * utilized edges are stored as a ``set[int]`` of ``u * stride + v`` keys
-  (``u < v``; ``stride`` is the vertex count when known) and only decoded
+  (``u < v``; ``stride`` is the vertex count) and only decoded
   back to ``(u, v)`` tuples by the :attr:`MessageStats.utilized` property;
 * per-sender message counts live in a preallocated ``array('q', n)``
   instead of a dict (:attr:`MessageStats.by_sender` materializes the
@@ -34,12 +34,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-
-#: Flat-key stride used when the vertex count is unknown (standalone
-#: MessageStats instances in tests/tools); any endpoint below 2^32 encodes
-#: injectively.
-_FALLBACK_STRIDE = 1 << 32
-
 
 @dataclass
 class StageStats:
@@ -68,10 +62,8 @@ class StageStats:
 class MessageStats:
     """Cumulative statistics for a network (across all stages).
 
-    ``n`` — the vertex count, when known — sizes the flat per-sender
-    counter array and the utilized-edge key stride.  A bare
-    ``MessageStats()`` still supports every operation (per-sender counts
-    fall back to a dict, utilized keys to a wide fixed stride).
+    ``n`` — the vertex count — sizes the flat per-sender counter array
+    and is the utilized-edge key stride.
     """
 
     def __init__(self, n: int = 0) -> None:
@@ -91,39 +83,14 @@ class MessageStats:
         self.by_tag: dict[str, int] = {}
         self._n = n
         #: utilized-edge flat-key stride: key = u * stride + v with u < v.
-        self.utilized_stride = n if n > 0 else _FALLBACK_STRIDE
+        self.utilized_stride = n
         #: flat utilized-edge keys (engine hot path adds here directly).
         self._utilized: set[int] = set()
-        if n > 0:
-            # array('q', bytes(8*n)) is n zeroed signed-64 counters.
-            self._sender_counts = array("q", bytes(8 * n))
-            self._sender_fallback = None
-        else:
-            self._sender_counts = None
-            self._sender_fallback: dict[int, int] = {}
+        #: charged messages per sender vertex: n zeroed signed-64
+        #: counters (the engine hot path adds here directly).
+        self._sender_counts = array("q", bytes(8 * n))
 
     # -- charging ------------------------------------------------------------
-
-    def charge_send(self, words: int, charged_messages: int,
-                    tag: str = "", sender: int = -1) -> None:
-        """Account one logical send (per-send reference path)."""
-        self.sends += 1
-        self.words += words
-        self.messages += charged_messages
-        if tag:
-            self.by_tag[tag] = self.by_tag.get(tag, 0) + charged_messages
-        if sender >= 0:
-            counts = self._sender_counts
-            if counts is not None:
-                counts[sender] += charged_messages
-            else:
-                fallback = self._sender_fallback
-                fallback[sender] = fallback.get(sender, 0) + charged_messages
-        if self.stages:
-            stage = self.stages[-1]
-            stage.sends += 1
-            stage.words += words
-            stage.messages += charged_messages
 
     def charge_send_batch(self, sends: int, words: int,
                           messages: int) -> None:
@@ -131,8 +98,7 @@ class MessageStats:
 
         Totals only — per-tag / per-sender / utilized breakdowns are
         either skipped (stats-lite) or applied by the caller alongside
-        this call.  Count-identical to ``sends`` repetitions of
-        :meth:`charge_send`.
+        this call.
         """
         self.sends += sends
         self.words += words
@@ -149,18 +115,10 @@ class MessageStats:
         adversary destroyed)."""
         self.dropped_messages += charged_messages
 
-    def charge_round(self) -> None:
-        self.charge_rounds(1)
-
     def charge_rounds(self, count: int) -> None:
         self.rounds += count
         if self.stages:
             self.stages[-1].rounds += count
-
-    def mark_utilized(self, u: int, v: int) -> None:
-        if u > v:
-            u, v = v, u
-        self._utilized.add(u * self.utilized_stride + v)
 
     # -- stage management ----------------------------------------------------
 
@@ -194,10 +152,7 @@ class MessageStats:
         """Charged messages per sender vertex (load distribution),
         materialized from the flat counter array (zero entries omitted,
         matching the previous dict semantics)."""
-        counts = self._sender_counts
-        if counts is None:
-            return dict(self._sender_fallback)
-        return {v: c for v, c in enumerate(counts) if c}
+        return {v: c for v, c in enumerate(self._sender_counts) if c}
 
     def summary(self) -> dict:
         return {

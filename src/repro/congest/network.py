@@ -108,9 +108,9 @@ class SyncNetwork:
         #: are unaffected (they use the identical accounting path).
         self.collect_utilization = collect_utilization
         #: Reference/debug mode: flush the outbox after every single
-        #: submit instead of once per round, exercising the per-send
-        #: accounting path.  Counts are identical either way (tests
-        #: assert it); batched is the default because it is faster.
+        #: submit instead of once per round, so each send is charged on
+        #: its own.  Counts are identical either way (tests assert it);
+        #: batched is the default because it is faster.
         self.eager_charges = eager_charges
         self.assignment = assignment or IdAssignment.random(graph.n, seed=seed)
         if len(self.assignment) != graph.n:

@@ -649,6 +649,23 @@ class Scheduler:
             return True
         return False
 
+    @staticmethod
+    def _over_budget(stage_name: str, max_rounds: int) -> ConvergenceError:
+        """The error of a stage that ran out of work rounds."""
+        return ConvergenceError(
+            f"stage '{stage_name}' exceeded {max_rounds} rounds"
+        )
+
+    def _deadlocked(self, stage_name: str, contexts) -> ConvergenceError:
+        """The error of a quiescent stage with unfinished nodes."""
+        unfinished = [
+            v for v in range(self.net._n) if not contexts[v]._finished
+        ]
+        return ConvergenceError(
+            f"stage '{stage_name}' deadlocked with unfinished "
+            f"nodes {unfinished[:10]} (total {len(unfinished)})"
+        )
+
     def _mark_starved(self, contexts, faults: FaultModel,
                       now: float) -> None:
         """Every unfinished, un-crashed node at stage end is starved."""
@@ -805,9 +822,7 @@ class RoundScheduler(Scheduler):
                     self._mark_starved(contexts, faults,
                                        base_time + round_index)
                     break
-                raise ConvergenceError(
-                    f"stage '{stage_name}' exceeded {max_rounds} rounds"
-                )
+                raise self._over_budget(stage_name, max_rounds)
             net._current_round = round_index
             slot_index = round_index & self._ring_mask
             arriving = self._ring[slot_index]
@@ -878,13 +893,7 @@ class RoundScheduler(Scheduler):
                         converged = True
                         round_index += 1
                         break
-                    unfinished = [
-                        v for v in range(n) if not contexts[v]._finished
-                    ]
-                    raise ConvergenceError(
-                        f"stage '{stage_name}' deadlocked with unfinished "
-                        f"nodes {unfinished[:10]} (total {len(unfinished)})"
-                    )
+                    raise self._deadlocked(stage_name, contexts)
                 round_index += 1
             elif passive:
                 # Idle nodes never act on silence: jump to the next
@@ -1055,9 +1064,7 @@ class ColumnarRoundScheduler(RoundScheduler):
         while True:
             work_rounds += 1
             if work_rounds > max_rounds + 1:
-                raise ConvergenceError(
-                    f"stage '{stage_name}' exceeded {max_rounds} rounds"
-                )
+                raise self._over_budget(stage_name, max_rounds)
             net._current_round = round_index
             arriving = pending.pop(round_index, None)
             if round_index == 0:
@@ -1075,13 +1082,7 @@ class ColumnarRoundScheduler(RoundScheduler):
                     round_index += 1
                     break
                 if round_index > 0:
-                    unfinished = [
-                        v for v in range(n) if not contexts[v]._finished
-                    ]
-                    raise ConvergenceError(
-                        f"stage '{stage_name}' deadlocked with unfinished "
-                        f"nodes {unfinished[:10]} (total {len(unfinished)})"
-                    )
+                    raise self._deadlocked(stage_name, contexts)
                 round_index += 1
             else:
                 # Idle rounds are free: jump to the next delivery, like

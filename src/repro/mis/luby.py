@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.congest.columnar import PhaseKernel, int_words, int_words_scalar
 from repro.congest.node import ColumnarStage, Context, NodeAlgorithm
 
 
@@ -168,39 +169,10 @@ class LubyMIS(ColumnarStage, NodeAlgorithm):
 
     @classmethod
     def build_columnar_kernel(cls, net, algorithms, contexts):
-        from repro.congest.columnar import (ActiveGraph, get_numpy,
-                                           undecided_adjacency)
-
-        np_ = get_numpy()
-        if np_ is None:
-            return None
-        # A declined build sends the stage to the scalar path, which then
-        # reproduces the exact deadlock or ProtocolError diagnostics.
-        adjacency = undecided_adjacency(net, algorithms)
-        if adjacency is None:
-            return None
-        graph = ActiveGraph.build(np_, net._n, adjacency)
-        if graph is None:
-            return None
-        return _LubyKernel(np_, net, graph, algorithms, contexts)
+        return _LubyKernel.build(net, algorithms, contexts)
 
 
-class _LubyBank:
-    """Per-phase receive banks, indexed by the receiver's out-edge slot
-    (the reverse-edge involution makes each receiver's block contiguous)."""
-
-    __slots__ = ("cnt_prio", "cnt_join", "cnt_fate", "pval", "jval", "kill")
-
-    def __init__(self, np_, n: int, num_edges: int):
-        self.cnt_prio = np_.zeros(n, dtype=np_.int64)
-        self.cnt_join = np_.zeros(n, dtype=np_.int64)
-        self.cnt_fate = np_.zeros(n, dtype=np_.int64)
-        self.pval = np_.full(num_edges, -1, dtype=np_.int64)
-        self.jval = np_.zeros(num_edges, dtype=np_.int64)
-        self.kill = np_.zeros(num_edges, dtype=bool)
-
-
-class _LubyKernel:
+class _LubyKernel(PhaseKernel):
     """Vectorized Luby phases over node-state columns.
 
     One Python loop per phase boundary (the per-node RNG draws — each
@@ -212,54 +184,41 @@ class _LubyKernel:
     under the scheduler's n^2 <= 2^21 array gate).
     """
 
+    class Bank:
+        """Per-phase receive bank, indexed by the receiver's out-edge slot
+        (the reverse-edge involution makes each receiver's block
+        contiguous)."""
+
+        __slots__ = ("cnt_prio", "cnt_join", "cnt_fate", "pval", "jval",
+                     "kill")
+
+        def __init__(self, np_, n: int, num_edges: int):
+            self.cnt_prio = np_.zeros(n, dtype=np_.int64)
+            self.cnt_join = np_.zeros(n, dtype=np_.int64)
+            self.cnt_fate = np_.zeros(n, dtype=np_.int64)
+            self.pval = np_.full(num_edges, -1, dtype=np_.int64)
+            self.jval = np_.zeros(num_edges, dtype=np_.int64)
+            self.kill = np_.zeros(num_edges, dtype=bool)
+
     def __init__(self, np_, net, graph, algorithms, contexts):
-        self.np = np_
-        self.net = net
-        self.graph = graph
-        self.algorithms = algorithms
-        self.contexts = contexts
-        n = self.n = net._n
-        self.word_bits = net.word_bits
+        super().__init__(np_, net, graph, algorithms, contexts)
+        n = self.n
         self.space = max(contexts[0].n, 2) ** 3 if n else 8
         values = np_.asarray(net.topology.values, dtype=np_.int64)
         self.rank = np_.empty(n, dtype=np_.int64)
         self.rank[np_.argsort(values)] = np_.arange(n, dtype=np_.int64)
         self.key = np_.zeros(n, dtype=np_.int64)
         self.priority = np_.zeros(n, dtype=np_.int64)
-        self.phase = np_.zeros(n, dtype=np_.int64)
-        self.live = np_.zeros(n, dtype=bool)
         self.sent_join = np_.zeros(n, dtype=bool)
         self.sent_fate = np_.zeros(n, dtype=bool)
         self.joined_now = np_.zeros(n, dtype=bool)
-        self.banks: dict[int, _LubyBank] = {}
-
-    def _bank(self, p: int) -> _LubyBank:
-        bank = self.banks.get(p)
-        if bank is None:
-            bank = self.banks[p] = _LubyBank(
-                self.np, self.n, len(self.graph.esrc)
-            )
-        return bank
-
-    def _emit(self, tag, p, nodes, values, words):
-        """Fan ``values[i]``/``words[i]`` out over node i's live edges."""
-        from repro.congest.columnar import SendBatch, block_positions
-
-        np_ = self.np
-        pos, owners = block_positions(np_, self.graph.indptr, nodes)
-        mask = self.graph.alive[pos]
-        own = owners[mask]
-        return SendBatch(tag, p, pos[mask], values[own], words[own])
 
     def _begin(self, p, nodes):
         """Scalar-identical phase entry: trivially-joined nodes decide
         (no draw), the rest draw a priority and broadcast it."""
-        from repro.congest.columnar import int_words, int_words_scalar
-
         np_ = self.np
         needed = self.graph.needed
         contexts = self.contexts
-        n = self.n
         starters = []
         for v in nodes:
             if needed[v] == 0:
@@ -269,150 +228,71 @@ class _LubyKernel:
                 self.priority[v] = contexts[v].rng.randrange(self.space)
                 starters.append(v)
         if not starters:
-            return None
+            return []
         sa = np_.asarray(starters, dtype=np_.int64)
-        self.key[sa] = self.priority[sa] * n + self.rank[sa]
+        self.key[sa] = self.priority[sa] * self.n + self.rank[sa]
         words = (
             int_words_scalar(p, self.word_bits)
             + int_words(np_, self.priority[sa], self.word_bits)
         )
-        return self._emit("prio", p, sa, self.key[sa], words)
+        return [self._emit("prio", p, sa, self.key[sa], words)]
 
-    def begin(self):
-        nodes = []
-        for v in range(self.n):
-            if self.algorithms[v].participate:
-                self.live[v] = True
-                nodes.append(v)
-            else:
-                self.contexts[v].done(None)
-        batch = self._begin(0, nodes)
-        return [batch] if batch is not None else []
+    def _file(self, bank, tag, slots, values, counts):
+        if tag == "prio":
+            bank.pval[slots] = values
+            bank.cnt_prio += counts
+        elif tag == "join":
+            bank.jval[slots] = values
+            bank.cnt_join += counts
+        else:  # fate
+            bank.kill[slots] = values.astype(bool)
+            bank.cnt_fate += counts
 
-    def deliver(self, arrivals):
+    def _steps(self, p, bank, nodes, out):
+        """Join -> fate -> kill, the scalar ``_try_join``/``_try_fate``/
+        ``_try_advance`` in that order."""
         np_ = self.np
-        erev = self.graph.erev
-        edst = self.graph.edst
-        n = self.n
-        touched = []
-        for batch, subset in arrivals:
-            eids = batch.eids if subset is None else batch.eids[subset]
-            values = (
-                batch.values if subset is None else batch.values[subset]
-            )
-            bank = self._bank(batch.phase)
-            slots = erev[eids]
-            receivers = edst[eids]
-            counts = np_.bincount(receivers, minlength=n)
-            if batch.tag == "prio":
-                bank.pval[slots] = values
-                bank.cnt_prio += counts
-            elif batch.tag == "join":
-                bank.jval[slots] = values
-                bank.cnt_join += counts
-            else:  # fate
-                bank.kill[slots] = values.astype(bool)
-                bank.cnt_fate += counts
-            touched.append(receivers)
-        cand = np_.unique(np_.concatenate(touched))
-        return self._pump(cand[self.live[cand]])
-
-    def _pump(self, cand):
-        """Fixpoint of join -> fate -> advance over the touched nodes —
-        the vectorized mirror of the scalar ``_pump`` loop."""
-        from repro.congest.columnar import (
-            block_positions,
-            int_words_scalar,
-            masked_block_max,
-        )
-
-        np_ = self.np
-        graph = self.graph
-        needed = graph.needed
-        out = []
-        while cand.size:
-            nxt = []
-            for p in np_.unique(self.phase[cand]).tolist():
-                bank = self.banks.get(p)
-                if bank is None:
-                    continue
-                nodes = cand[self.phase[cand] == p]
-                pw = int_words_scalar(p, self.word_bits)
-                # -- join: all priorities of this phase are in ---------
-                jn = nodes[
-                    ~self.sent_join[nodes]
-                    & (bank.cnt_prio[nodes] == needed[nodes])
-                ]
-                if jn.size:
-                    pos, owners = block_positions(np_, graph.indptr, jn)
-                    best = masked_block_max(
-                        np_, bank.pval, pos, owners, graph.alive, len(jn)
-                    )
-                    wins = self.key[jn] > best
-                    self.joined_now[jn] = wins
-                    self.sent_join[jn] = True
-                    out.append(self._emit(
-                        "join", p, jn,
-                        wins.astype(np_.int64),
-                        np_.full(len(jn), pw + 1, dtype=np_.int64),
-                    ))
-                # -- fate: all join votes are in -----------------------
-                fn = nodes[
-                    self.sent_join[nodes]
-                    & ~self.sent_fate[nodes]
-                    & (bank.cnt_join[nodes] == needed[nodes])
-                ]
-                if fn.size:
-                    pos, owners = block_positions(np_, graph.indptr, fn)
-                    retired = masked_block_max(
-                        np_, bank.jval, pos, owners, graph.alive, len(fn)
-                    ) > 0
-                    joined = self.joined_now[fn]
-                    decided = joined | retired
-                    self.sent_fate[fn] = True
-                    out.append(self._emit(
-                        "fate", p, fn,
-                        decided.astype(np_.int64),
-                        np_.full(len(fn), pw + 1, dtype=np_.int64),
-                    ))
-                    winners = joined[decided]
-                    for i, v in enumerate(fn[decided].tolist()):
-                        self.contexts[v].done(
-                            {"in_mis": bool(winners[i])}
-                        )
-                    self.live[fn[decided]] = False
-                # -- advance: all fates are in -------------------------
-                an = nodes[
-                    self.sent_fate[nodes]
-                    & self.live[nodes]
-                    & (bank.cnt_fate[nodes] == needed[nodes])
-                ]
-                if an.size:
-                    pos, owners = block_positions(np_, graph.indptr, an)
-                    mask = graph.alive[pos]
-                    mpos = pos[mask]
-                    kills = bank.kill[mpos]
-                    if kills.any():
-                        graph.alive[mpos[kills]] = False
-                        needed[an] -= np_.bincount(
-                            owners[mask][kills], minlength=len(an)
-                        )
-                    self.phase[an] = p + 1
-                    self.sent_join[an] = False
-                    self.sent_fate[an] = False
-                    if not bool((self.live & (self.phase <= p)).any()):
-                        self.banks.pop(p, None)
-                    batch = self._begin(p + 1, an.tolist())
-                    if batch is not None:
-                        out.append(batch)
-                    survivors = an[self.live[an]]
-                    if survivors.size:
-                        nxt.append(survivors)
-            cand = (
-                np_.unique(np_.concatenate(nxt))
-                if nxt else np_.empty(0, dtype=np_.int64)
-            )
-        return out
+        needed = self.graph.needed
+        words = int_words_scalar(p, self.word_bits) + 1
+        # -- join: all priorities of this phase are in -----------------
+        jn = nodes[
+            ~self.sent_join[nodes] & (bank.cnt_prio[nodes] == needed[nodes])
+        ]
+        if jn.size:
+            wins = self.key[jn] > self._block_max(bank.pval, jn)
+            self.joined_now[jn] = wins
+            self.sent_join[jn] = True
+            out.append(self._emit("join", p, jn, wins.astype(np_.int64),
+                                  words))
+        # -- fate: all join votes are in -------------------------------
+        fn = nodes[
+            self.sent_join[nodes]
+            & ~self.sent_fate[nodes]
+            & (bank.cnt_join[nodes] == needed[nodes])
+        ]
+        if fn.size:
+            retired = self._block_max(bank.jval, fn) > 0
+            joined = self.joined_now[fn]
+            decided = joined | retired
+            self.sent_fate[fn] = True
+            out.append(self._emit("fate", p, fn, decided.astype(np_.int64),
+                                  words))
+            for v, won in zip(fn[decided].tolist(),
+                              joined[decided].tolist()):
+                self.contexts[v].done({"in_mis": won})
+            self.live[fn[decided]] = False
+        # -- kill: all fates are in, decided neighbors leave -----------
+        an = nodes[
+            self.sent_fate[nodes]
+            & self.live[nodes]
+            & (bank.cnt_fate[nodes] == needed[nodes])
+        ]
+        if an.size:
+            slots, owners = self._live_slots(an)
+            self._retire(an, slots, owners, bank.kill[slots])
+            self.sent_join[an] = False
+            self.sent_fate[an] = False
+        return an
 
 
 def run_luby(net, active_sets=None, participate=None, name: str = "luby"):

@@ -231,6 +231,7 @@ def test_collector_left_off_when_the_caller_turned_it_off(workload,
     assert not gc.isenabled()
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("n", [240, 320])
 @pytest.mark.parametrize("method, options", [
     ("kt1-delta-plus-one", {"scheduler": "rounds"}),
@@ -240,7 +241,8 @@ def test_collector_left_off_when_the_caller_turned_it_off(workload,
 ], ids=["alg1-rounds", "alg1-columnar", "alg1-async", "baseline-trial"])
 def test_engine_run_leaves_only_per_node_cyclic_garbage(n, method, options,
                                                         gc_enabled):
-    """The premise that makes pausing the collector safe: a run leaves
+    """``api._run_engines`` pauses the cyclic collector for a whole
+    engine run.  The premise that makes that safe: a run leaves
     O(n) cyclic garbage (about 9-22 objects per node), nothing per
     message.  A per-message reference cycle (a ``Msg`` pointing back at
     its ``Envelope``, say) would fail both bounds here instead of

@@ -70,6 +70,32 @@ def test_mis_bit_identical(family, n, method, seed):
     _assert_reports_match(ref, col)
 
 
+@pytest.mark.pin
+@pytest.mark.parametrize("method", ["luby", "baseline-trial"])
+def test_each_kernel_engages(method, monkeypatch):
+    """A kernel that silently declines passes every parity test above
+    but loses its speed.  With the stage's ``on_round`` made to raise,
+    the columnar run must still finish, with the rounds run's counts:
+    only the kernel ran the stage."""
+    from repro.coloring.johansson import JohanssonListColoring
+    from repro.mis.luby import LubyMIS
+
+    graph = family_graph("gnp", 40, p=0.3, seed=0)
+    if method == "luby":
+        run, cls = api.find_mis, LubyMIS
+    else:
+        run, cls = api.color_graph, JohanssonListColoring
+    ref = run(graph, method=method, seed=0, scheduler="rounds")
+
+    def declined(self, ctx, inbox):
+        raise AssertionError(f"{cls.__name__} ran its scalar program")
+
+    monkeypatch.setattr(cls, "on_round", declined)
+    col = run(graph, method=method, seed=0, scheduler="columnar")
+    assert ref.valid and col.valid
+    _assert_reports_match(ref, col)
+
+
 @pytest.mark.parametrize("method", ["kt1-delta-plus-one", "luby"])
 def test_full_stats_utilization_identical(method):
     """Full accounting: utilized-edge *sets* must agree, not just sizes
@@ -163,7 +189,10 @@ def test_stage_wall_sums_to_engine_time():
 KERNEL_CLASSES = {"LubyMIS", "JohanssonListColoring"}
 
 
+@pytest.mark.pin
 def test_kernel_ledger_is_pinned():
+    """The classes with their own columnar kernel are exactly the stages
+    whose win is measured in docs/columnar.md's ledger table."""
     import importlib
     import inspect
     import pkgutil

@@ -242,8 +242,12 @@ KT2_TRANSCRIPTS = {
 }
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("engine, seed", sorted(KT2_TRANSCRIPTS))
 def test_kt2_algorithm3_transcript_is_pinned(engine, seed):
+    """Algorithm 3's KT-2 inbox transcripts (rounds and event schedulers)
+    against sha256 digests recorded before KT-rho knowledge became lazy:
+    a reordering inside a round moves no count, only a transcript."""
     graph = family_graph("gnp", 60, p=0.3, seed=seed)
     kwargs = {}
     if engine == "event":
@@ -309,18 +313,25 @@ def _run_kt1(engine, seed):
     return log, net, result
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("engine, seed", sorted(KT1_TRANSCRIPTS))
 def test_kt1_algorithm1_transcript_is_pinned(engine, seed):
+    """Algorithm 1's KT-1 inbox transcripts (rounds and event schedulers,
+    partition levels with deferrals) against digests recorded before its
+    driver evaluated the level hashes once per ID instead of once per
+    edge."""
     log, net, result = _run_kt1(engine, seed)
     assert (transcript_digest(log), net.stats.messages,
             result.deferred_total) == KT1_TRANSCRIPTS[engine, seed]
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("seed", sorted(KT1_COLUMNAR_COUNTS))
 def test_kt1_columnar_transcript_is_rounds_minus_kernel_stages(seed):
     """A columnar kernel stage never reaches ``on_round``, so the
     columnar log is the (pinned) rounds log with exactly the kernel
-    stages taken out, and every other stage's inboxes unchanged."""
+    stages (``alg1-base-*``, ``alg1-color-*``) taken out, and every other
+    stage's inboxes unchanged."""
     rounds_log, _net, _result = _run_kt1("rounds", seed)
     assert transcript_digest(rounds_log) == KT1_TRANSCRIPTS["rounds", seed][0]
     log, net, result = _run_kt1("columnar", seed)
@@ -335,6 +346,7 @@ def test_kt1_columnar_transcript_is_rounds_minus_kernel_stages(seed):
     assert missing == KT1_KERNEL_STAGES
 
 
+@pytest.mark.pin
 def test_kt3_cycle_experiment_counts_are_pinned():
     """KT-3 knowledge (the BFS ball path) has no benchmark cell; pin one
     lower-bound cycle run to the values recorded before it became lazy."""

@@ -1022,7 +1022,10 @@ def test_shared_graph_survives_every_method_and_engine(graph_builds):
     assert digest(graph) == before
 
 
+@pytest.mark.pin
 def test_serial_sweep_builds_each_graph_once(graph_builds):
+    """The graph-major cell plan: a serial sweep builds one graph per
+    (family, n, density, seed), shared by its sibling cells."""
     spec = SweepSpec(families=("gnp", "regular"), sizes=(24, 30),
                      seeds=(0, 1, 2), methods=("luby", "rank-greedy"),
                      engines=("sync", "columnar"))

@@ -8,7 +8,8 @@ count ``_submit`` calls (one outbox entry each): ``NotifyStage``,
 ``ParallelGreedyMIS`` and ``InformTwoHop`` send each same-payload
 fan-out as one ``ctx.broadcast``, so a return to per-target send loops
 fails them while every count stays the same.  ``ParallelGreedyMIS``
-also rebuilds its output only when a round changed it.
+also rebuilds its output only when a round changed it.  Every test here
+is a ``pin``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from repro.congest.network import SyncNetwork
 from repro.graphs.generators import gnp_random_graph
 from repro.mis.algorithm3 import InformTwoHop
 from repro.mis.greedy import ParallelGreedyMIS, run_parallel_greedy
+
+pytestmark = pytest.mark.pin
 
 
 def count_submits(net) -> Counter:

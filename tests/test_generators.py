@@ -358,8 +358,12 @@ _FAMILY_GRAPH_DIGESTS = {
 }
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("case", sorted(_FAMILY_GRAPH_DIGESTS))
 def test_family_graphs_are_pinned(case):
+    """sha256 of each graph's n, adjacency and edges, recorded before the
+    generators' rng draws were inlined: holds graph construction
+    bit-identical in families no BENCH cell covers."""
     import hashlib
     import pickle
 

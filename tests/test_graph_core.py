@@ -185,8 +185,11 @@ _PICKLE_PINS = [
 ]
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("n, edges, expected", _PICKLE_PINS)
 def test_graph_pickle_is_pinned(n, edges, expected):
+    """A graph pickles to the same bytes as before: its internal state is
+    built bit-identically, in any family."""
     import pickle
 
     assert pickle.dumps(Graph(n, edges)) == expected

@@ -11,6 +11,8 @@
   their output at most once per change, and their outputs equal the old
   rebuild-on-every-activation definition on all three schedulers.  A
   traced run decodes the live danner set like an untraced run's.
+
+Every test here is a ``pin``: idle work costs time, never a count.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from repro.substrates.flooding import (
 from repro.util.bitstrings import BitString
 
 from tests.test_fanout_structure import count_submits
+
+pytestmark = pytest.mark.pin
 
 
 def make_net(kind: str, graph, seed: int):

@@ -9,7 +9,7 @@ float, and leave the rng and the adversary's bookkeeping in the same
 state.  A subclass of ``uniform`` that changes a draw falls back to the
 loop.  End to end, a stage's arrival transcript (charged sizes 1-4,
 repeated receivers included) must equal the one a per-receiver
-``link_delay`` scheduler produces.
+``link_delay`` scheduler produces.  Every test here is a ``pin``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import heapq
 import random
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.congest.async_network import AsyncNetwork
@@ -31,6 +32,8 @@ from repro.congest.runtime import (
     UniformLatency,
 )
 from repro.graphs.generators import connected_gnp_graph
+
+pytestmark = pytest.mark.pin
 
 
 @st.composite

@@ -8,8 +8,8 @@ from repro.congest.metrics import MessageStats, StageStats
 def test_charges_accumulate():
     stats = MessageStats()
     stats.begin_stage("a")
-    stats.charge_send(words=3, charged_messages=2)
-    stats.charge_send(words=1, charged_messages=1)
+    stats.charge_send_batch(sends=1, words=3, messages=2)
+    stats.charge_send_batch(sends=1, words=1, messages=1)
     stats.charge_rounds(5)
     assert stats.sends == 2
     assert stats.messages == 3
@@ -20,10 +20,10 @@ def test_charges_accumulate():
 def test_stage_isolation():
     stats = MessageStats()
     stats.begin_stage("first")
-    stats.charge_send(1, 1)
+    stats.charge_send_batch(1, 1, 1)
     stats.begin_stage("second")
-    stats.charge_send(2, 1)
-    stats.charge_send(2, 1)
+    stats.charge_send_batch(1, 2, 1)
+    stats.charge_send_batch(1, 2, 1)
     assert stats.stage_named("first").sends == 1
     assert stats.stage_named("second").sends == 2
     assert stats.sends == 3
@@ -36,9 +36,11 @@ def test_stage_named_missing():
 
 
 def test_utilized_canonicalized():
-    stats = MessageStats()
-    stats.mark_utilized(5, 2)
-    stats.mark_utilized(2, 5)
+    """The engine adds an edge {u, v} as the flat key u * n + v with
+    u < v; the view decodes each key once."""
+    stats = MessageStats(6)
+    stats._utilized.add(2 * stats.utilized_stride + 5)
+    stats._utilized.add(2 * stats.utilized_stride + 5)
     assert stats.utilized == {(2, 5)}
     assert stats.utilized_count == 1
 
@@ -46,16 +48,16 @@ def test_utilized_canonicalized():
 def test_charge_round_single():
     stats = MessageStats()
     stats.begin_stage("s")
-    stats.charge_round()
+    stats.charge_rounds(1)
     assert stats.rounds == 1
     assert stats.stage_named("s").rounds == 1
 
 
 def test_summary_structure():
-    stats = MessageStats()
+    stats = MessageStats(2)
     stats.begin_stage("x")
-    stats.charge_send(2, 1)
-    stats.mark_utilized(0, 1)
+    stats.charge_send_batch(1, 2, 1)
+    stats._utilized.add(1)      # the edge {0, 1}: key 0 * 2 + 1
     summary = stats.summary()
     assert summary["messages"] == 1
     assert summary["utilized_edges"] == 1
@@ -72,14 +74,14 @@ def test_stage_stats_as_dict():
 def test_repr_contains_counts():
     stats = MessageStats()
     stats.begin_stage("z")
-    stats.charge_send(1, 7)
+    stats.charge_send_batch(1, 1, 7)
     assert "7" in repr(stats)
 
 
 def test_charges_without_stage():
     """Charging before any stage began must not crash (engine setup)."""
     stats = MessageStats()
-    stats.charge_send(1, 1)
+    stats.charge_send_batch(1, 1, 1)
     stats.charge_rounds(2)
     assert stats.messages == 1
     assert stats.rounds == 2

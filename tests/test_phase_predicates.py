@@ -8,15 +8,20 @@ undecided neighbors).  The cases cover receive dicts holding senders
 outside ``undecided`` (asymmetric active sets) and entries that arrived
 early for the next phase, and they check that the surviving undecided
 set keeps its iteration order, which fixes every later broadcast.
+Every test here is a ``pin``: the counts cannot tell a predicate that
+drifted from its definition until an input hits the difference.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.coloring.johansson import JohanssonListColoring
 from repro.congest.ids import NodeId, OpaqueId
 from repro.mis.luby import LubyMIS
+
+pytestmark = pytest.mark.pin
 
 
 class FakeContext:

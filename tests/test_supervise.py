@@ -15,6 +15,8 @@ import signal
 import time
 import weakref
 
+import pytest
+
 from repro.supervise import MAX_WARM_GROWTH_MB, Supervisor, Task
 
 from scripted_children import HANG, ScriptedChild, spawn_script
@@ -106,7 +108,10 @@ def test_close_stops_idle_children():
     assert supervisor.busy_pids() == []
 
 
+@pytest.mark.pin
 def test_child_freezes_its_inherited_heap():
+    """A warm child freezes the heap it inherits, so its collections
+    never walk the parent's objects."""
     supervisor = Supervisor()
     try:
         frozen = supervisor.call(gc.get_freeze_count, ())
@@ -115,6 +120,7 @@ def test_child_freezes_its_inherited_heap():
     assert frozen.kind == "ok" and frozen.reply > 0
 
 
+@pytest.mark.pin
 def test_child_still_frees_a_tasks_cyclic_garbage():
     """The collection after each task walks the child's own objects,
     so a cycle the last task left is gone before the next task."""
@@ -127,7 +133,10 @@ def test_child_still_frees_a_tasks_cyclic_garbage():
     assert after == (pid, True)
 
 
+@pytest.mark.pin
 def test_parent_heap_is_never_frozen():
+    """Only children freeze: the parent's collector keeps walking its
+    own heap."""
     before = gc.get_freeze_count()
     supervisor = Supervisor()
     try:

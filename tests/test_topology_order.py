@@ -6,6 +6,8 @@ one O(n log n + m) pass; the definition is a per-vertex sort by ID value.
 ``KTKnowledge.ordered_neighborhood_of`` and
 ``KTKnowledge.neighbor_neighborhoods`` expose that table to node
 programs and must answer, and refuse, exactly as ``neighborhood_of``.
+Every test here is a ``pin``: the neighbor order fixes broadcast
+order, so a drift moves transcripts before it moves a count.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from repro.congest.knowledge import Topology
 from repro.errors import ModelViolationError
 from repro.graphs.core import Graph
 from repro.graphs.generators import gnp_random_graph
+
+pytestmark = pytest.mark.pin
 
 
 def id_objects(n, seed, opaque):
