@@ -10,13 +10,11 @@ verification, accounting) behind the API a downstream user wants:
 >>> result.valid, result.messages_per_edge < 10
 (True, True)
 
-Methods:
-
-* coloring — ``kt1-delta-plus-one`` (Algorithm 1, Thm. 3.3),
-  ``kt1-eps-delta`` (Algorithm 2, Thm. 3.8), ``baseline-trial`` /
-  ``baseline-rank-greedy`` (the Ω(m) classics).
-* MIS — ``kt2-sampled-greedy`` (Algorithm 3, Thm. 4.1), ``luby``
-  (the Õ(m) baseline), ``rank-greedy`` (comparison-based classic).
+Methods: :data:`METHODS` declares each method once (its problem, KT-rho,
+ID model, driver, palette bound, sweep knobs and record columns):
+Algorithms 1-3 (Thms. 3.3, 3.8, 4.1) and the Ω(m) classics
+(trial, rank-greedy, Luby).  The sweep spec, the cell runner, the
+query server and the CLI read their method lists from it.
 
 Engines: every method runs on both the synchronous engine and, with
 ``asynchronous=True``, the event-driven engine under a chosen latency
@@ -35,7 +33,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.congest.async_network import AsyncNetwork
 from repro.congest.network import SyncNetwork
@@ -259,6 +257,142 @@ def _run_engines(build, drive, asynchronous: bool, latency: str,
     raise last_error
 
 
+@dataclass(frozen=True)
+class Method:
+    """One entry of :data:`METHODS`."""
+
+    problem: str                #: "coloring" or "mis"
+    rho: int                    #: KT-rho: IDs known within rho hops
+    #: Opaque comparison-only IDs (``find_mis`` may override it).
+    comparison_based: bool
+    #: ``driver(net, seed=..., **options) -> (answer, detail)``;
+    #: ``options`` are ``epsilon`` (coloring) and the caller's kwargs.
+    driver: Callable
+    #: Sweep-cell fields the method reads as keyword arguments; only
+    #: a reader may set ``sample_constant``.
+    knobs: tuple[str, ...] = ()
+    #: The detail attribute holding the palette bound (None: Δ+1).
+    palette: Optional[str] = None
+    #: Sweep-record column -> detail attribute.
+    extras: dict = field(default_factory=dict)
+
+
+# The drivers reach the algorithms through this module's globals at
+# call time, so a wrapper installed on ``api.run_luby`` (say) sees it.
+def _algorithm1(net, seed, epsilon, **kwargs):
+    detail = run_algorithm1(net, seed=seed, **kwargs)
+    return detail.colors, detail
+
+
+def _algorithm2(net, seed, epsilon, **kwargs):
+    detail = run_algorithm2(net, epsilon=epsilon, seed=seed, **kwargs)
+    return detail.colors, detail
+
+
+def _algorithm3(net, seed, **kwargs):
+    detail = run_algorithm3(net, seed=seed, **kwargs)
+    return detail.in_mis, detail
+
+
+#: Every method, once.  A problem's first entry is its default method
+#: (the default of :func:`color_graph` / :func:`find_mis`).
+METHODS: dict[str, Method] = {
+    # Algorithm 1 (Thm. 3.3): (Δ+1)-coloring.
+    "kt1-delta-plus-one": Method(
+        "coloring", rho=1, comparison_based=False, driver=_algorithm1,
+        extras={"levels": "num_levels", "deferred": "deferred_total"}),
+    # Algorithm 2 (Thm. 3.8): (1+ε)Δ-coloring.
+    "kt1-eps-delta": Method(
+        "coloring", rho=1, comparison_based=False, driver=_algorithm2,
+        knobs=("epsilon",), palette="palette_size",
+        extras={"phases": "phases", "queries": "query_messages",
+                "palette": "palette_size"}),
+    "baseline-trial": Method(
+        "coloring", rho=1, comparison_based=False,
+        driver=lambda net, seed, **_: run_baseline_coloring(net, "trial")),
+    "baseline-rank-greedy": Method(
+        "coloring", rho=1, comparison_based=True,
+        driver=lambda net, seed, **_: run_baseline_coloring(
+            net, "rank-greedy")),
+    # Algorithm 3 (Thm. 4.1): MIS with KT-2 knowledge.
+    "kt2-sampled-greedy": Method(
+        "mis", rho=2, comparison_based=True, driver=_algorithm3,
+        knobs=("sample_constant",),
+        extras={"sampled": "sampled",
+                "remnant_deg": "remnant_max_degree_local",
+                "remnant_size": "remnant_size"}),
+    "luby": Method("mis", rho=1, comparison_based=True,
+                   driver=lambda net, seed, **_: run_luby(net)),
+    "rank-greedy": Method(
+        "mis", rho=1, comparison_based=True,
+        driver=lambda net, seed, **_: run_rank_greedy_mis(net)),
+}
+
+
+def method_names(problem: Optional[str] = None,
+                 knob: Optional[str] = None) -> tuple[str, ...]:
+    """Catalogued methods in table order, optionally only those of
+    ``problem`` or those that read ``knob``."""
+    return tuple(name for name, entry in METHODS.items()
+                 if problem in (None, entry.problem)
+                 and (knob is None or knob in entry.knobs))
+
+
+def _solve(problem: str, graph: Graph, method: str, seed: int,
+           options: dict, asynchronous: bool, latency: str,
+           collect_utilization: bool, faults, scheduler: Optional[str],
+           comparison_based: Optional[bool] = None):
+    """The pipeline behind :func:`color_graph` and :func:`find_mis`:
+    build, run, verify, account.  ``options`` go to the driver; a None
+    ``comparison_based`` takes the method's ID model.  Returns
+    ``(entry, answer, detail, valid, report)``."""
+    if method not in method_names(problem):
+        noun = "MIS" if problem == "mis" else problem
+        raise ReproError(f"unknown {noun} method {method!r}")
+    entry = METHODS[method]
+    if comparison_based is None:
+        comparison_based = entry.comparison_based
+    if faults == "none":
+        faults = None
+    if scheduler is None:
+        scheduler = os.environ.get("REPRO_SCHEDULER") or None
+
+    def build(engine, **engine_kwargs):
+        return engine(graph, rho=entry.rho, seed=seed,
+                      comparison_based=comparison_based,
+                      collect_utilization=collect_utilization,
+                      **engine_kwargs)
+
+    def drive(net):
+        return entry.driver(net, seed=seed, **options)
+
+    net, (answer, detail), shadow, wall = _run_engines(
+        build, drive, asynchronous, latency, faults=faults,
+        scheduler=scheduler,
+    )
+    # Survivor validity under faults, plain validity otherwise.
+    casualties = net.faults.casualties if net.faults is not None else None
+    if problem == "coloring" and casualties is not None:
+        valid = not survivor_coloring_violations(graph, answer, casualties)
+    elif problem == "coloring":
+        valid = (not coloring_violations(graph, answer)
+                 and all(c is not None for c in answer))
+    else:
+        bad = (mis_violations(graph, answer) if casualties is None
+               else survivor_mis_violations(graph, answer, casualties))
+        valid = not bad["independence"] and not bad["maximality"]
+    report = _report(
+        method, net,
+        engine="async" if asynchronous else "sync",
+        latency=latency if asynchronous else None,
+        baseline=shadow,
+    )
+    report.wall = wall
+    if casualties is not None:
+        report.survivor_valid = valid
+    return entry, answer, detail, valid, report
+
+
 def color_graph(
     graph: Graph,
     method: str = "kt1-delta-plus-one",
@@ -297,72 +431,14 @@ def color_graph(
     (which is how sweep workers inherit the choice) and fall back to
     the default.
     """
-    if faults == "none":
-        faults = None
-    if scheduler is None:
-        scheduler = os.environ.get("REPRO_SCHEDULER") or None
-    if method == "kt1-delta-plus-one":
-        def build(engine, **engine_kwargs):
-            return engine(graph, rho=1, seed=seed,
-                          collect_utilization=collect_utilization,
-                          **engine_kwargs)
-
-        def drive(net):
-            detail = run_algorithm1(net, seed=seed, **kwargs)
-            return detail.colors, graph.max_degree() + 1, detail
-    elif method == "kt1-eps-delta":
-        def build(engine, **engine_kwargs):
-            return engine(graph, rho=1, seed=seed,
-                          collect_utilization=collect_utilization,
-                          **engine_kwargs)
-
-        def drive(net):
-            detail = run_algorithm2(net, epsilon=epsilon, seed=seed,
-                                    **kwargs)
-            return detail.colors, detail.palette_size, detail
-    elif method in ("baseline-trial", "baseline-rank-greedy"):
-        kind = method.removeprefix("baseline-")
-
-        def build(engine, **engine_kwargs):
-            return engine(
-                graph, rho=1, seed=seed,
-                comparison_based=(kind == "rank-greedy"),
-                collect_utilization=collect_utilization,
-                **engine_kwargs,
-            )
-
-        def drive(net):
-            colors, detail = run_baseline_coloring(net, kind)
-            return colors, graph.max_degree() + 1, detail
-    else:
-        raise ReproError(f"unknown coloring method {method!r}")
-
-    net, (colors, bound, detail), shadow, wall = _run_engines(
-        build, drive, asynchronous, latency, faults=faults,
-        scheduler=scheduler,
-    )
-    if net.faults is not None:
-        valid = not survivor_coloring_violations(
-            graph, colors, net.faults.casualties
-        )
-    else:
-        valid = (
-            not coloring_violations(graph, colors)
-            and all(c is not None for c in colors)
-        )
-    report = _report(
-        method, net,
-        engine="async" if asynchronous else "sync",
-        latency=latency if asynchronous else None,
-        baseline=shadow,
-    )
-    report.wall = wall
-    if net.faults is not None:
-        report.survivor_valid = valid
+    entry, colors, detail, valid, report = _solve(
+        "coloring", graph, method, seed, {"epsilon": epsilon, **kwargs},
+        asynchronous, latency, collect_utilization, faults, scheduler)
     return ColoringResult(
         colors=colors,
         num_colors=len({c for c in colors if c is not None}),
-        palette_bound=bound,
+        palette_bound=(graph.max_degree() + 1 if entry.palette is None
+                       else getattr(detail, entry.palette)),
         valid=valid,
         report=report,
         detail=detail,
@@ -395,51 +471,9 @@ def find_mis(
     as in :func:`color_graph` (``REPRO_SCHEDULER`` supplies the
     default).
     """
-    if faults == "none":
-        faults = None
-    if scheduler is None:
-        scheduler = os.environ.get("REPRO_SCHEDULER") or None
-    if method == "kt2-sampled-greedy":
-        rho = 2
-    elif method in ("luby", "rank-greedy"):
-        rho = 1
-    else:
-        raise ReproError(f"unknown MIS method {method!r}")
-
-    def build(engine, **engine_kwargs):
-        return engine(graph, rho=rho, seed=seed,
-                      comparison_based=comparison_based,
-                      collect_utilization=collect_utilization,
-                      **engine_kwargs)
-
-    def drive(net):
-        if method == "kt2-sampled-greedy":
-            detail = run_algorithm3(net, seed=seed, **kwargs)
-            return detail.in_mis, detail
-        if method == "luby":
-            in_mis, detail = run_luby(net)
-            return in_mis, detail
-        in_mis, detail = run_rank_greedy_mis(net)
-        return in_mis, detail
-
-    net, (in_mis, detail), shadow, wall = _run_engines(
-        build, drive, asynchronous, latency, faults=faults,
-        scheduler=scheduler,
-    )
-    if net.faults is not None:
-        bad = survivor_mis_violations(graph, in_mis, net.faults.casualties)
-    else:
-        bad = mis_violations(graph, in_mis)
-    valid = not bad["independence"] and not bad["maximality"]
-    report = _report(
-        method, net,
-        engine="async" if asynchronous else "sync",
-        latency=latency if asynchronous else None,
-        baseline=shadow,
-    )
-    report.wall = wall
-    if net.faults is not None:
-        report.survivor_valid = valid
+    _, in_mis, detail, valid, report = _solve(
+        "mis", graph, method, seed, kwargs, asynchronous, latency,
+        collect_utilization, faults, scheduler, comparison_based)
     return MISResult(
         in_mis=in_mis,
         size=sum(in_mis),

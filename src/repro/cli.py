@@ -680,13 +680,9 @@ def cmd_profile(args) -> int:
     import cProfile
     import pstats
 
-    from repro.experiments import ALL_METHODS, Cell
+    from repro.experiments import Cell
     from repro.experiments.runner import run_cell
 
-    if args.method not in ALL_METHODS:
-        raise SystemExit(
-            f"unknown method {args.method!r}; known: {', '.join(ALL_METHODS)}"
-        )
     cell = Cell(
         family=args.family,
         n=args.n,
@@ -881,9 +877,9 @@ def _sweep_axis_args(p) -> None:
                    metavar="SEED")
     p.add_argument("--methods", nargs="+", default=["kt1-delta-plus-one"],
                    metavar="METHOD",
-                   help="coloring: kt1-delta-plus-one, kt1-eps-delta, "
-                        "baseline-trial, baseline-rank-greedy; "
-                        "MIS: kt2-sampled-greedy, luby, rank-greedy")
+                   help="coloring: "
+                        f"{', '.join(api.method_names('coloring'))}; "
+                        f"MIS: {', '.join(api.method_names('mis'))}")
     p.add_argument("--engines", "--engine", nargs="+", dest="engines",
                    default=["sync"], choices=("sync", "columnar", "async"),
                    metavar="ENGINE",
@@ -994,8 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("color", help="run a coloring algorithm")
     _graph_args(p)
     p.add_argument("--method", default="kt1-delta-plus-one",
-                   choices=("kt1-delta-plus-one", "kt1-eps-delta",
-                            "baseline-trial", "baseline-rank-greedy"))
+                   choices=api.method_names("coloring"))
     p.add_argument("--epsilon", type=float, default=0.5)
     _engine_args(p)
     p.set_defaults(fn=cmd_color)
@@ -1003,7 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("mis", help="run an MIS algorithm")
     _graph_args(p)
     p.add_argument("--method", default="kt2-sampled-greedy",
-                   choices=("kt2-sampled-greedy", "luby", "rank-greedy"))
+                   choices=api.method_names("mis"))
     _engine_args(p)
     p.set_defaults(fn=cmd_mis)
 
@@ -1184,7 +1179,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _graph_args(p)
     p.add_argument("--method", default="kt1-delta-plus-one",
-                   metavar="METHOD",
+                   choices=api.method_names(), metavar="METHOD",
                    help="any sweep method (coloring or MIS)")
     p.add_argument("--engine", default="sync",
                    choices=("sync", "columnar", "async"))

@@ -78,14 +78,16 @@ class RankGreedyColoring(NodeAlgorithm):
         self._try_color(ctx)
 
 
+#: The baseline node programs by kind.
+_BASELINES = {"trial": FullExchangeTrialColoring,
+              "rank-greedy": RankGreedyColoring}
+
+
 def run_baseline_coloring(net, kind: str = "trial", name: str = "baseline"):
     """Driver for the baselines; returns (colors, StageResult)."""
-    if kind == "trial":
-        stage = net.run(FullExchangeTrialColoring, name=name)
-    elif kind == "rank-greedy":
-        stage = net.run(RankGreedyColoring, name=name)
-    else:
+    if kind not in _BASELINES:
         raise ValueError(f"unknown baseline {kind!r}")
+    stage = net.run(_BASELINES[kind], name=name)
     colors = [
         out["color"] if out else None for out in stage.outputs
     ]

@@ -49,8 +49,8 @@ _EXPORTS = {
     "report": ("bench_payload", "render_report", "summarize"),
     "runner": ("run_cell", "run_sweep"),
     "spec": (
-        "ALL_METHODS", "ASYNC_NATIVE_METHODS", "COLORING_METHODS",
-        "MIS_METHODS", "Cell", "SweepSpec",
+        "ALL_METHODS", "COLORING_METHODS", "MIS_METHODS", "Cell",
+        "SweepSpec",
     ),
     "stats": (
         "fit_exponent", "growth_exponents", "latest_per_key", "mean_ci",

@@ -65,30 +65,6 @@ def _cell_graph(cell: Cell) -> tuple[Graph, float]:
     return graph, time.perf_counter() - t0
 
 
-def _method_extras(cell: Cell, result) -> dict:
-    """Method-specific detail columns for the result record.
-
-    These are the paper-specific quantities the hand-rolled benchmark
-    sweeps used to re-derive (Lemma 3.2 recursion levels, deferral
-    counts, Lemma 3.7 query traffic, Konrad-Lemma-1 remnant degrees);
-    surfacing them here lets those benchmarks run through ``run_cell``
-    instead.
-    """
-    detail = result.detail
-    if cell.method == "kt1-delta-plus-one":
-        return {"levels": detail.num_levels,
-                "deferred": detail.deferred_total}
-    if cell.method == "kt1-eps-delta":
-        return {"phases": detail.phases,
-                "queries": detail.query_messages,
-                "palette": detail.palette_size}
-    if cell.method == "kt2-sampled-greedy":
-        return {"sampled": detail.sampled,
-                "remnant_deg": detail.remnant_max_degree_local,
-                "remnant_size": detail.remnant_size}
-    return {}
-
-
 def run_cell(cell: Cell) -> dict:
     """Execute one sweep cell and return its result record.
 
@@ -96,7 +72,8 @@ def run_cell(cell: Cell) -> dict:
     family, n, seed, method, engine, latency — ``None`` for sync cells),
     the graph's m, the accounting (messages, words, rounds, utilized —
     ``None`` in stats-lite mode), validity, ``status="ok"``, timings,
-    and method-specific extras (see :func:`_method_extras`).
+    and the method's extras (:attr:`repro.api.Method.extras`: Lemma 3.2
+    levels, Lemma 3.7 query traffic, remnant degrees, ...).
     ``wall_s`` covers the whole cell from before the graph lookup;
     ``graph_s`` is the part of it spent building the graph, 0.0 when
     the cell reused the previous cell's graph (same ``(family, n,
@@ -106,13 +83,15 @@ def run_cell(cell: Cell) -> dict:
     ``overhead_messages``, ``overhead_rounds``,
     ``synchronized_stages``).
     """
+    entry = cell.entry
     if (cell.sample_constant is not None
-            and cell.method != "kt2-sampled-greedy"):
+            and "sample_constant" not in entry.knobs):
         # SweepSpec rejects this at construction; a hand-built Cell gets
         # the same answer instead of a mislabeled record whose key
         # claims a knob the method never saw.
+        readers = api.method_names(knob="sample_constant")
         raise ReproError(
-            "sample_constant only applies to kt2-sampled-greedy, "
+            f"sample_constant only applies to {', '.join(readers)}, "
             f"not {cell.method!r}"
         )
     t0 = time.perf_counter()
@@ -122,37 +101,22 @@ def run_cell(cell: Cell) -> dict:
     # identical counts (parity contract), different wall clock.
     scheduler = "columnar" if cell.engine == "columnar" else None
     faulted = cell.faults != "none"
+    # Knobs left at None keep the method's default.
+    knobs = {name: getattr(cell, name) for name in entry.knobs
+             if getattr(cell, name) is not None}
+    coloring = entry.problem == "coloring"
     try:
-        if cell.problem == "coloring":
-            result = api.color_graph(
-                graph,
-                method=cell.method,
-                seed=cell.seed,
-                epsilon=cell.epsilon,
-                asynchronous=asynchronous,
-                latency=cell.latency,
-                collect_utilization=cell.collect_utilization,
-                faults=cell.faults,
-                scheduler=scheduler,
-            )
-            extra = {"colors": result.num_colors,
-                     "palette_bound": result.palette_bound}
-        else:
-            mis_kwargs = {}
-            if cell.sample_constant is not None:
-                mis_kwargs["sample_constant"] = cell.sample_constant
-            result = api.find_mis(
-                graph,
-                method=cell.method,
-                seed=cell.seed,
-                asynchronous=asynchronous,
-                latency=cell.latency,
-                collect_utilization=cell.collect_utilization,
-                faults=cell.faults,
-                scheduler=scheduler,
-                **mis_kwargs,
-            )
-            extra = {"mis_size": result.size}
+        result = (api.color_graph if coloring else api.find_mis)(
+            graph,
+            method=cell.method,
+            seed=cell.seed,
+            asynchronous=asynchronous,
+            latency=cell.latency,
+            collect_utilization=cell.collect_utilization,
+            faults=cell.faults,
+            scheduler=scheduler,
+            **knobs,
+        )
     except Exception as exc:
         if not faulted:
             raise
@@ -163,7 +127,11 @@ def run_cell(cell: Cell) -> dict:
             cell, "error", wall_s=time.perf_counter() - t0,
             error=repr(exc),
         )
-    extra.update(_method_extras(cell, result))
+    extra = ({"colors": result.num_colors,
+              "palette_bound": result.palette_bound} if coloring
+             else {"mis_size": result.size})
+    extra.update((column, getattr(result.detail, attr))
+                 for column, attr in entry.extras.items())
     report = result.report
     record = {
         "key": cell.key(),

@@ -25,24 +25,13 @@ import hashlib
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Optional
 
+from repro import api
 from repro.congest.runtime import LATENCY_MODELS, make_fault_model
 from repro.errors import ReproError
 
-#: Methods dispatched to :func:`repro.api.color_graph`.
-COLORING_METHODS = (
-    "kt1-delta-plus-one",
-    "kt1-eps-delta",
-    "baseline-trial",
-    "baseline-rank-greedy",
-)
-
-#: Methods dispatched to :func:`repro.api.find_mis`.
-MIS_METHODS = (
-    "kt2-sampled-greedy",
-    "luby",
-    "rank-greedy",
-)
-
+#: The sweep methods, from the catalogue (:data:`repro.api.METHODS`).
+COLORING_METHODS = api.method_names("coloring")
+MIS_METHODS = api.method_names("mis")
 ALL_METHODS = COLORING_METHODS + MIS_METHODS
 
 #: ``sync`` and ``columnar`` are the same synchronous semantics under
@@ -51,18 +40,14 @@ ALL_METHODS = COLORING_METHODS + MIS_METHODS
 #: only wall-clock differs); ``async`` is the event-driven engine.
 ENGINES = ("sync", "columnar", "async")
 
-#: Methods whose every protocol stage is count-based lockstep
-#: (``passive_when_idle``), so they run the event-driven engine without
-#: alpha-synchronizer wrapping.  The rest (Algorithm 2's phase cadence,
-#: Algorithm 3's parallel greedy) run async too, via the auto-wrap —
-#: their records just carry nonzero ``synchronized_stages``.
-ASYNC_NATIVE_METHODS = (
-    "kt1-delta-plus-one",
-    "baseline-trial",
-    "baseline-rank-greedy",
-    "luby",
-    "rank-greedy",
-)
+
+def _entry(method: str) -> api.Method:
+    """A sweep method's catalogue entry (ReproError when unknown)."""
+    if method not in ALL_METHODS:
+        raise ReproError(
+            f"unknown method {method!r}; known: {', '.join(ALL_METHODS)}"
+        )
+    return api.METHODS[method]
 
 
 @dataclass(frozen=True)
@@ -119,8 +104,13 @@ class Cell:
         )
 
     @property
+    def entry(self) -> api.Method:
+        """The method's catalogue entry (ReproError when unknown)."""
+        return _entry(self.method)
+
+    @property
     def problem(self) -> str:
-        return "coloring" if self.method in COLORING_METHODS else "mis"
+        return self.entry.problem
 
     # -- wire form (distributed queue) ------------------------------------
 
@@ -192,10 +182,7 @@ class SweepSpec:
 
     def __post_init__(self):
         for m in self.methods:
-            if m not in ALL_METHODS:
-                raise ReproError(
-                    f"unknown method {m!r}; known: {', '.join(ALL_METHODS)}"
-                )
+            _entry(m)           # raises ReproError on an unknown method
         for engine in self.engine_axis:
             if engine not in ENGINES:
                 raise ReproError(f"unknown engine {engine!r}")
@@ -225,13 +212,14 @@ class SweepSpec:
                 or not self.faults):
             raise ReproError("sweep spec has an empty axis")
         if self.sample_constant is not None:
-            bad = [m for m in self.methods if m != "kt2-sampled-greedy"]
+            readers = api.method_names(knob="sample_constant")
+            bad = [m for m in self.methods if m not in readers]
             if bad:
-                # The knob only reaches Algorithm 3; letting other
+                # The knob only reaches its readers; letting other
                 # methods carry it would mint distinct cell keys whose
                 # numbers do not measure what the key claims.
                 raise ReproError(
-                    "sample_constant only applies to kt2-sampled-greedy "
+                    f"sample_constant only applies to {', '.join(readers)} "
                     f"(spec also includes: {', '.join(bad)})"
                 )
         if self.timeout_s is not None and self.timeout_s <= 0:

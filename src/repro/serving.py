@@ -74,7 +74,6 @@ from typing import Callable, Optional
 from repro import api
 from repro.coloring.verify import coloring_violations
 from repro.errors import ReproError, ServingError
-from repro.experiments.spec import COLORING_METHODS, MIS_METHODS
 from repro.graphs.analysis import is_connected
 from repro.graphs.core import Graph
 from repro.graphs.generators import family_graph
@@ -176,8 +175,8 @@ def build_query(problem: str, method: Optional[str] = None,
     a server-side ``graph_file`` path, or a generated ``family``.
     """
     if method is None:
-        method = ("kt1-delta-plus-one" if problem == "coloring"
-                  else "kt2-sampled-greedy")
+        # A problem's first catalogued method is its default.
+        method = next(iter(api.method_names(problem)), None)
     msg: dict = {"type": "query", "problem": problem, "method": method,
                  "seed": seed, "epsilon": epsilon}
     if deadline_s is not None:
@@ -229,13 +228,10 @@ def _request_graph(msg: dict) -> Graph:
 def _validate_query(msg: dict) -> tuple[str, str]:
     problem = msg.get("problem")
     method = msg.get("method")
-    if problem == "coloring":
-        known = COLORING_METHODS
-    elif problem == "mis":
-        known = MIS_METHODS
-    else:
+    if problem not in ("coloring", "mis"):
         raise ReproError(f"unknown problem {problem!r} "
                          "(coloring or mis)")
+    known = api.method_names(problem)
     if method not in known:
         raise ReproError(
             f"unknown {problem} method {method!r}; "
@@ -460,11 +456,14 @@ class QueryServer(Service):
             if deadline_s <= 0:
                 raise ReproError(
                     f"deadline_s must be positive, got {deadline_s:g}")
-        except ReproError as exc:
+        except (ReproError, ValueError, TypeError) as exc:
+            # A field of the wrong type or shape (``"seed": "x"``,
+            # ``"edges": [[0]]``) is a bad query like any other.
             with self._lock:
                 self.stats.errors += 1
-            return {"type": "error", "error": str(exc),
-                    "retriable": False}
+            error = (str(exc) if isinstance(exc, ReproError)
+                     else f"malformed query: {exc}")
+            return {"type": "error", "error": error, "retriable": False}
 
         key = request_fingerprint(problem, method, seed, epsilon, graph)
         cached = self._cache_get(key)

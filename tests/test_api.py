@@ -99,6 +99,54 @@ def test_unknown_mis_method(workload):
         api.find_mis(workload, method="nope")
 
 
+def test_each_problem_defaults_to_its_first_catalogued_method(workload):
+    import inspect
+
+    from repro.serving import build_query
+
+    for problem, solve in (("coloring", api.color_graph),
+                           ("mis", api.find_mis)):
+        default = inspect.signature(solve).parameters["method"].default
+        assert api.method_names(problem)[0] == default
+        assert build_query(problem, edges=[(0, 1)])["method"] == default
+    with pytest.raises(ReproError, match="unknown coloring method"):
+        api.color_graph(workload, method="luby")
+    with pytest.raises(ReproError, match="unknown MIS method"):
+        api.find_mis(workload, method="kt1-eps-delta")
+
+
+@pytest.mark.parametrize("attr,method", [
+    ("run_algorithm1", "kt1-delta-plus-one"),
+    ("run_algorithm2", "kt1-eps-delta"),
+    ("run_baseline_coloring", "baseline-trial"),
+    ("run_baseline_coloring", "baseline-rank-greedy"),
+    ("run_algorithm3", "kt2-sampled-greedy"),
+    ("run_luby", "luby"),
+    ("run_rank_greedy_mis", "rank-greedy"),
+    ("coloring_violations", "baseline-trial"),
+    ("mis_violations", "luby"),
+])
+def test_pipeline_calls_drivers_through_module_globals(attr, method,
+                                                       monkeypatch):
+    """A wrapper installed on ``api``'s globals (a span tracer, say)
+    sees every driver and verifier call the method table makes."""
+    calls = []
+    real = getattr(api, attr)
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(api, attr, spy)
+    graph = connected_gnp_graph(30, 0.3, seed=1)
+    solve = (api.color_graph if api.METHODS[method].problem == "coloring"
+             else api.find_mis)
+    assert solve(graph, method=method, seed=1).valid
+    assert len(calls) == 1
+    if attr == "run_baseline_coloring":     # the kind, positionally
+        assert calls == [(method.removeprefix("baseline-"),)]
+
+
 def test_report_stage_breakdown(workload):
     result = api.color_graph(workload, seed=8)
     assert sum(result.report.stage_messages.values()) == result.messages

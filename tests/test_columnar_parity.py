@@ -25,9 +25,8 @@ from repro.graphs.generators import family_graph
 
 FAMILIES = [("gnp", 40), ("regular", 36), ("grid", 42), ("torus", 36)]
 
-COLORING_METHODS = ["kt1-delta-plus-one", "baseline-trial",
-                    "baseline-rank-greedy"]
-MIS_METHODS = ["kt2-sampled-greedy", "luby", "rank-greedy"]
+COLORING_METHODS = api.method_names("coloring")
+MIS_METHODS = api.method_names("mis")
 
 
 def _coloring_pair(graph, method, seed, **kwargs):

@@ -356,16 +356,30 @@ def test_draining_server_refuses_new_queries(monkeypatch):
     assert not built and server.stats.cache_hits == 0
 
 
+#: Marks a field the bad query leaves out.
+_DROP = object()
+
+
 @pytest.mark.parametrize("bad,fragment", [
     ({"problem": "tsp"}, "unknown problem"),
     ({"method": "quantum"}, "unknown coloring method"),
     ({"deadline_s": -1}, "deadline_s"),
+    ({"seed": "x"}, "malformed query"),
+    ({"epsilon": None}, "malformed query"),
+    ({"deadline_s": "soon"}, "malformed query"),
+    ({"edges": [[0]]}, "malformed query"),
+    ({"edges": 5}, "malformed query"),
+    ({"edges": _DROP, "family": "gnp", "n": "ten"}, "malformed query"),
 ])
 def test_invalid_queries_get_structured_errors(bad, fragment):
+    """A bad query, a badly typed field included, is answered with a
+    non-retriable error and counted, not raised out of the server."""
     server = QueryServer(spawn=spawn_script())
-    resp = server.handle_query(_query(**bad))
+    msg = {k: v for k, v in {**_query(), **bad}.items() if v is not _DROP}
+    resp = server.handle_query(msg)
     assert resp["type"] == "error" and not resp["retriable"]
     assert fragment in resp["error"]
+    assert server.stats.errors == 1
 
 
 def test_disconnected_graph_is_rejected_up_front():
