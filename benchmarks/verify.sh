@@ -125,7 +125,7 @@ for argv in (["farm", "status", "--timeout", "0.5"],
 listener.close()
 EOF
 
-echo "== fault-sweep smoke (drops, crashes, adversary; counts pinned) =="
+echo "== fault-sweep smoke (drops, crashes, both adversaries; counts pinned) =="
 FAULT_OUT="$(mktemp -u "${TMPDIR:-/tmp}/repro-faults-XXXXXX.jsonl")"
 python -m repro sweep --families gnp --sizes 40 --seeds 0 1 \
     --methods luby baseline-trial \
@@ -164,6 +164,35 @@ print(f"fault smoke: {len(records)} cells match the pinned counts, "
       f"{dropped} messages dropped")
 EOF
 rm -f "$FAULT_OUT"
+# The latency twin of the drop adversary slows the busiest sender's
+# payloads instead of dropping them (the same targeting rule); pin the
+# counts of real algorithms under it.
+LATENCY_OUT="$(mktemp -u "${TMPDIR:-/tmp}/repro-latency-XXXXXX.jsonl")"
+python -m repro sweep --families gnp --sizes 40 --seeds 0 1 \
+    --methods luby kt2-sampled-greedy --engines async \
+    --latencies adversary_latency --out "$LATENCY_OUT"
+python - "$LATENCY_OUT" << 'EOF'
+import json, sys
+
+# (messages, rounds) per cell, recorded before both adversaries shared
+# one busiest-sender rule.
+PINNED = {
+    ("luby", 0): (876, 17),
+    ("luby", 1): (1032, 20),
+    ("kt2-sampled-greedy", 0): (1574, 43),
+    ("kt2-sampled-greedy", 1): (1951, 47),
+}
+records = [json.loads(line) for line in open(sys.argv[1])]
+assert len(records) == len(PINNED), (len(records), records)
+assert all(r["status"] == "ok" and r["valid"] for r in records), records
+for r in records:
+    cell = (r["method"], r["seed"])
+    got = (r["messages"], r["rounds"])
+    assert got == PINNED[cell], f"{cell}: {got} != pinned {PINNED[cell]}"
+print(f"adversary_latency smoke: {len(records)} cells match the pinned "
+      "counts")
+EOF
+rm -f "$LATENCY_OUT"
 
 echo "== chaos smoke (kill workers and solver children, bounce servers) =="
 # Real subprocesses, real signals, three chapters.  Farm: one worker

@@ -349,6 +349,8 @@ def _solve(problem: str, graph: Graph, method: str, seed: int,
     if method not in method_names(problem):
         noun = "MIS" if problem == "mis" else problem
         raise ReproError(f"unknown {noun} method {method!r}")
+    if graph.n == 0:
+        raise ReproError("the graph has no vertices")
     entry = METHODS[method]
     if comparison_based is None:
         comparison_based = entry.comparison_based
@@ -408,10 +410,10 @@ def color_graph(
     """Color a connected graph with one of the paper's algorithms.
 
     ``asynchronous=True`` reruns the method under the event-driven
-    engine with the given ``latency`` model (``fixed`` / ``uniform`` /
-    ``exponential`` / ``heavy_tail``); round-cadence methods are
-    auto-synchronized (see module docstring).  ``latency`` is ignored
-    for synchronous runs.
+    engine with the given ``latency`` model (one of
+    :data:`~repro.congest.runtime.LATENCY_MODELS`); round-cadence
+    methods are auto-synchronized (see module docstring).  ``latency``
+    is ignored for synchronous runs.
 
     ``collect_utilization=False`` runs the engine in stats-lite mode
     (identical message/word/round counts, no utilized-edge or per-tag

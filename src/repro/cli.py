@@ -57,14 +57,17 @@ import threading
 import time
 
 from repro import api
-from repro.congest.runtime import LATENCY_MODELS, SCHEDULERS
+from repro.congest.runtime import (ENGINES, FAULT_MODELS, LATENCY_MODELS,
+                                   SCHEDULERS)
 from repro.errors import ReproError
 from repro.graphs.core import Graph
-from repro.graphs.generators import family_graph
+from repro.graphs.generators import FAMILIES, family_graph
 from repro.graphs.io import load_edge_list
 
-GRAPH_FAMILIES = ("gnp", "regular", "powerlaw", "barbell",
-                  "grid", "torus", "hypercube", "expander", "planted")
+GRAPH_FAMILIES = tuple(FAMILIES)
+
+_FAULTS_HELP = (f"one of {', '.join(FAULT_MODELS)}, a model optionally "
+                "followed by :PARAM values (docs/faults.md)")
 
 
 def _build_graph(args) -> Graph:
@@ -881,7 +884,7 @@ def _sweep_axis_args(p) -> None:
                         f"{', '.join(api.method_names('coloring'))}; "
                         f"MIS: {', '.join(api.method_names('mis'))}")
     p.add_argument("--engines", "--engine", nargs="+", dest="engines",
-                   default=["sync"], choices=("sync", "columnar", "async"),
+                   default=["sync"], choices=ENGINES,
                    metavar="ENGINE",
                    help="engine axis: sync (scalar rounds), columnar "
                         "(numpy whole-round scheduler; counts identical "
@@ -894,8 +897,7 @@ def _sweep_axis_args(p) -> None:
                         f"({', '.join(LATENCY_MODELS)}); sync cells "
                         "ignore it")
     p.add_argument("--faults", nargs="+", default=["none"], metavar="SPEC",
-                   help="fault-model axis: none, drop:P, "
-                        "crash:P[:T[:R]], adversary[:B[:W]]; multiplies "
+                   help=f"fault-model axis: {_FAULTS_HELP}; multiplies "
                         "every cell (fault-free keys are unchanged)")
     p.add_argument("--p", type=float, default=0.2,
                    help="density knob (edge probability for gnp)")
@@ -920,8 +922,7 @@ def _engine_args(p) -> None:
     p.add_argument("--latency", default="uniform", choices=LATENCY_MODELS,
                    help="async latency model (with --asynchronous)")
     p.add_argument("--faults", default=None, metavar="SPEC",
-                   help="fault model: drop:P, crash:P[:T[:R]], "
-                        "adversary[:B[:W]] (default: none)")
+                   help=f"fault model: {_FAULTS_HELP} (default: none)")
     p.add_argument("--scheduler", default=None, choices=SCHEDULERS,
                    help="synchronous delivery engine: rounds (scalar "
                         "per-node loop) or columnar (numpy whole-round "
@@ -1181,8 +1182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="kt1-delta-plus-one",
                    choices=api.method_names(), metavar="METHOD",
                    help="any sweep method (coloring or MIS)")
-    p.add_argument("--engine", default="sync",
-                   choices=("sync", "columnar", "async"))
+    p.add_argument("--engine", default="sync", choices=ENGINES)
     p.add_argument("--latency", default="uniform", choices=LATENCY_MODELS)
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--top", type=int, default=20,

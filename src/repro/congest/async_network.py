@@ -2,8 +2,8 @@
 
 Standard asynchronous model: every message arrives after a finite delay
 drawn from a seeded :class:`~repro.congest.runtime.LatencyModel`
-(``fixed`` / ``uniform`` / ``exponential`` / ``heavy_tail``); links are
-FIFO; *time complexity* of an execution is the total normalized time.
+(:data:`~repro.congest.runtime.LATENCY_MODELS`); links are FIFO;
+*time complexity* of an execution is the total normalized time.
 There are no rounds — nodes act only when messages arrive (plus one
 initial activation).
 

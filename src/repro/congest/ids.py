@@ -63,11 +63,6 @@ class NodeId:
 
     # -- comparisons (always allowed) ---------------------------------------
 
-    def _other(self, other) -> int:
-        if isinstance(other, NodeId):
-            return other._value
-        return NotImplemented  # type: ignore[return-value]
-
     def __eq__(self, other) -> bool:
         if isinstance(other, NodeId):
             return self._value == other._value

@@ -124,10 +124,6 @@ class Context:
         self._finished = True
         self._output = output
 
-    def set_output(self, output: Any) -> None:
-        """Update the output without toggling the finished flag."""
-        self._output = output
-
     @property
     def finished(self) -> bool:
         return self._finished

@@ -19,43 +19,19 @@ This module provides the two delivery disciplines of the paper:
   messages arrive.  ``stats.rounds`` records ``ceil(total time)``, the
   normalized asynchronous time complexity.
 
-Latency models (all driven by one seeded ``random.Random`` stream per
-network, so executions are reproducible cell-by-cell):
-
-========== =============================================================
-``fixed``       every packet takes exactly ``delay`` time units
-``uniform``     uniform(``low``, ``high``) per packet — the classic
-                adversary normalized to max delay 1
-``exponential`` expovariate with mean ``mean`` (memoryless router)
-``heavy_tail``  Pareto(``alpha``) scaled by ``scale`` — rare very-slow
-                packets, the stress case for count-based lockstep
-========== =============================================================
+Latency models are :class:`LatencyModel` subclasses, all driven by one
+seeded ``random.Random`` stream per network, so executions are
+reproducible cell-by-cell.  Fault models (the robustness seam) are
+:class:`FaultModel` subclasses: a network may carry one, consulted on
+every charged copy of a send (once per receiver) and every node
+activation by *both* schedulers.  Each model is spelled by its class's
+``name``; ``docs/engines.md`` and ``docs/faults.md`` tabulate them.
 
 Adding a discipline means subclassing :class:`Scheduler` (two methods:
 ``schedule_fanout`` and ``run_stage``); adding a latency model means
-subclassing :class:`LatencyModel` and registering it in
-:data:`LATENCY_MODELS`.  See ``docs/engines.md``.
-
-Fault models (the robustness seam, ``docs/faults.md``): a network may
-carry one seeded :class:`FaultModel` — a sibling of the latency seam —
-consulted on every charged copy of a send (once per receiver) and every
-node activation by *both* schedulers:
-
-========== =============================================================
-``none``        no faults — the reference path, bit-identical to a
-                network built without the seam
-``drop``        ``drop:P`` — every charged envelope is lost with
-                probability P (charged but undelivered)
-``crash``       ``crash:P[:T[:R]]`` — each node crashes w.p. P at a
-                seeded time in [1, T] (default 16), recovering after R
-                time units (default: never); a crashed node neither
-                sends nor activates and envelopes to/from it are
-                discarded in flight
-``adversary``   ``adversary[:B[:W]]`` — an adaptive adversary that
-                drops every envelope of the *currently busiest sender*
-                (after a warmup of W messages, default 4), bounded by a
-                total budget of B drops (default 64) so runs terminate
-========== =============================================================
+subclassing :class:`LatencyModel` with a ``name`` and listing the class
+in ``_LATENCY_CLASSES``, which :data:`LATENCY_MODELS` reads.  See
+``docs/engines.md``.
 
 Failure semantics are engine-level, not protocol-level: a stage that
 quiesces (or exhausts its round budget) with unfinished nodes under an
@@ -153,7 +129,7 @@ class FixedLatency(LatencyModel):
 
     def __init__(self, delay: float = 1.0):
         if delay <= 0:
-            raise ReproError("fixed latency delay must be positive")
+            raise ReproError(f"{self.name} latency delay must be positive")
         self.delay = delay
 
     def packet_delay(self, rng: random.Random) -> float:
@@ -171,7 +147,7 @@ class UniformLatency(LatencyModel):
 
     def __init__(self, low: float = 0.05, high: float = 1.0):
         if not 0 <= low <= high:
-            raise ReproError("uniform latency needs 0 <= low <= high")
+            raise ReproError(f"{self.name} latency needs 0 <= low <= high")
         self.low = low
         self.high = high
 
@@ -217,7 +193,7 @@ class ExponentialLatency(LatencyModel):
 
     def __init__(self, mean: float = 0.5):
         if mean <= 0:
-            raise ReproError("exponential latency mean must be positive")
+            raise ReproError(f"{self.name} latency mean must be positive")
         self.mean = mean
 
     def packet_delay(self, rng: random.Random) -> float:
@@ -237,7 +213,7 @@ class HeavyTailLatency(LatencyModel):
 
     def __init__(self, alpha: float = 1.5, scale: float = 0.1):
         if alpha <= 0 or scale <= 0:
-            raise ReproError("heavy_tail latency needs alpha, scale > 0")
+            raise ReproError(f"{self.name} latency needs alpha, scale > 0")
         self.alpha = alpha
         self.scale = scale
 
@@ -245,21 +221,58 @@ class HeavyTailLatency(LatencyModel):
         return self.scale * rng.paretovariate(self.alpha)
 
 
-class AdversaryLatency(LatencyModel):
+class _BusiestSender:
+    """The targeting rule both adversaries share.
+
+    Charged messages are counted per sender as they accrue (on the
+    instance: ``_sent``, ``_max``, ``remaining``); a payload is targeted
+    when its sender holds the running maximum (ties included), has sent
+    more than ``warmup`` messages (so the first node to speak is never
+    hit) and the ``budget`` is not spent (so runs still terminate).  It
+    consumes no randomness, only the observed send order.
+    """
+
+    def _set_bounds(self, budget: int, warmup: int) -> None:
+        if budget < 0:
+            raise ReproError(f"{self.name} budget must be >= 0")
+        if warmup < 0:
+            raise ReproError(f"{self.name} warmup must be >= 0")
+        self.budget = budget
+        self.warmup = warmup
+
+    def _start_targeting(self, n: int) -> None:
+        """Zero the per-sender counts of an ``n``-node execution."""
+        self._sent = [0] * n
+        self._max = 0
+        self.remaining = self.budget
+
+    def _targets(self, sender: int, charged: int) -> bool:
+        """Charge ``charged`` messages to ``sender``; True when this
+        payload is targeted (one unit of the budget spent)."""
+        count = self._sent[sender] + charged
+        self._sent[sender] = count
+        is_busiest = count >= self._max
+        if count > self._max:
+            self._max = count
+        if is_busiest and count > self.warmup and self.remaining > 0:
+            self.remaining -= 1
+            return True
+        return False
+
+
+class AdversaryLatency(_BusiestSender, LatencyModel):
     """Slow the links of whichever sender is currently busiest.
 
     The latency twin of :class:`AdaptiveAdversary`: instead of dropping
     the busiest sender's traffic it stretches the delay of each of that
     sender's payloads by ``slowdown``, targeting exactly the node the
-    message-frugal algorithms route their communication through.  Like
-    the drop adversary it is warmup-bounded (the first ``warmup``
-    charged messages per sender travel at base speed, so it never shoots
-    the first node to speak) and budget-bounded (at most ``budget``
-    payloads are slowed in one execution, so runs still terminate in
-    reasonable normalized time).  Base delays come from a
-    :class:`UniformLatency` draw, so against ``uniform`` cells any count
-    drift is pure adversarial reordering; the targeting itself consumes
-    no randomness — for a fixed seed the arrival schedule is exact.
+    message-frugal algorithms route their communication through.  It
+    targets by the drop adversary's rule (:class:`_BusiestSender`:
+    warmup- and budget-bounded, at most ``budget`` payloads slowed per
+    execution).  Base delays come from a :class:`UniformLatency` draw,
+    so against ``uniform`` cells any count drift is pure adversarial
+    reordering; the targeting consumes no randomness — for a fixed seed
+    the arrival schedule is exact.
     """
 
     name = "adversary_latency"
@@ -267,25 +280,18 @@ class AdversaryLatency(LatencyModel):
     def __init__(self, slowdown: float = 8.0, budget: int = 64,
                  warmup: int = 4, min_delay: float = 0.05):
         if slowdown < 1:
-            raise ReproError("adversary_latency slowdown must be >= 1")
-        if budget < 0:
-            raise ReproError("adversary_latency budget must be >= 0")
-        if warmup < 0:
-            raise ReproError("adversary_latency warmup must be >= 0")
+            raise ReproError(f"{self.name} slowdown must be >= 1")
+        self._set_bounds(budget, warmup)
         self.base = UniformLatency(low=min_delay)
         self.slowdown = slowdown
-        self.budget = budget
-        self.warmup = warmup
-        self.remaining = budget
-        self.slowed = 0
-        self._sent: list[int] = []
-        self._max = 0
+
+    @property
+    def slowed(self) -> int:
+        """Payloads slowed in this execution."""
+        return self.budget - self.remaining
 
     def begin(self, net) -> None:
-        self._sent = [0] * net._n
-        self._max = 0
-        self.remaining = self.budget
-        self.slowed = 0
+        self._start_targeting(net._n)
 
     def packet_delay(self, rng: random.Random) -> float:
         return self.base.packet_delay(rng)
@@ -296,29 +302,17 @@ class AdversaryLatency(LatencyModel):
         # base schedule matches `uniform` draw-for-draw; targeting only
         # scales what was drawn.
         delay = super().link_delay(env, charged, rng)
-        count = self._sent[env.sender] + charged
-        self._sent[env.sender] = count
-        is_busiest = count >= self._max
-        if count > self._max:
-            self._max = count
-        if is_busiest and count > self.warmup and self.remaining > 0:
-            self.remaining -= 1
-            self.slowed += 1
+        if self._targets(env.sender, charged):
             return delay * self.slowdown
         return delay
 
 
-#: Latency-model vocabulary shared by the engine, SweepSpec, and the CLI.
-LATENCY_MODELS = ("fixed", "uniform", "exponential", "heavy_tail",
-                  "adversary_latency")
+_LATENCY_CLASSES = {cls.name: cls for cls in (
+    FixedLatency, UniformLatency, ExponentialLatency, HeavyTailLatency,
+    AdversaryLatency)}
 
-_LATENCY_CLASSES = {
-    "fixed": FixedLatency,
-    "uniform": UniformLatency,
-    "exponential": ExponentialLatency,
-    "heavy_tail": HeavyTailLatency,
-    "adversary_latency": AdversaryLatency,
-}
+#: Latency-model vocabulary shared by the engine, SweepSpec, and the CLI.
+LATENCY_MODELS = tuple(_LATENCY_CLASSES)
 
 
 def make_latency_model(spec) -> LatencyModel:
@@ -419,9 +413,10 @@ class MessageDrop(FaultModel):
     def __init__(self, p: float = 0.05):
         super().__init__()
         if not 0.0 <= p <= 1.0:
-            raise ReproError(f"drop probability must be in [0, 1], got {p}")
+            raise ReproError(
+                f"{self.name} probability must be in [0, 1], got {p}")
         self.p = p
-        self.spec = f"drop:{p:g}"
+        self.spec = f"{self.name}:{p:g}"
 
     def drops(self, env: Envelope, receiver: int, charged: int) -> bool:
         if self.p and self.rng.random() < self.p:
@@ -449,22 +444,23 @@ class NodeCrash(FaultModel):
                  recover: Optional[float] = None):
         super().__init__()
         if schedule is None and not 0.0 <= p <= 1.0:
-            raise ReproError(f"crash probability must be in [0, 1], got {p}")
+            raise ReproError(
+                f"{self.name} probability must be in [0, 1], got {p}")
         if at < 1.0:
-            raise ReproError("crash horizon must be >= 1")
+            raise ReproError(f"{self.name} horizon must be >= 1")
         if recover is not None and recover <= 0:
-            raise ReproError("crash recovery delay must be positive")
+            raise ReproError(f"{self.name} recovery delay must be positive")
         self.p = p
         self.at = at
         self.recover = recover
         self._explicit = schedule
         self._schedule: dict[int, tuple[float, float]] = {}
         if schedule is None:
-            self.spec = f"crash:{p:g}:{at:g}" + (
+            self.spec = f"{self.name}:{p:g}:{at:g}" + (
                 f":{recover:g}" if recover is not None else ""
             )
         else:
-            self.spec = "crash:<explicit>"
+            self.spec = f"{self.name}:<explicit>"
 
     def _on_bind(self) -> None:
         if self._explicit is not None:
@@ -488,59 +484,52 @@ class NodeCrash(FaultModel):
         return now < window[1]
 
 
-class AdaptiveAdversary(FaultModel):
+class AdaptiveAdversary(_BusiestSender, FaultModel):
     """Drop the traffic of whichever sender is currently busiest.
 
-    The adversary watches the charged per-sender message counts as they
-    accrue and discards every envelope whose sender holds the current
-    maximum — exactly the node the message-frugal algorithms concentrate
-    their communication through.  A warmup of ``warmup`` messages per
-    sender keeps it from shooting the first node to speak, and a total
-    ``budget`` bounds the damage so runs still terminate.  Fully
-    deterministic: no randomness, only the observed send order.
+    Every copy of an envelope whose sender the shared targeting rule
+    (:class:`_BusiestSender`) picks is discarded — exactly the node the
+    message-frugal algorithms concentrate their communication through,
+    at most ``budget`` copies per execution.
     """
 
     name = "adversary"
 
     def __init__(self, budget: int = 64, warmup: int = 4):
         super().__init__()
-        if budget < 0:
-            raise ReproError("adversary budget must be >= 0")
-        if warmup < 0:
-            raise ReproError("adversary warmup must be >= 0")
-        self.budget = budget
-        self.warmup = warmup
-        self.spec = f"adversary:{budget}:{warmup}"
-        self.remaining = budget
-        self._max = 0
+        self._set_bounds(budget, warmup)
+        self.spec = f"{self.name}:{budget}:{warmup}"
 
     def _on_bind(self) -> None:
-        self._sent = [0] * self.net._n
+        self._start_targeting(self.net._n)
 
     def drops(self, env: Envelope, receiver: int, charged: int) -> bool:
-        count = self._sent[env.sender] + charged
-        self._sent[env.sender] = count
-        is_busiest = count >= self._max
-        if count > self._max:
-            self._max = count
-        if is_busiest and count > self.warmup and self.remaining > 0:
-            self.remaining -= 1
+        if self._targets(env.sender, charged):
             self.mark(receiver, "dropped")
             return True
         return False
 
 
+#: Each fault model's spec parameters in ``name:a:b`` order, with the
+#: type a token parses to; an omitted parameter keeps its constructor
+#: default.
+_FAULT_GRAMMAR = {cls.name: (cls, params) for cls, params in (
+    (MessageDrop, (("p", float),)),
+    (NodeCrash, (("p", float), ("at", float), ("recover", float))),
+    (AdaptiveAdversary, (("budget", int), ("warmup", int))),
+)}
+
 #: Fault-model vocabulary shared by the engine, SweepSpec, and the CLI.
 #: Specs are ``name[:param[:param...]]`` strings; see ``docs/faults.md``.
-FAULT_MODELS = ("none", "drop", "crash", "adversary")
+FAULT_MODELS = ("none", *_FAULT_GRAMMAR)
 
 
 def make_fault_model(spec) -> Optional[FaultModel]:
     """Resolve a fault spec to a model, or None for the fault-free path.
 
     ``None``/``"none"`` resolve to None so the engine's hot path stays
-    literally the pre-seam code; an instance passes through; strings are
-    ``drop:P``, ``crash:P[:T[:R]]``, or ``adversary[:B[:W]]``.
+    literally the pre-seam code; an instance passes through; a string
+    is ``name[:param...]`` as ``_FAULT_GRAMMAR`` lists for the name.
     """
     if spec is None:
         return None
@@ -551,41 +540,29 @@ def make_fault_model(spec) -> Optional[FaultModel]:
     if spec == "none":
         return None
     head, sep, rest = spec.partition(":")
+    grammar = _FAULT_GRAMMAR.get(head)
+    if grammar is None:
+        raise ReproError(
+            f"unknown fault model {spec!r}; known: {', '.join(FAULT_MODELS)}"
+        )
+    cls, params = grammar
     # "drop:" (a colon with nothing after it) is malformed, not an
     # alias for the defaults — split on the separator, so the empty
     # token reaches the numeric parse and fails loudly.
     args = rest.split(":") if sep else []
+    if len(args) > len(params):
+        raise ReproError(
+            f"{head} spec takes at most {len(params)} params: {spec!r}")
     try:
-        if head == "drop":
-            (p,) = args or ["0.05"]
-            return MessageDrop(p=float(p))
-        if head == "crash":
-            if len(args) > 3:
-                raise ReproError(f"crash spec takes at most 3 params: {spec!r}")
-            p = float(args[0]) if args else 0.05
-            at = float(args[1]) if len(args) > 1 else 16.0
-            recover = float(args[2]) if len(args) > 2 else None
-            return NodeCrash(p=p, at=at, recover=recover)
-        if head == "adversary":
-            if len(args) > 2:
-                raise ReproError(
-                    f"adversary spec takes at most 2 params: {spec!r}"
-                )
-            budget = int(args[0]) if args else 64
-            warmup = int(args[1]) if len(args) > 1 else 4
-            return AdaptiveAdversary(budget=budget, warmup=warmup)
+        return cls(**{name: parse(token)
+                      for (name, parse), token in zip(params, args)})
     except ReproError as exc:
-        if repr(spec) in str(exc):
-            raise
         # Constructor range errors ("drop probability must be in
         # [0, 1]") know the parameter but not which spec supplied it;
         # name the spec so a failing 40-cell sweep axis is debuggable.
         raise ReproError(f"bad fault spec {spec!r}: {exc}") from exc
     except ValueError as exc:
         raise ReproError(f"malformed fault spec {spec!r}: {exc}") from exc
-    raise ReproError(
-        f"unknown fault model {spec!r}; known: {', '.join(FAULT_MODELS)}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1093,6 +1070,12 @@ class ColumnarRoundScheduler(RoundScheduler):
 
 #: Scheduler vocabulary shared by the API, the CLI, and SweepSpec.
 SCHEDULERS = ("rounds", "columnar")
+
+#: The sweep's engine axis (``repro.experiments.spec.ENGINES``; here so
+#: the CLI need not import the sweep layer): ``sync`` and ``columnar``
+#: run the synchronous semantics on the two schedulers, with identical
+#: counts; ``async`` is the event-driven engine.
+ENGINES = ("sync", "columnar", "async")
 
 
 def make_scheduler(spec) -> Optional[Scheduler]:

@@ -76,9 +76,6 @@ class _SimContext:
         self._finished = True
         self._output = output
 
-    def set_output(self, output: Any) -> None:
-        self._output = output
-
     @property
     def finished(self) -> bool:
         return self._finished

@@ -30,8 +30,7 @@ import time
 from typing import Callable, Optional
 
 from repro import api
-from repro.errors import ReproError
-from repro.experiments.spec import Cell, SweepSpec
+from repro.experiments.spec import Cell, SweepSpec, check_knob_readers
 from repro.experiments.store import ResultStore
 from repro.graphs.core import Graph
 from repro.graphs.generators import family_built_n, family_graph
@@ -84,23 +83,16 @@ def run_cell(cell: Cell) -> dict:
     ``synchronized_stages``).
     """
     entry = cell.entry
-    if (cell.sample_constant is not None
-            and "sample_constant" not in entry.knobs):
-        # SweepSpec rejects this at construction; a hand-built Cell gets
-        # the same answer instead of a mislabeled record whose key
-        # claims a knob the method never saw.
-        readers = api.method_names(knob="sample_constant")
-        raise ReproError(
-            f"sample_constant only applies to {', '.join(readers)}, "
-            f"not {cell.method!r}"
-        )
+    if cell.sample_constant is not None:
+        # SweepSpec refuses this at construction; a hand-built Cell
+        # gets the same answer.
+        check_knob_readers("sample_constant", (cell.method,))
     t0 = time.perf_counter()
     graph, graph_s = _cell_graph(cell)
     asynchronous = cell.engine == "async"
     # The columnar engine is the sync semantics on the numpy scheduler:
     # identical counts (parity contract), different wall clock.
     scheduler = "columnar" if cell.engine == "columnar" else None
-    faulted = cell.faults != "none"
     # Knobs left at None keep the method's default.
     knobs = {name: getattr(cell, name) for name in entry.knobs
              if getattr(cell, name) is not None}
@@ -118,7 +110,7 @@ def run_cell(cell: Cell) -> dict:
             **knobs,
         )
     except Exception as exc:
-        if not faulted:
+        if cell.faults == "none":
             raise
         # A multi-stage driver may legitimately break when the fault
         # model eats its control messages (that fragility is a finding,
@@ -134,23 +126,8 @@ def run_cell(cell: Cell) -> dict:
                  for column, attr in entry.extras.items())
     report = result.report
     record = {
-        "key": cell.key(),
-        "family": cell.family,
-        # The *built* graph's size: families that quantize the vertex
-        # count (expander fibers, barbell halves) would otherwise feed
-        # exponent fits a systematically wrong x-coordinate.
-        "n": graph.n,
+        **_identity(cell, graph.n),
         "m": graph.m,
-        "seed": cell.seed,
-        "method": cell.method,
-        "engine": cell.engine,
-        "latency": cell.latency if asynchronous else None,
-        "density": cell.density,
-        "epsilon": cell.epsilon,
-        # None (not "none") when fault-free, pooling with records from
-        # stores written before the fault axis existed (WORKLOAD_KEYS
-        # groups missing fields under None).
-        "faults": cell.faults if faulted else None,
         "messages": report.messages,
         "rounds": report.rounds,
         "utilized": (report.utilized_edges
@@ -183,24 +160,39 @@ def run_cell(cell: Cell) -> dict:
     return record
 
 
-def _failure_record(cell: Cell, status: str, wall_s: float = 0.0,
-                    attempts: int = 1,
-                    error: Optional[str] = None) -> dict:
-    """A record for a cell that produced no measurement."""
-    rec = {
+def _identity(cell: Cell, n: int) -> dict:
+    """The fields that say which cell a record measures.
+
+    ``n`` is the *built* graph's size: families that quantize the vertex
+    count (expander fibers, barbell halves) would otherwise feed exponent
+    fits a systematically wrong x-coordinate, and an ok and a failure
+    record for one key would disagree on it.
+    """
+    return {
         "key": cell.key(),
         "family": cell.family,
-        # Same convention as run_cell: the n the family would *build*
-        # (expander fibers, barbell arithmetic quantize the request), so
-        # ok and failure records for one key never disagree on n.
-        "n": family_built_n(cell.family, cell.n, cell.density),
+        "n": n,
         "seed": cell.seed,
         "method": cell.method,
         "engine": cell.engine,
         "latency": cell.latency if cell.engine == "async" else None,
         "density": cell.density,
         "epsilon": cell.epsilon,
+        # None (not "none") when fault-free, pooling with records from
+        # stores written before the fault axis existed (WORKLOAD_KEYS
+        # groups missing fields under None).
         "faults": cell.faults if cell.faults != "none" else None,
+    }
+
+
+def _failure_record(cell: Cell, status: str, wall_s: float = 0.0,
+                    attempts: int = 1,
+                    error: Optional[str] = None) -> dict:
+    """A record for a cell that produced no measurement; its n is the
+    one the family would build (:func:`family_built_n`)."""
+    rec = {
+        **_identity(cell, family_built_n(cell.family, cell.n,
+                                         cell.density)),
         "valid": False,
         "status": status,
         "attempts": attempts,

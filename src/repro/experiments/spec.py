@@ -26,28 +26,44 @@ from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Optional
 
 from repro import api
-from repro.congest.runtime import LATENCY_MODELS, make_fault_model
+from repro.congest.runtime import ENGINES, LATENCY_MODELS, make_fault_model
 from repro.errors import ReproError
+from repro.graphs.generators import FAMILIES
 
 #: The sweep methods, from the catalogue (:data:`repro.api.METHODS`).
 COLORING_METHODS = api.method_names("coloring")
 MIS_METHODS = api.method_names("mis")
 ALL_METHODS = COLORING_METHODS + MIS_METHODS
 
-#: ``sync`` and ``columnar`` are the same synchronous semantics under
-#: two delivery engines (scalar per-node loop vs numpy whole-round
-#: batches; counts are bit-identical by the columnar parity contract,
-#: only wall-clock differs); ``async`` is the event-driven engine.
-ENGINES = ("sync", "columnar", "async")
+
+def _refuse_unknown(what: str, values, known) -> None:
+    """Raise naming the first of ``values`` that ``known`` lacks."""
+    known = tuple(known)        # compared by ==: no hash of bad input
+    for value in values:
+        if value not in known:
+            raise ReproError(
+                f"unknown {what} {value!r}; known: {', '.join(known)}")
 
 
-def _entry(method: str) -> api.Method:
-    """A sweep method's catalogue entry (ReproError when unknown)."""
-    if method not in ALL_METHODS:
+def check_knob_readers(knob: str, methods) -> None:
+    """Raise unless each of ``methods`` reads ``knob``: a knob carried by
+    another method would mint cell keys claiming what no run measured."""
+    readers = api.method_names(knob=knob)
+    bad = [m for m in methods if m not in readers]
+    if bad:
+        raise ReproError(f"{knob} only applies to {', '.join(readers)}, "
+                         f"not {', '.join(bad)}")
+
+
+def _refuse_unknown_fields(cls, data: dict, peers: str) -> None:
+    """Raise when ``data`` names a field ``cls`` does not have: the
+    ``peers`` on the other end run a newer schema."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
         raise ReproError(
-            f"unknown method {method!r}; known: {', '.join(ALL_METHODS)}"
+            f"unknown {cls.__name__} field(s) {', '.join(unknown)} "
+            f"({peers} schema skew?)"
         )
-    return api.METHODS[method]
 
 
 @dataclass(frozen=True)
@@ -106,7 +122,8 @@ class Cell:
     @property
     def entry(self) -> api.Method:
         """The method's catalogue entry (ReproError when unknown)."""
-        return _entry(self.method)
+        _refuse_unknown("method", (self.method,), ALL_METHODS)
+        return api.METHODS[self.method]
 
     @property
     def problem(self) -> str:
@@ -127,13 +144,7 @@ class Cell:
         schema, and executing the cell without the knob would produce a
         record whose key claims something the run never measured.
         """
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ReproError(
-                f"unknown Cell field(s) {', '.join(unknown)} "
-                "(coordinator/worker schema skew?)"
-            )
+        _refuse_unknown_fields(cls, data, "coordinator/worker")
         return cls(**data)
 
 
@@ -154,9 +165,9 @@ class SweepSpec:
     only ``wall_s`` differs;
     ``latencies`` multiplies only the async cells — a sync cell has no
     latency model and is emitted once.  ``faults`` is the robustness
-    axis: every entry is a fault-model spec (``"none"``, ``"drop:P"``,
-    ``"crash:P[:T[:R]]"``, ``"adversary[:B[:W]]"``) and multiplies every
-    cell, like ``latencies`` does async ones.
+    axis: every entry is a fault-model spec
+    (:func:`~repro.congest.runtime.make_fault_model`) and multiplies
+    every cell, like ``latencies`` does async ones.
     """
 
     families: tuple[str, ...] = ("gnp",)
@@ -181,17 +192,10 @@ class SweepSpec:
     retries: int = 0
 
     def __post_init__(self):
-        for m in self.methods:
-            _entry(m)           # raises ReproError on an unknown method
-        for engine in self.engine_axis:
-            if engine not in ENGINES:
-                raise ReproError(f"unknown engine {engine!r}")
-        for latency in self.latencies:
-            if latency not in LATENCY_MODELS:
-                raise ReproError(
-                    f"unknown latency model {latency!r}; "
-                    f"known: {', '.join(LATENCY_MODELS)}"
-                )
+        _refuse_unknown("graph family", self.families, FAMILIES)
+        _refuse_unknown("method", self.methods, ALL_METHODS)
+        _refuse_unknown("engine", self.engine_axis, ENGINES)
+        _refuse_unknown("latency model", self.latencies, LATENCY_MODELS)
         for fault in self.faults:
             make_fault_model(fault)     # raises ReproError on a bad spec
         # A repeated value would expand to two cells under one key: two
@@ -212,17 +216,15 @@ class SweepSpec:
                 or not self.faults):
             raise ReproError("sweep spec has an empty axis")
         if self.sample_constant is not None:
-            readers = api.method_names(knob="sample_constant")
-            bad = [m for m in self.methods if m not in readers]
-            if bad:
-                # The knob only reaches its readers; letting other
-                # methods carry it would mint distinct cell keys whose
-                # numbers do not measure what the key claims.
-                raise ReproError(
-                    f"sample_constant only applies to {', '.join(readers)} "
-                    f"(spec also includes: {', '.join(bad)})"
-                )
-        if self.timeout_s is not None and self.timeout_s <= 0:
+            check_knob_readers("sample_constant", self.methods)
+        if any(n < 1 for n in self.sizes):
+            raise ReproError("sizes must be >= 1")
+        readers = api.method_names(knob="epsilon")
+        if not self.epsilon > 0 and any(m in readers for m in self.methods):
+            raise ReproError(
+                f"epsilon must be positive for {', '.join(readers)}")
+        # ``not x > 0`` also refuses NaN, which every comparison fails.
+        if self.timeout_s is not None and not self.timeout_s > 0:
             raise ReproError("timeout_s must be positive (or None)")
         if self.retries < 0:
             raise ReproError("retries must be >= 0")
@@ -251,13 +253,7 @@ class SweepSpec:
         into lists; they are coerced back so the rebuilt spec hashes
         and compares like a native one.
         """
-        known = {f.name: f for f in fields(cls)}
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            raise ReproError(
-                f"unknown SweepSpec field(s) {', '.join(unknown)} "
-                "(coordinator/client schema skew?)"
-            )
+        _refuse_unknown_fields(cls, data, "coordinator/client")
         coerced = {
             name: tuple(value) if isinstance(value, list) else value
             for name, value in data.items()

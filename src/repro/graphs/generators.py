@@ -14,8 +14,9 @@ exercised on:
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.graphs.core import Graph
@@ -26,6 +27,21 @@ def _rng_from(seed) -> random.Random:
     if isinstance(seed, random.Random):
         return seed
     return random.Random(seed)
+
+
+def _connect_components(g: Graph, rng: random.Random) -> Graph:
+    """``g`` with consecutive components linked by one random edge each
+    (an endpoint drawn from either component's sorted vertices, in
+    component order); a connected ``g`` as is, with no draw."""
+    from repro.graphs.analysis import connected_components
+
+    comps = connected_components(g)
+    if len(comps) == 1:
+        return g
+    return g.with_edges(added=[
+        (rng.choice(sorted(a)), rng.choice(sorted(b)))
+        for a, b in zip(comps, comps[1:])
+    ])
 
 
 def _shuffle(rng: random.Random, items: list) -> None:
@@ -87,20 +103,13 @@ def gnp_random_graph(n: int, p: float, seed=0) -> Graph:
 def connected_gnp_graph(n: int, p: float, seed=0, max_tries: int = 60) -> Graph:
     """G(n, p) conditioned on connectivity (resamples; then patches)."""
     rng = _rng_from(seed)
-    from repro.graphs.analysis import connected_components
+    from repro.graphs.analysis import is_connected
 
     for _ in range(max_tries):
         g = gnp_random_graph(n, p, rng)
-        comps = connected_components(g)
-        if len(comps) == 1:
+        if is_connected(g):
             return g
-    # Patch: link consecutive components with one random edge each.
-    g = gnp_random_graph(n, p, rng)
-    comps = connected_components(g)
-    extra = []
-    for a, b in zip(comps, comps[1:]):
-        extra.append((rng.choice(sorted(a)), rng.choice(sorted(b))))
-    return g.with_edges(added=extra)
+    return _connect_components(gnp_random_graph(n, p, rng), rng)
 
 
 def random_regular_graph(n: int, d: int, seed=0, max_tries: int = 60) -> Graph:
@@ -259,8 +268,6 @@ def grid_graph(n: int) -> Graph:
     """
     if n < 1:
         raise ReproError("grid needs at least one vertex")
-    import math
-
     cols = max(1, math.isqrt(n - 1) + 1)
     edges = []
     for v in range(n):
@@ -271,22 +278,24 @@ def grid_graph(n: int) -> Graph:
     return Graph(n, edges)
 
 
+def _torus_shape(n: int) -> tuple[int, int]:
+    """(rows, cols) of the torus nearest ``n`` vertices, each >= 3."""
+    cols = max(3, math.isqrt(n))
+    return max(3, round(n / cols)), cols
+
+
 def torus_graph(n: int) -> Graph:
     """A 2D torus (wraparound grid) on approximately ``n`` vertices.
 
-    cols = max(3, isqrt(n)) and rows = max(3, round(n / cols)), so the
-    built vertex count rows*cols quantizes the request (like the
-    expander lift does).  Every vertex has degree exactly 4 and the
-    diameter is Theta(sqrt n) with no boundary effects — the clean
+    (rows, cols) = :func:`_torus_shape` (n), so the built vertex count
+    rows*cols quantizes the request.  Every vertex has degree exactly 4
+    and the diameter is Theta(sqrt n) with no boundary effects — the clean
     bounded-degree workload for fault sweeps, where a crash's blast
     radius is a fixed 4-neighborhood regardless of n.
     """
     if n < 9:
         raise ReproError("torus needs at least 9 vertices (3x3)")
-    import math
-
-    cols = max(3, math.isqrt(n))
-    rows = max(3, round(n / cols))
+    rows, cols = _torus_shape(n)
     edges = []
     for r in range(rows):
         for c in range(cols):
@@ -297,23 +306,31 @@ def torus_graph(n: int) -> Graph:
     return Graph(rows * cols, edges)
 
 
+def _hypercube_dimension(n: int) -> int:
+    """d of the hypercube nearest ``n`` vertices: round(log2 n), >= 1."""
+    return max(1, round(math.log2(n)))
+
+
 def hypercube_graph(n: int) -> Graph:
     """The d-dimensional hypercube nearest ``n`` vertices (2^d built).
 
-    d = max(1, round(log2 n)); vertices are bitstrings 0..2^d-1 and
-    u ~ v iff they differ in one bit.  Degree = diameter = d = Theta(log
-    n): the logarithmic-degree middle ground between the constant-degree
-    torus and dense gnp.
+    d = :func:`_hypercube_dimension` (n); vertices are bitstrings
+    0..2^d-1 and u ~ v iff they differ in one bit.  Degree = diameter =
+    d = Theta(log n): the logarithmic-degree middle ground between the
+    constant-degree torus and dense gnp.
     """
     if n < 2:
         raise ReproError("hypercube needs at least 2 vertices")
-    import math
-
-    d = max(1, round(math.log2(n)))
+    d = _hypercube_dimension(n)
     size = 1 << d
     edges = [(v, v ^ (1 << b)) for v in range(size) for b in range(d)
              if v < v ^ (1 << b)]
     return Graph(size, edges)
+
+
+def _lift_fibers(n: int, d: int) -> int:
+    """L, the fibers of the degree-``d`` lift nearest ``n`` vertices."""
+    return max(1, round(n / (d + 1)))
 
 
 def random_regular_lift(n: int, d: int = 4, seed=0) -> Graph:
@@ -324,8 +341,8 @@ def random_regular_lift(n: int, d: int = 4, seed=0) -> Graph:
     {u, v} with a random perfect matching between the fibers (a uniform
     permutation pi: (u, i) ~ (v, pi(i))).  Random lifts of expanders are
     expanders whp (Bilu–Linial), the result is exactly d-regular and
-    simple by construction, and L = round(n / (d+1)) fibers put the
-    vertex count within a fiber of ``n``.  Rarely the lift is
+    simple by construction, and L = :func:`_lift_fibers` (n, d) fibers
+    put the vertex count within a fiber of ``n``.  Rarely the lift is
     disconnected; consecutive components are then patched with one
     random edge each (as :func:`connected_gnp_graph` does).
     """
@@ -333,7 +350,7 @@ def random_regular_lift(n: int, d: int = 4, seed=0) -> Graph:
         raise ReproError("expander lift needs degree >= 3")
     rng = _rng_from(seed)
     base = d + 1
-    lift = max(1, round(n / base))
+    lift = _lift_fibers(n, d)
     edges: list[tuple[int, int]] = []
     for u in range(base):
         for v in range(u + 1, base):
@@ -342,16 +359,7 @@ def random_regular_lift(n: int, d: int = 4, seed=0) -> Graph:
             edges.extend(
                 (u * lift + i, v * lift + perm[i]) for i in range(lift)
             )
-    g = Graph(base * lift, edges)
-    from repro.graphs.analysis import connected_components
-
-    comps = connected_components(g)
-    if len(comps) == 1:
-        return g
-    extra = []
-    for a, b in zip(comps, comps[1:]):
-        extra.append((rng.choice(sorted(a)), rng.choice(sorted(b))))
-    return g.with_edges(added=extra)
+    return _connect_components(Graph(base * lift, edges), rng)
 
 
 def planted_partition_graph(n: int, p_in: float, p_out: float,
@@ -381,16 +389,7 @@ def planted_partition_graph(n: int, p_in: float, p_out: float,
             prob = p_in if block_of[v] == bu else p_out
             if rng.random() < prob:
                 edges.append((u, v))
-    g = Graph(n, edges)
-    from repro.graphs.analysis import connected_components
-
-    comps = connected_components(g)
-    if len(comps) == 1:
-        return g
-    extra = []
-    for a, b in zip(comps, comps[1:]):
-        extra.append((rng.choice(sorted(a)), rng.choice(sorted(b))))
-    return g.with_edges(added=extra)
+    return _connect_components(Graph(n, edges), rng)
 
 
 def regular_degree_for(n: int, p: float) -> int:
@@ -406,73 +405,102 @@ def regular_degree_for(n: int, p: float) -> int:
     return max(d, 0)
 
 
+def _expander_degree(p: float) -> int:
+    """The ``expander`` family's lift degree: ~16p, clamped to [3, 8]."""
+    return max(3, min(8, int(round(p * 16))))
+
+
+def _barbell_parts(n: int) -> tuple[int, int]:
+    """(clique, path) of the ``barbell`` family at size knob ``n``."""
+    return n // 2, max(1, n // 10)
+
+
+def _barbell_built_n(n: int, p: float) -> int:
+    clique, path = _barbell_parts(n)
+    return 2 * clique + path
+
+
+def _expander_built_n(n: int, p: float) -> int:
+    d = _expander_degree(p)
+    return (d + 1) * _lift_fibers(n, d)
+
+
+class Family(NamedTuple):
+    """``build(n, p, seed)`` makes the graph for size request ``n`` and
+    density knob ``p``; ``built_n(n, p)`` is its vertex count, from the
+    same shape rule but no edges, for a family that quantizes ``n``."""
+
+    build: Callable[[int, float, object], Graph]
+    built_n: Optional[Callable[[int, float], int]] = None
+
+
+#: The workload vocabulary of the CLI, the experiment sweeps and the
+#: benchmarks, in listing order: family name -> :class:`Family`.
+FAMILIES: dict[str, Family] = {
+    # G(n, p) conditioned on connectivity
+    "gnp": Family(lambda n, p, seed: connected_gnp_graph(n, p, seed=seed)),
+    # degree ~ p*n, clamped feasible
+    "regular": Family(
+        lambda n, p, seed: random_regular_graph(
+            n, regular_degree_for(n, p), seed=seed)),
+    # preferential attachment ~ 10p
+    "powerlaw": Family(
+        lambda n, p, seed: power_law_graph(
+            n, attachment=max(2, int(p * 10)), seed=seed)),
+    # two n/2-cliques joined by an n/10 path (p ignored)
+    "barbell": Family(
+        lambda n, p, seed: barbell_graph(*_barbell_parts(n)),
+        _barbell_built_n),
+    # 2D lattice (p ignored)
+    "grid": Family(lambda n, p, seed: grid_graph(n)),
+    # wraparound grid (p ignored)
+    "torus": Family(
+        lambda n, p, seed: torus_graph(n),
+        lambda n, p: math.prod(_torus_shape(n))),
+    # 2^round(log2 n) vertices (p ignored)
+    "hypercube": Family(
+        lambda n, p, seed: hypercube_graph(n),
+        lambda n, p: 1 << _hypercube_dimension(n)),
+    # random d-regular lift of K_{d+1}, d ~ 16p clamped to [3, 8]
+    "expander": Family(
+        lambda n, p, seed: random_regular_lift(
+            n, _expander_degree(p), seed=seed),
+        _expander_built_n),
+    # planted partition, p_in = p, p_out = p/8, up to 4 blocks
+    "planted": Family(
+        lambda n, p, seed: planted_partition_graph(
+            n, p_in=p, p_out=p / 8, blocks=min(4, max(1, n // 8)),
+            seed=seed)),
+}
+
+
 def family_built_n(family: str, n: int, p: float = 0.2) -> int:
-    """The vertex count :func:`family_graph` will actually build.
+    """The vertex count :func:`family_graph` builds for this request.
 
-    Families that quantize the requested size — expander lifts round to
-    a whole number of fibers, barbell to clique/path arithmetic — build
-    a graph whose ``n`` differs from the request.  Records must carry
-    the *built* n (a wrong x-coordinate biases exponent fits), and
-    failure records have no graph to read it from, so this computes it
-    without constructing any edges.  Kept in lockstep with
-    :func:`family_graph`'s dispatch below.
+    Records must carry the *built* n (a wrong x-coordinate biases
+    exponent fits), and failure records have no graph to read it from,
+    so this asks the family's :attr:`Family.built_n` without building
+    any edges.  An unknown family answers the request ``n``: a
+    hand-built cell's failure record still needs one.
     """
-    if family == "barbell":
-        return 2 * (n // 2) + max(1, n // 10)
-    if family == "expander":
-        d = max(3, min(8, int(round(p * 16))))
-        return max(1, round(n / (d + 1))) * (d + 1)
-    if family == "torus":
-        import math
-
-        cols = max(3, math.isqrt(n))
-        return cols * max(3, round(n / cols))
-    if family == "hypercube":
-        import math
-
-        return 1 << max(1, round(math.log2(n)))
-    return n
+    entry = FAMILIES.get(family)
+    if entry is None or entry.built_n is None:
+        return n
+    return entry.built_n(n, p)
 
 
 @collector_paused()
 def family_graph(family: str, n: int, p: float = 0.2, seed=0) -> Graph:
     """Build a graph from a ``(family, n, density-knob, seed)`` spec.
 
-    The shared workload vocabulary of the CLI and the experiment sweeps:
-    ``gnp`` (edge probability p), ``regular`` (degree ~ p*n, clamped
-    feasible), ``powerlaw`` (attachment ~ 10p), ``barbell`` (p ignored),
-    ``grid`` (2D lattice, p ignored), ``torus`` (wraparound grid,
-    p ignored), ``hypercube`` (2^round(log2 n) vertices, p ignored),
-    ``expander`` (random d-regular lift of K_{d+1} with d ~ 16p clamped
-    to [3, 8]), and ``planted`` (planted partition with p_in = p,
-    p_out = p/8, 4 blocks).  Size quantization here must stay in
-    lockstep with :func:`family_built_n`.  The build runs with the
+    ``family`` names a :data:`FAMILIES` entry.  The build runs with the
     cyclic garbage collector paused
     (:func:`repro.util.collector.collector_paused`).
     """
-    if family == "gnp":
-        return connected_gnp_graph(n, p, seed=seed)
-    if family == "regular":
-        return random_regular_graph(n, regular_degree_for(n, p), seed=seed)
-    if family == "powerlaw":
-        return power_law_graph(n, attachment=max(2, int(p * 10)), seed=seed)
-    if family == "barbell":
-        return barbell_graph(n // 2, max(1, n // 10))
-    if family == "grid":
-        return grid_graph(n)
-    if family == "torus":
-        return torus_graph(n)
-    if family == "hypercube":
-        return hypercube_graph(n)
-    if family == "expander":
-        d = max(3, min(8, int(round(p * 16))))
-        return random_regular_lift(n, d, seed=seed)
-    if family == "planted":
-        return planted_partition_graph(
-            n, p_in=p, p_out=p / 8, blocks=min(4, max(1, n // 8)),
-            seed=seed,
-        )
-    raise ReproError(f"unknown graph family {family!r}")
+    entry = FAMILIES.get(family)
+    if entry is None:
+        raise ReproError(f"unknown graph family {family!r}")
+    return entry.build(n, p, seed)
 
 
 def tiered_bipartite(t: int) -> tuple[Graph, dict[str, list[int]]]:

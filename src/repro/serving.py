@@ -218,7 +218,9 @@ def _request_graph(msg: dict) -> Graph:
     else:
         raise ReproError("query carries no graph "
                          "(edges, graph_file, or family)")
-    if graph.n and not is_connected(graph):
+    if graph.n == 0:
+        raise ReproError("query graph has no vertices")
+    if not is_connected(graph):
         # The engines' flood/broadcast stages assume one component; fail
         # fast with a clear error instead of a deep ConvergenceError.
         raise ReproError("query graph is not connected")
@@ -453,7 +455,7 @@ class QueryServer(Service):
             seed = int(msg.get("seed", 0))
             epsilon = float(msg.get("epsilon", 0.5))
             deadline_s = float(msg.get("deadline_s", self.deadline_s))
-            if deadline_s <= 0:
+            if not deadline_s > 0:      # NaN fails every comparison
                 raise ReproError(
                     f"deadline_s must be positive, got {deadline_s:g}")
         except (ReproError, ValueError, TypeError) as exc:
@@ -515,8 +517,8 @@ class QueryServer(Service):
         # Waiting for a slot spends the query's own deadline: a server
         # at capacity degrades late arrivals instead of queueing them
         # past the point of a useful answer.
-        if not self._slots.acquire(timeout=max(0.0,
-                                               deadline - time.monotonic())):
+        wait_s = min(deadline - time.monotonic(), threading.TIMEOUT_MAX)
+        if not self._slots.acquire(timeout=max(0.0, wait_s)):
             return degrade()
         try:
             outcome, record = supervised_solve(

@@ -31,6 +31,10 @@ from typing import Any, Callable, Iterable, NamedTuple, Optional
 #: Longest the loop blocks without asking its ``keep`` callback.
 KEEP_CHECK_S = 0.05
 
+#: Longest one sleep of the loop: ``connection.wait`` refuses a timeout
+#: past about 2**31 ms, so a far deadline is waited for in steps.
+_MAX_WAIT_S = 86400.0
+
 #: A child whose peak RSS has grown by more than this since it was forked
 #: exits after sending its reply instead of staying warm.  Importing
 #: numpy and the engine grows a child by ~15 MB; a query on a graph with
@@ -157,7 +161,7 @@ class Supervisor:
                 if keep is not None:
                     timeout = min(timeout, KEEP_CHECK_S)
                 wait([h for job in running for h in (job[1], job[0].sentinel)],
-                     None if timeout == math.inf else max(0.0, timeout))
+                     max(0.0, min(timeout, _MAX_WAIT_S)))
                 now = time.monotonic()
                 for job in list(running):
                     outcome = self._check(*job, now)

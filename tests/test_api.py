@@ -7,6 +7,7 @@ import pytest
 from repro import api
 from repro.congest.runtime import make_scheduler
 from repro.errors import ConvergenceError, ReproError, SynchronizerBudgetError
+from repro.graphs.core import Graph
 from repro.graphs.generators import connected_gnp_graph, family_graph
 
 from tests.conftest import connected_families
@@ -80,6 +81,14 @@ def test_async_mis_every_method(workload):
 def test_unknown_coloring_method(workload):
     with pytest.raises(ReproError):
         api.color_graph(workload, method="nope")
+
+
+@pytest.mark.parametrize("method", api.method_names())
+def test_empty_graph_is_refused_for_every_method(method):
+    solve = (api.color_graph if api.METHODS[method].problem == "coloring"
+             else api.find_mis)
+    with pytest.raises(ReproError, match="no vertices"):
+        solve(Graph(0, ()), method=method)
 
 
 def test_find_mis_default(workload):

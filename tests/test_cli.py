@@ -104,6 +104,12 @@ def test_graph_families(capsys):
         assert code == 0, family
 
 
+@pytest.mark.parametrize("command", ["color", "mis"])
+def test_empty_graph_exits_with_one_line(capsys, command):
+    assert main([command, "--n", "0"]) == 1
+    assert capsys.readouterr().err == f"{command}: the graph has no vertices\n"
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 
@@ -84,6 +85,33 @@ def test_spec_expands_full_matrix():
 def test_spec_rejects_unknown_method():
     with pytest.raises(ReproError):
         SweepSpec(methods=("no-such-method",))
+
+
+@pytest.mark.parametrize("fields,fragment", [
+    ({"families": ("gnpp",)}, "unknown graph family 'gnpp'"),
+    ({"sizes": (0,)}, "sizes must be >= 1"),
+    ({"sizes": (20, -1)}, "sizes must be >= 1"),
+    ({"methods": ("kt1-eps-delta",), "epsilon": 0.0}, "epsilon"),
+    ({"methods": ("luby", "kt1-eps-delta"), "epsilon": -0.5}, "epsilon"),
+    ({"methods": ("kt1-eps-delta",), "epsilon": float("nan")}, "epsilon"),
+    ({"timeout_s": float("nan")}, "timeout_s must be positive"),
+])
+def test_spec_refuses_values_no_cell_can_run(fields, fragment):
+    """Refused at construction, not as one error record per cell."""
+    with pytest.raises(ReproError, match=re.escape(fragment)):
+        SweepSpec(**fields)
+
+
+def test_spec_epsilon_binds_only_its_readers():
+    assert SweepSpec(methods=("luby",), epsilon=0.0).size == 2
+
+
+def test_far_timeout_runs_the_cell():
+    """A budget past what the supervisor's pipe wait accepts (about
+    2**31 ms) still runs the cell to an ok record."""
+    records = run_sweep(SweepSpec(sizes=(20,), methods=("luby",),
+                                  timeout_s=1e9))
+    assert [r["status"] for r in records] == ["ok"]
 
 
 def test_spec_rejects_empty_axis():

@@ -252,11 +252,16 @@ def test_torus_graph_structure():
         torus_graph(5)
 
 
-def test_torus_quantizes_like_family_built_n():
-    from repro.graphs.generators import family_built_n, torus_graph
+def test_family_built_n_matches_every_family():
+    """Every family's built size, computed without edges, is the n of
+    the graph it builds (failure records and exponent fits read it)."""
+    from repro.graphs.generators import FAMILIES, family_built_n, family_graph
 
-    for n in (9, 20, 49, 100, 137):
-        assert torus_graph(n).n == family_built_n("torus", n)
+    for family in FAMILIES:
+        for n in (9, 20, 49, 60, 100, 137):
+            for p in (0.05, 0.2, 0.45):
+                built = family_graph(family, n, p, seed=1).n
+                assert family_built_n(family, n, p) == built, (family, n, p)
 
 
 def test_hypercube_graph_structure():
@@ -303,7 +308,26 @@ def test_torus_hypercube_via_family_graph():
 # n=140; at p=0.25 the fallback runs for every case but (16, seed 1).
 # The gnp cases other than (320, 0.45) were recorded while G(n, p) still
 # built its graph from an edge list, before it filled the adjacency itself.
+# The barbell, grid, torus and hypercube cases (60 and 137 quantize) and
+# gnp (40, 0.05) were recorded before the families moved into one table;
+# each gnp (40, 0.05) seed draws 60 disconnected graphs, so it patches.
 _FAMILY_GRAPH_DIGESTS = {
+    ("barbell", 20, 0.25, 0): "48ee0ca843523dd76e3106e9c13b294d2575bbc050b8b69d4e394730ce8200b5",
+    ("barbell", 60, 0.25, 0): "8a4b6505d609b0ebdcf572652e56674dfb2820803461ed66c70ee1bc37f95fbb",
+    ("barbell", 137, 0.25, 0): "f1a1010f3e83adf40e06bb56d32e72c6760d4602c04e9be5e9de7927e17b88df",
+    ("grid", 20, 0.25, 0): "add266ee2ee2cdb700d83f38c8d655425818cb0288ff1a73fe4ea49e987f67fc",
+    ("grid", 60, 0.25, 0): "3178fde3ad69c557b87a8cc86318c4353e507266f55743ed8931ec92e3511871",
+    ("grid", 137, 0.25, 0): "a1918bb269c0770407d4d581a9cb3dc7561644836fce0d0d2c3524dd2c30e47d",
+    ("torus", 20, 0.25, 0): "df1969965f5c101107e874d0b431513bae28caf75487d3afcb4f5526474b72c4",
+    ("torus", 60, 0.25, 0): "35a539249cfaa0b47a9a67a684c866eed32c85568eb7bde63d1867325e06d5d3",
+    ("torus", 137, 0.25, 0): "8f25e867c9076aed7af86a98f9dfde05c34c24f59c65ff444ea7a5b55449344c",
+    ("hypercube", 20, 0.25, 0): "d12ec246836b9a50ba8d8f2d4e4ecb2a1d572a57fbbc2fa08f84a812b2f0aa4f",
+    ("hypercube", 60, 0.25, 0): "735e3430dc705ff971b00aa5ff403d1c1c59340fd62bdbeb50ec79b12aa67e2f",
+    ("hypercube", 137, 0.25, 0): "181bb6383e4a3b87d30b4fa679f63317f7c930c1f8ae52976a95543f8b28361b",
+    ("gnp", 40, 0.05, 0): "48a117855cb55e7de5386d354172ceb1b44f14722873eff1f03459a9f6f36d94",
+    ("gnp", 40, 0.05, 1): "381bbe0628ab722b1b0fa74462666a6c1f3d2aae687ee3323ab1ad9ba7f12e8b",
+    ("gnp", 40, 0.05, 2): "22aa96e641f36502bd8e5b08472c427fe57184545336eb43a535e85f76efdf74",
+    ("gnp", 40, 0.05, 3): "4a51d68c28f50aad1fd48d82bf411110980e6c73ad590e72a4d3962654416317",
     ("regular", 16, 0.05, 0): "8f2018a3430e8b80e3b4376fc3b38831f4a920381f9ac7509e37203cdbf810fa",
     ("regular", 16, 0.05, 1): "90782dc4688a07acfacfda97abba344df105523cabd9183fd1336048e3ba9eb5",
     ("regular", 16, 0.05, 2): "33e1e43321be92b34669ac71afc9092f2f2011c31065b08de59c0eb9edd24256",

@@ -47,7 +47,7 @@ from repro.serving import (
 from repro.supervise import Supervisor
 from repro.wire import recv_msg, send_msg
 
-from scripted_children import DIE, HANG, ScriptedChild, spawn_script
+from scripted_children import DIE, HANG, Delay, ScriptedChild, spawn_script
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -370,6 +370,8 @@ _DROP = object()
     ({"edges": [[0]]}, "malformed query"),
     ({"edges": 5}, "malformed query"),
     ({"edges": _DROP, "family": "gnp", "n": "ten"}, "malformed query"),
+    ({"deadline_s": float("nan")}, "deadline_s"),
+    ({"edges": [], "n": 0}, "no vertices"),
 ])
 def test_invalid_queries_get_structured_errors(bad, fragment):
     """A bad query, a badly typed field included, is answered with a
@@ -380,6 +382,29 @@ def test_invalid_queries_get_structured_errors(bad, fragment):
     assert resp["type"] == "error" and not resp["retriable"]
     assert fragment in resp["error"]
     assert server.stats.errors == 1
+
+
+@pytest.mark.parametrize("deadline_s", [1e9, 1e10, float("inf")])
+def test_far_deadline_is_answered_normally(deadline_s):
+    """A deadline past what a lock or pipe wait accepts (about 2**31 ms)
+    is waited for in bounded steps: the query holding the one solver
+    slot and the query queued behind it both get full answers."""
+    child = ScriptedChild(Delay(0.2, _ok_record()), _ok_record())
+    server = QueryServer(solvers=1, spawn=spawn_script(child))
+    first = []
+    holder = threading.Thread(target=lambda: first.append(
+        server.handle_query(_query(deadline_s=deadline_s))))
+    holder.start()
+    give_up = time.monotonic() + 5
+    while (not server.status_snapshot()["solver_pids"]
+           and time.monotonic() < give_up):
+        time.sleep(0.01)
+    resp = server.handle_query(_query(seed=1, deadline_s=deadline_s))
+    holder.join(timeout=5)
+    assert not holder.is_alive()
+    for answer in (first[0], resp):
+        assert answer["status"] == "ok" and not answer["degraded"]
+    assert server.stats.errors == 0 and server.stats.ok == 2
 
 
 def test_disconnected_graph_is_rejected_up_front():

@@ -19,7 +19,7 @@ import pytest
 
 from repro.supervise import MAX_WARM_GROWTH_MB, Supervisor, Task
 
-from scripted_children import HANG, ScriptedChild, spawn_script
+from scripted_children import HANG, Delay, ScriptedChild, spawn_script
 
 #: In a child: a weak reference to the cycle :func:`_leave_cycle` left.
 _watched = None
@@ -56,6 +56,16 @@ def test_tasks_reuse_one_child():
     finally:
         supervisor.close()
     assert len(set(pids)) == 1 and pids[0] != os.getpid()
+
+
+@pytest.mark.parametrize("budget_s", [1e9, 1e12])
+def test_far_budget_waits_for_the_reply(budget_s):
+    """A budget past what ``connection.wait`` accepts (about 2**31 ms)
+    is waited for in bounded steps, not refused."""
+    child = ScriptedChild(Delay(0.1, {"answer": 42}))
+    outcome = Supervisor(spawn_script(child)).call(len, ((),),
+                                                   budget_s=budget_s)
+    assert outcome.kind == "ok" and outcome.reply == {"answer": 42}
 
 
 def test_deadline_kill_then_fresh_child():
